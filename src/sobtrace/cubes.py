@@ -22,6 +22,7 @@ __all__ = [
     "packing_color_bound",
     "partition_into_packings",
     "cubes_to_arrays",
+    "conflict_masks",
 ]
 
 GROWTH = 9.0 / 8.0  # dilation factor used for Whitney support cubes
@@ -149,11 +150,11 @@ def packing_color_bound(multiplicity: int, dim: int) -> int:
     return 2 ** (dim - 1) * (multiplicity - 1) + 1
 
 
-def _conflict_masks(cubes) -> list:
-    centers, radii = cubes_to_arrays(cubes)
+def conflict_masks(centers, radii) -> list:
+    """Per cube, a bit mask of the other cubes whose interiors meet its own."""
     los = centers - radii[:, None]
     his = centers + radii[:, None]
-    m = len(cubes)
+    m = len(centers)
     masks = [0] * m
     for i in range(m):
         # open interiors overlap iff every axis has strict interval overlap
@@ -256,8 +257,8 @@ def partition_into_packings(cubes, target: int | None = None) -> np.ndarray:
     dim = cubes[0].dim
     if target is None:
         target = packing_color_bound(covering_multiplicity(cubes), dim)
-    conflicts = _conflict_masks(cubes)
     centers, radii = cubes_to_arrays(cubes)
+    conflicts = conflict_masks(centers, radii)
 
     by_diam = np.lexsort(tuple(centers.T[::-1]) + (-radii,))
     candidates = [_first_fit(by_diam, conflicts)]

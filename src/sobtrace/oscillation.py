@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage, optimize
 
-from .cubes import Cube
+from .cubes import Cube, conflict_masks
 from .grid import GridField
 from .sets import ClosedSet
 from .util import ConfigError, chebyshev, lex_order
@@ -108,21 +108,6 @@ class PackingResult:
     chosen: np.ndarray
 
 
-def _conflicts(centers, radii) -> list:
-    los = centers - radii[:, None]
-    his = centers + radii[:, None]
-    m = len(centers)
-    masks = [0] * m
-    for i in range(m):
-        overlap = np.all(np.minimum(his[i], his) > np.maximum(los[i], los), axis=1)
-        overlap[i] = False
-        mask = 0
-        for j in np.nonzero(overlap)[0]:
-            mask |= 1 << int(j)
-        masks[i] = mask
-    return masks
-
-
 def _greedy_order(problem: PackingProblem) -> np.ndarray:
     keys = tuple(problem.centers.T[::-1]) + (problem.radii, -problem.scores)
     return np.lexsort(keys)
@@ -177,7 +162,7 @@ def _solve_greedy(problem: PackingProblem) -> np.ndarray:
 def _solve_exact(problem: PackingProblem) -> np.ndarray:
     order = _greedy_order(problem)
     scores = problem.scores[order]
-    conflicts = _conflicts(problem.centers[order], problem.radii[order])
+    conflicts = conflict_masks(problem.centers[order], problem.radii[order])
     suffix = np.concatenate([np.cumsum(scores[::-1])[::-1], [0.0]])
     m = len(scores)
     best_val = -1.0
@@ -320,14 +305,23 @@ def _window_extrema(values: np.ndarray, k: int) -> tuple:
     return hi, lo
 
 
+_WALK_CHUNK = 4096  # nodes per step of the greedy grid walk
+
+
 def grid_packing_functional(
     F: GridField, t: float, p: float, taus=None, details: bool = False
 ):
     """Packing functional for a grid field: every node is a candidate center.
 
     Per trial diameter the oscillation raster comes from running max/min
-    filters; the greedy packing walks nodes in score order and blocks a
-    surrounding raster patch after each admission.
+    filters. The greedy packing walks the nodes of positive score in
+    decreasing score order (ties by flat index). A node is rejected by one
+    lookup in a flat view of the `blocked` mask; only an admitted node is
+    turned into per-axis indices, and then the patch [i-k+1, i+k) around it,
+    the nodes whose cubes would overlap its cube, is blocked. The walk takes
+    the order in chunks and drops, in one vectorised lookup, the nodes a
+    chunk finds already blocked; blocking is monotone, so that changes no
+    admission.
     """
     if p <= 0 or np.isinf(p):
         raise ConfigError("packing functional needs finite p > 0")
@@ -349,17 +343,21 @@ def grid_packing_functional(
         cand = np.nonzero(flat > 0)[0]
         order = cand[np.lexsort((cand, -flat[cand]))]
         blocked = np.zeros(shape, bool)
+        bflat = blocked.reshape(-1)  # a view: patches written to blocked show here
         total, count = 0.0, 0
-        for pos in order:
-            idx = np.unravel_index(pos, shape)
-            if blocked[idx]:
-                continue
-            total += flat[pos]
-            count += 1
-            sl = tuple(
-                slice(max(0, i - k + 1), min(s, i + k)) for i, s in zip(idx, shape)
-            )
-            blocked[sl] = True
+        for start in range(0, len(order), _WALK_CHUNK):
+            chunk = order[start:start + _WALK_CHUNK]
+            for pos in chunk[~bflat[chunk]].tolist():
+                if bflat[pos]:
+                    continue
+                total += flat[pos]
+                count += 1
+                patch = []
+                # bool items are one byte, so byte strides are index strides
+                for stride, s in zip(blocked.strides, shape):
+                    i, pos = divmod(pos, stride)
+                    patch.append(slice(max(0, i - k + 1), min(s, i + k)))
+                blocked[tuple(patch)] = True
         per_tau.append((tau, total, count))
         if total > best:
             best, best_tau = total, tau

@@ -43,6 +43,7 @@ class ClosedSet:
     _tree: cKDTree | None = field(default=None, repr=False)
     _boundary: "ClosedSet | None" = field(default=None, repr=False)
     _interior_mask: np.ndarray | None = field(default=None, repr=False)
+    _ball_conditions: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, float))
@@ -257,8 +258,12 @@ class ClosedSet:
 
         beta_hat is the largest observed ratio diam(cube)/diam(empty subcube);
         the condition counts as satisfied when every probed cube at scales
-        >= 8h produced a nonempty gap.
+        >= 8h produced a nonempty gap.  The estimate depends only on the set,
+        so it is computed once per (seed, n_centers) and cached.
         """
+        key = (seed, n_centers)
+        if key in self._ball_conditions:
+            return self._ball_conditions[key]
         rng = np.random.default_rng(seed)
         m = len(self.points)
         idx = np.arange(m) if m <= n_centers else np.sort(
@@ -277,7 +282,9 @@ class ClosedSet:
                     satisfied = False
                 else:
                     worst = max(worst, r / gap)
-        return BallConditionEstimate(satisfied and worst > 0, worst, table)
+        est = BallConditionEstimate(satisfied and worst > 0, worst, tuple(table))
+        self._ball_conditions[key] = est
+        return est
 
     # -- serialization ---------------------------------------------------
 
@@ -326,7 +333,7 @@ class ClosedSet:
 class BallConditionEstimate:
     satisfied: bool
     beta_hat: float
-    table: list
+    table: tuple  # (cube radius, empty-subcube radius) per probe
 
 
 def _default_bbox(points: np.ndarray, margin: float) -> np.ndarray:

@@ -252,11 +252,19 @@ class WhitneyDecomposition:
         nn_dist, nn_idx = self.S.tree.query(nodes, p=np.inf)
         dist = np.maximum(0.0, nn_dist - self.S.sample_radius)
         tol = self.S.h / 2.0 if self.S.kind == "thin" else self.S.sample_radius
+        on_set = nn_dist <= tol + 1e-12
+        # on-set nodes take their nearest sample's value, so ties there go to
+        # the lexicographically smallest sample, as in extend_points; the
+        # second-nearest distance tells which of them have a tie to break
+        on_idx = np.nonzero(on_set)[0]
+        second = self.S.tree.query(nodes[on_idx], k=2, p=np.inf)[0][:, 1]
+        near = nn_dist[on_idx]
+        tied = on_idx[second <= near + 1e-12 * (1.0 + near)]
         info = {
             "shape": shape,
             "dist": dist,
-            "nearest": nn_idx.astype(int),
-            "on_set": nn_dist <= tol + 1e-12,
+            "nearest": _lex_tie_break(self.S, nodes, nn_dist, nn_idx, tied),
+            "on_set": on_set,
         }
         self._caches[key] = info
         return info
@@ -297,6 +305,25 @@ class WhitneyDecomposition:
             return 1.0
         moved = chebyshev(self.S.points[anchor_idx[off]], xs[off])
         return float(np.max(moved / dist[off]))
+
+
+def _lex_tie_break(S: ClosedSet, x, nn_dist, nn_idx, rows) -> np.ndarray:
+    """Copy of nn_idx, the nearest-sample indices of the points x, in which
+    each of the given rows that has several equally near samples takes the
+    lexicographically smallest of them, the one ClosedSet.nearest_point picks."""
+    out = nn_idx.astype(int)
+    reach = nn_dist[rows] + 1e-12 * (1.0 + nn_dist[rows])
+    groups = S.tree.query_ball_point(x[rows], reach, p=np.inf)
+    sizes = np.fromiter(map(len, groups), int, len(groups))
+    cand = np.fromiter(itertools.chain.from_iterable(groups), int, int(sizes.sum()))
+    owner = np.repeat(np.arange(len(groups)), sizes)
+    keep = chebyshev(S.points[cand], x[rows][owner]) <= reach[owner]
+    cand, owner = cand[keep], owner[keep]
+    # per owner, lexicographic on the sample, then the smaller index
+    order = np.lexsort((cand,) + tuple(S.points[cand].T[::-1]) + (owner,))
+    first = order[np.diff(owner[order], prepend=-1) != 0]
+    out[rows[owner[first]]] = cand[first]
+    return out
 
 
 def whitney_decomposition(S: ClosedSet, box=None, floor_side: float | None = None) -> WhitneyDecomposition:
@@ -378,16 +405,7 @@ def whitney_decomposition(S: ClosedSet, box=None, floor_side: float | None = Non
 
     # anchors: nearest sample to each cube center, lexicographic tie-break
     nn_dist, nn_idx = S.tree.query(centers, p=np.inf)
-    anchor_idx = nn_idx.astype(int)
-    tol = 1e-12 * (1.0 + nn_dist)
-    groups = S.tree.query_ball_point(centers, nn_dist + tol, p=np.inf)
-    for k, group in enumerate(groups):
-        if len(group) > 1:
-            pts = S.points[np.array(sorted(group), int)]
-            tied = np.array(sorted(group), int)
-            keep = chebyshev(pts, centers[k]) <= nn_dist[k] + tol[k]
-            tied = tied[keep]
-            anchor_idx[k] = int(tied[lex_order(S.points[tied])[0]])
+    anchor_idx = _lex_tie_break(S, centers, nn_dist, nn_idx, np.arange(len(centers)))
 
     return WhitneyDecomposition(
         S=S,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from sobtrace.cubes import Cube, interiors_disjoint
 from sobtrace.grid import GridField
@@ -236,6 +237,112 @@ class TestGridPackingFunctional:
         S = thin_set(pts, h=h)
         set_val = packing_functional(S, pts[:, 0], t=0.25, p=2)
         assert out["value"] == pytest.approx(set_val, rel=0.05)
+
+
+def reference_grid_packing(F, t, p, taus=None):
+    """grid_packing_functional as first written: every node in score order
+    is turned into per-axis indices with np.unravel_index before its
+    blocked test. Kept as the oracle for the flat-mask walk."""
+    taus = [t, t / 2, t / 4, t / 8] if taus is None else list(taus)
+    shape = F.values.shape
+    best, best_tau, per_tau = 0.0, None, []
+    for tau in taus:
+        k = int(round(tau / F.h))
+        if k < 1 or 2 * k >= min(shape):
+            per_tau.append((tau, 0.0, 0))
+            continue
+        w = k + 1 if k % 2 == 0 else k
+        hi = ndimage.maximum_filter(F.values, size=w, mode="nearest")
+        lo = ndimage.minimum_filter(F.values, size=w, mode="nearest")
+        score = (hi - lo) ** p * tau ** F.dim
+        margin = (k + 1) // 2
+        valid = np.zeros(shape, bool)
+        valid[tuple(slice(margin, s - margin) for s in shape)] = True
+        score = np.where(valid, score, 0.0)
+        flat = score.ravel()
+        cand = np.nonzero(flat > 0)[0]
+        order = cand[np.lexsort((cand, -flat[cand]))]
+        blocked = np.zeros(shape, bool)
+        total, count = 0.0, 0
+        for pos in order:
+            idx = np.unravel_index(pos, shape)
+            if blocked[idx]:
+                continue
+            total += flat[pos]
+            count += 1
+            sl = tuple(
+                slice(max(0, i - k + 1), min(s, i + k)) for i, s in zip(idx, shape)
+            )
+            blocked[sl] = True
+        per_tau.append((tau, total, count))
+        if total > best:
+            best, best_tau = total, tau
+    return {"value": best ** (1.0 / p), "best_tau": best_tau, "per_tau": per_tau}
+
+
+_UNIT_SQUARE = np.array([[0.0, 1.0], [0.0, 1.0]])
+_GRID_FIELDS = {
+    "linear": lambda: GridField.from_function(
+        _UNIT_SQUARE, 1 / 64, lambda x: x @ np.array([1.0, 2.0])
+    ),
+    "cosine": lambda: GridField.from_function(
+        _UNIT_SQUARE, 1 / 64, lambda x: np.cos(x[:, 0] + 2 * x[:, 1])
+    ),
+    "random": lambda: GridField(
+        _UNIT_SQUARE, 1 / 64, np.random.default_rng(7).standard_normal((65, 65))
+    ),
+    "non-square": lambda: GridField(
+        np.array([[0.0, 1.0], [0.0, 0.5]]),
+        1 / 64,
+        np.random.default_rng(8).standard_normal((65, 33)),
+    ),
+    "line": lambda: GridField(
+        np.array([[0.0, 1.0]]), 1 / 128, np.random.default_rng(9).standard_normal(129)
+    ),
+    "cube": lambda: GridField(
+        np.array([[0.0, 1.0], [0.0, 0.75], [0.0, 0.5]]),
+        1 / 16,
+        np.random.default_rng(10).standard_normal((17, 13, 9)),
+    ),
+}
+
+
+class TestGridPackingWalk:
+    """The flat-mask walk admits the same nodes in the same order as the
+    per-node unravel_index walk, so every sum is bit-identical."""
+
+    @pytest.mark.parametrize("name", sorted(_GRID_FIELDS))
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_default_taus(self, name, p):
+        F = _GRID_FIELDS[name]()
+        for t in (4 * F.h, 16 * F.h, 0.25):
+            got = grid_packing_functional(F, t, p, details=True)
+            want = reference_grid_packing(F, t, p)
+            assert got["per_tau"] == want["per_tau"]
+            assert got["value"] == want["value"]
+            assert got["best_tau"] == want["best_tau"]
+
+    @pytest.mark.parametrize("name", sorted(_GRID_FIELDS))
+    def test_even_and_odd_k(self, name):
+        F = _GRID_FIELDS[name]()
+        # k = 1 .. 7: odd k centre cubes between nodes, k = 1 scores nothing
+        taus = [k * F.h for k in range(1, 8)]
+        got = grid_packing_functional(F, 0.5, 2.0, taus=taus, details=True)
+        want = reference_grid_packing(F, 0.5, 2.0, taus=taus)
+        assert [row[0] for row in got["per_tau"]] == taus
+        assert got["per_tau"] == want["per_tau"]
+        assert got["value"] == want["value"]
+        assert got["best_tau"] == want["best_tau"]
+        assert any(row[2] > 0 for row in got["per_tau"])
+
+    def test_explicit_taus_list(self):
+        F = _GRID_FIELDS["cosine"]()
+        taus = [0.3, 5 / 64, 0.125, 1 / 64, 0.0]
+        got = grid_packing_functional(F, 1.0, 3.0, taus=taus, details=True)
+        want = reference_grid_packing(F, 1.0, 3.0, taus=taus)
+        assert got["per_tau"] == want["per_tau"]
+        assert got["value"] == want["value"]
+        assert got["best_tau"] == want["best_tau"]
 
 
 class TestSharpMaximal:

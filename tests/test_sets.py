@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sobtrace.cubes import Cube
-from sobtrace.sets import solid_set, thin_set
+from sobtrace.sets import ClosedSet, solid_set, thin_set
 from sobtrace.util import OutOfDomainError
 
 
@@ -117,6 +117,27 @@ def test_ball_condition_segment_vs_solid():
 
     solid = solid_set(square_mask(32), h=1 / 32, origin=(0.0, 0.0))
     assert not solid.ball_condition_estimate().satisfied
+
+
+def test_ball_condition_cached_per_seed(monkeypatch):
+    xs = np.linspace(0.0, 1.0, 65)
+    seg = thin_set(np.stack([xs, np.zeros_like(xs)], axis=1), h=1 / 64)
+    first = seg.ball_condition_estimate()
+    assert isinstance(first.table, tuple) and first.table
+    scans = []
+    real = ClosedSet.largest_empty_subcube
+
+    def counting(self, cube):
+        scans.append(cube)
+        return real(self, cube)
+
+    monkeypatch.setattr(ClosedSet, "largest_empty_subcube", counting)
+    assert seg.ball_condition_estimate() is first
+    assert seg.ball_condition_estimate(seed=0, n_centers=48) is first
+    assert scans == []
+    other = seg.ball_condition_estimate(seed=1)
+    assert scans and other is not first
+    assert seg.ball_condition_estimate(seed=1) is other
 
 
 def test_out_of_domain_guard():

@@ -217,6 +217,26 @@ def test_grid_and_point_extension_agree(two_points):
     assert np.allclose(field.values.reshape(-1)[pick], direct, atol=1e-12)
 
 
+def test_grid_and_point_extension_agree_on_solid_set(solid_square):
+    # on-set grid nodes of a solid set are cell corners, equidistant to up to
+    # four samples; both routes give the lexicographically smallest one
+    S, W = solid_square
+    rng = np.random.default_rng(29)
+    f = rng.normal(size=len(S.points))
+    field = extend_grid(W, f, delta=S.extent, cbar=0.0)
+    nodes = field.nodes()
+    on = S.on_set(nodes)
+    direct = extend_points(W, f, nodes[on], delta=S.extent, cbar=0.0)
+    assert np.array_equal(field.values.reshape(-1)[on], direct)
+    gaps = np.max(np.abs(nodes[on][:, None, :] - S.points[None, :, :]), axis=2)
+    tied = gaps <= gaps.min(axis=1, keepdims=True) + 1e-12
+    assert np.count_nonzero(tied.sum(axis=1) > 1) > len(S.points) // 2
+    lex_rank = np.empty(len(S.points), int)
+    lex_rank[np.lexsort(S.points.T[::-1])] = np.arange(len(S.points))
+    lex_nearest = np.argmin(np.where(tied, lex_rank, len(S.points)), axis=1)
+    assert np.array_equal(direct, f[lex_nearest])
+
+
 def test_projection_identity_on_set_and_bounded_off(segment2d):
     S, W = segment2d
     nodes, target, dist, on_set = projection_data(W)
