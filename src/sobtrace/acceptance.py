@@ -143,7 +143,7 @@ def _criterion_3(seed, out):
         S, _ = generate_canonical(CanonicalSpec(name, 1 / 64))
         W = whitney_decomposition(S)
         pts = S.points
-        span = float(np.max(pts.max(0) - pts.min(0))) or 1.0
+        span = S.extent or 1.0
         probes = _off_set_points(S, 40, rng, 0.0)
         m = len(pts)
         for _ in range(20):

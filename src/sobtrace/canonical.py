@@ -197,7 +197,7 @@ def regularity_estimate(
     idx = np.arange(m) if m <= n_centers else np.sort(
         rng.choice(m, size=n_centers, replace=False)
     )
-    extent = float(np.max(S.points.max(0) - S.points.min(0)))
+    extent = S.extent
     radii = [r for r in 2.0 ** -np.arange(1, 10) if 4 * S.h <= r <= extent / 2]
     worst = 0.0
     for r in radii:
@@ -288,7 +288,7 @@ def _bump_field(center, radius):
 def _hoelder_fields(S, beta):
     lo = S.points[np.lexsort(S.points.T[::-1])[0]]
     hi = S.points[np.lexsort(S.points.T[::-1])[-1]]
-    extent = float(np.max(S.points.max(0) - S.points.min(0)))
+    extent = S.extent
     # roughness down to the sample resolution, not merely at one cusp:
     # a lacunary cosine sum is the member that actually sits on the
     # smoothness line everywhere
@@ -364,9 +364,8 @@ def test_function_family(name: str, S: ClosedSet) -> list[SampledFunction]:
             )
     elif base == "bump":
         center = S.points.mean(axis=0)
-        extent = float(np.max(S.points.max(0) - S.points.min(0)))
         for i, frac in enumerate((0.25, 0.4, 0.6)):
-            f = _bump_field(center, frac * extent)
+            f = _bump_field(center, frac * S.extent)
             out.append(SampledFunction(S, f(S.points), f"bump-{i}", source=f))
     elif base == "random-lipschitz":
         if arg is None:

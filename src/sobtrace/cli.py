@@ -33,7 +33,7 @@ from .measures import (
     measure_diagnostics,
     quasidistance_pair_energy,
 )
-from .norms import TraceEstimateConfig, grid_sobolev_norms, trace_estimate
+from .norms import THEOREMS, TraceEstimateConfig, grid_sobolev_norms, trace_estimate
 from .oscillation import (
     grid_packing_functional,
     modulus_of_smoothness,
@@ -54,6 +54,32 @@ def _emit(payload: dict, out: str | None, name: str) -> None:
         (path / name).write_text(text + "\n")
     else:
         print(text)
+
+
+def _read_config(path) -> dict:
+    """The JSON object in a --config file."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return obj
+
+
+_REQUIRED = object()
+
+
+def _param(cfg: dict, key: str, default=_REQUIRED, kind=float):
+    """cfg[key] converted by kind, or the default when the key is absent or null."""
+    if cfg.get(key) is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"config needs a {key!r} key")
+        return default
+    try:
+        return kind(cfg[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {key!r} has a bad value {cfg[key]!r}") from None
 
 
 def _parse_level(token: str) -> float:
@@ -145,8 +171,7 @@ def cmd_extend(args) -> int:
     S, _ = _load_set(args)
     vals = _load_values(args, S)
     W = whitney_decomposition(S)
-    span = float(np.max(S.points.max(axis=0) - S.points.min(axis=0)))
-    delta = args.delta if args.delta is not None else max(span, S.h)
+    delta = args.delta if args.delta is not None else max(S.extent, S.h)
     F = extend_grid(W, vals, delta, args.cbar)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -169,70 +194,70 @@ def cmd_extend(args) -> int:
 
 
 def _run_functional(kind: str, cfg: dict, S, mu, vals):
-    p = float(cfg.get("p", 3.0))
+    p = _param(cfg, "p", 3.0)
     if kind == "packing":
         return packing_functional_details(
-            S, vals, float(cfg["t"]), p,
+            S, vals, _param(cfg, "t"), p,
             centers=cfg.get("centers", "set"),
-            alpha=cfg.get("alpha"),
+            alpha=_param(cfg, "alpha", None),
             strong=bool(cfg.get("strong", False)),
             mode=cfg.get("mode", "greedy"),
         )
     if kind == "grid-packing":
-        F = GridField.load(cfg["field"])
-        return grid_packing_functional(F, float(cfg["t"]), p, details=True)
+        F = GridField.load(_param(cfg, "field", kind=str))
+        return grid_packing_functional(F, _param(cfg, "t"), p, details=True)
     if kind == "sharp-maximal":
-        x = np.asarray(cfg["x"], float)
+        x = _param(cfg, "x", kind=lambda v: np.asarray(v, float))
         return {"value": sharp_maximal(S, vals, x, variant=cfg.get("variant", "range_ratio"))}
     if kind == "ap-mu":
         return A_p_mu(
-            S, mu, vals, float(cfg["t"]), p,
-            q=float(cfg.get("q", 1.0)),
-            alpha=cfg.get("alpha"),
+            S, mu, vals, _param(cfg, "t"), p,
+            q=_param(cfg, "q", 1.0),
+            alpha=_param(cfg, "alpha", None),
             strong=bool(cfg.get("strong", False)),
             variant=cfg.get("variant", "pair"),
             mode=cfg.get("mode", "greedy"),
             details=True,
         )
     if kind == "local-pair-energy":
-        val = local_pair_energy(mu, vals, float(cfg["t"]), p, kernel=cfg.get("kernel", "square"))
+        val = local_pair_energy(mu, vals, _param(cfg, "t"), p, kernel=cfg.get("kernel", "square"))
         return {"value": val}
     if kind == "distance-pair-energy":
-        return {"value": distance_pair_energy(mu, vals, float(cfg["eps"]), p)}
+        return {"value": distance_pair_energy(mu, vals, _param(cfg, "eps"), p)}
     if kind == "quasidistance-energy":
         return quasidistance_pair_energy(
-            S, mu, vals, float(cfg["eps"]), p,
-            alpha=float(cfg.get("alpha", 1 / 15)),
-            pair_budget=int(cfg.get("pair_budget", 4000)),
-            seed=int(cfg.get("seed", 0)),
+            S, mu, vals, _param(cfg, "eps"), p,
+            alpha=_param(cfg, "alpha", 1 / 15),
+            pair_budget=_param(cfg, "pair_budget", 4000, int),
+            seed=_param(cfg, "seed", 0, int),
             details=True,
         )
     if kind == "besov-dset":
         return {
             "value": dset_besov_norm(
-                mu, vals, float(cfg["s"]), p, float(cfg.get("d", 1.0))
+                mu, vals, _param(cfg, "s"), p, _param(cfg, "d", 1.0)
             )
         }
     if kind == "besov-jonsson":
         return {
             "value": besov_trace_functional_jonsson(
-                mu, vals, float(cfg["s"]), p, float(cfg.get("q", p)),
-                float(cfg.get("level_floor", 4 * S.h)),
+                mu, vals, _param(cfg, "s"), p, _param(cfg, "q", p),
+                _param(cfg, "level_floor", 4 * S.h),
             )
         }
     if kind == "averaged-modulus":
-        return {"value": averaged_modulus_w1(mu, vals, float(cfg["t"]), p)}
+        return {"value": averaged_modulus_w1(mu, vals, _param(cfg, "t"), p)}
     if kind == "modulus":
-        F = GridField.load(cfg["field"])
-        return {"value": modulus_of_smoothness(F, float(cfg["t"]), p)}
+        F = GridField.load(_param(cfg, "field", kind=str))
+        return {"value": modulus_of_smoothness(F, _param(cfg, "t"), p)}
     if kind == "measure-diagnostics":
-        diag = measure_diagnostics(mu, seed=int(cfg.get("seed", 0)))
+        diag = measure_diagnostics(mu, seed=_param(cfg, "seed", 0, int))
         return dataclasses.asdict(diag)
     raise ConfigError(f"unknown functional {kind!r}")
 
 
 def cmd_functional(args) -> int:
-    cfg = json.loads(Path(args.config).read_text())
+    cfg = _read_config(args.config)
     kind = cfg.pop("functional", None)
     if not kind:
         raise ConfigError("config needs a 'functional' key")
@@ -249,11 +274,20 @@ def cmd_functional(args) -> int:
 
 
 def cmd_tracenorm(args) -> int:
-    raw = json.loads(Path(args.config).read_text())
-    cfg = TraceEstimateConfig(**raw)
+    raw = _read_config(args.config)
+    fields = dataclasses.fields(TraceEstimateConfig)
+    unknown = set(raw) - {f.name for f in fields}
+    if unknown:
+        raise ConfigError(f"unknown config keys {sorted(unknown)}")
+    kinds = {"str": str, "float": float, "float | None": float, "int": int}
+    cfg = TraceEstimateConfig(**{
+        f.name: _param(raw, f.name, _REQUIRED if f.default is dataclasses.MISSING else f.default,
+                       kinds[f.type])
+        for f in fields
+    })
     S, mu = _load_set(args)
     vals = _load_values(args, S)
-    sigma = boundary_measure(S) if cfg.theorem == "decomposed" else None
+    sigma = boundary_measure(S) if THEOREMS[cfg.theorem].needs_sigma else None
     report = trace_estimate(S, vals, cfg, mu=mu, sigma=sigma)
     payload = {
         "theorem": cfg.theorem,
@@ -275,7 +309,7 @@ def cmd_tracenorm(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = json.loads(Path(args.config).read_text()) if args.config else {}
+    cfg = _read_config(args.config) if args.config else {}
     theorem = cfg.pop("theorem", None) or args.theorem
     set_name = cfg.pop("set", None) or args.canonical
     family = cfg.pop("family", None) or args.family or "restrictions-of-smooth"

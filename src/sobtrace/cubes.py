@@ -16,7 +16,6 @@ from .util import ConfigError, lex_order
 
 __all__ = [
     "Cube",
-    "cube_relation",
     "interiors_disjoint",
     "covering_multiplicity",
     "packing_color_bound",
@@ -86,22 +85,6 @@ def cubes_to_arrays(cubes) -> tuple:
     centers = np.array([c.center for c in cubes], float)
     radii = np.array([c.radius for c in cubes], float)
     return centers, radii
-
-
-def cube_relation(a: Cube, b: Cube) -> str:
-    """'disjoint' | 'nested' | 'intersecting' for two closed cubes.
-
-    Touching faces counts as intersecting; nested means one cube contains
-    the other (boundary contact allowed).
-    """
-    alo, ahi, blo, bhi = a.lo, a.hi, b.lo, b.hi
-    if np.any(ahi < blo) or np.any(bhi < alo):
-        return "disjoint"
-    if np.all(alo <= blo) and np.all(bhi <= ahi):
-        return "nested"
-    if np.all(blo <= alo) and np.all(ahi <= bhi):
-        return "nested"
-    return "intersecting"
 
 
 def interiors_disjoint(a: Cube, b: Cube) -> bool:

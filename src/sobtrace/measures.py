@@ -55,6 +55,8 @@ class DiscreteMeasure:
         self.weights = np.asarray(self.weights, float)
         if len(self.weights) != len(self.points):
             raise ConfigError("one weight per point required")
+        if not (np.isfinite(self.points).all() and np.isfinite(self.weights).all()):
+            raise ConfigError("measure points and weights must be finite")
         if np.any(self.weights < 0):
             raise ConfigError("weights must be nonnegative")
 
@@ -157,9 +159,6 @@ class MeasureDiagnostics:
     dset_const_high: float
     exponent_drift: float
     degenerate_cubes: int
-
-    def dset_like(self, tol: float = 0.2) -> bool:
-        return self.exponent_drift <= tol
 
 
 def measure_diagnostics(

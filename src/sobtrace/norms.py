@@ -5,12 +5,22 @@ packing-sum forms (T11, T12, T24, T25, T26), sharp-maximal forms (T14i,
 T14ii), measure-weighted forms (T72, T715, T723), and the interior-plus-
 boundary decomposition. Results come back as NormReports whose value is
 the sum of the named sub-terms.
+
+The THEOREMS table at the end is the one place that says, per theorem id,
+what an estimate needs and what it is compared against:
+
+- eps > 0: every theorem but T11, T14i and T24;
+- a measure mu on the set: T72, T715, T723;
+- s in (0, 1) and q: T26;
+- a boundary measure sigma (and a solid set): decomposed;
+- compared with the gradient seminorm of the extension: T11, T14i; with
+  its Besov norm: T26; with its full Sobolev norm: all others.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,13 +59,10 @@ __all__ = [
     "NormReport",
     "lambda_packing",
     "trace_estimate",
+    "THEOREMS",
     "THEOREM_IDS",
+    "theorem_spec",
 ]
-
-THEOREM_IDS = (
-    "T11", "T12", "T14i", "T14ii", "T24", "T25", "T26",
-    "T72", "T715", "T723", "decomposed",
-)
 
 
 class SobolevNorms(NamedTuple):
@@ -100,20 +107,6 @@ def grid_besov_norm(
 
 # -- configuration -----------------------------------------------------
 
-_ALPHA_RANGES = {
-    "T24": lambda cfg: (0.0, 3 / 20, True),
-    "T25": lambda cfg: (0.0, 3 / (10 + 10 * cfg.theta), True),
-    "T72": lambda cfg: (0.0, 1 / 7, False),
-    "T715": lambda cfg: (0.0, 1 / 14, False),
-}
-
-_ALPHA_DEFAULTS = {
-    "T24": 3 / 20,
-    "T25": None,  # depends on theta
-    "T72": 1 / 8,
-    "T715": 1 / 15,
-}
-
 
 @dataclass
 class TraceEstimateConfig:
@@ -133,45 +126,33 @@ class TraceEstimateConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.theorem not in THEOREM_IDS:
-            raise ConfigError(f"unknown theorem id {self.theorem!r}")
+        spec = theorem_spec(self.theorem)
         if not (0 < self.p < np.inf):
             raise ConfigError("p must be finite and positive")
-        needs_eps = self.theorem in (
-            "T12", "T14ii", "T25", "T26", "T72", "T715", "T723", "decomposed"
-        )
-        if needs_eps and (self.eps is None or self.eps <= 0):
+        if spec.needs_eps and (self.eps is None or self.eps <= 0):
             raise ConfigError(f"{self.theorem} needs eps > 0")
-        if self.theorem in ("T12", "T25"):
+        if spec.theta is not None:
             if self.theta is None:
-                self.theta = 2.0  # measured bound for the anchor projection
+                self.theta = spec.theta
             if self.theta < 1:
                 raise ConfigError("theta must be >= 1")
-        if self.theorem == "T12" and self.gamma is None:
-            self.gamma = 10 * self.theta + 1
-        if self.theorem == "T11" and self.gamma is None:
-            self.gamma = 11.0
-        if self.theorem == "T26":
+        if spec.gamma is not None and self.gamma is None:
+            self.gamma = _of_theta(spec.gamma, self.theta)
+        if spec.needs_sq:
             if self.s is None or self.q is None:
-                raise ConfigError("T26 needs s and q")
+                raise ConfigError(f"{self.theorem} needs s and q")
             if not (0 < self.s < 1):
-                raise ConfigError("T26 needs 0 < s < 1")
-        if self.theorem in _ALPHA_RANGES:
-            if self.alpha is None:
-                self.alpha = (
-                    3 / (10 + 10 * self.theta)
-                    if self.theorem == "T25"
-                    else _ALPHA_DEFAULTS[self.theorem]
-                )
-            lo, hi, closed = _ALPHA_RANGES[self.theorem](self)
-            ok = lo < self.alpha <= hi if closed else lo < self.alpha < hi
+                raise ConfigError(f"{self.theorem} needs 0 < s < 1")
+        if spec.alpha is not None and self.alpha is None:
+            self.alpha = _of_theta(spec.alpha, self.theta)
+        if spec.alpha_max is not None:
+            lo, hi = 0.0, _of_theta(spec.alpha_max, self.theta)
+            ok = lo < self.alpha <= hi if spec.alpha_closed else lo < self.alpha < hi
             if not ok:
-                bracket = "]" if closed else ")"
+                bracket = "]" if spec.alpha_closed else ")"
                 raise ConfigError(
                     f"{self.theorem} needs alpha in ({lo}, {hi}{bracket}, got {self.alpha}"
                 )
-        if self.theorem == "T723" and self.alpha is None:
-            self.alpha = 1 / 15
         if self.kernel not in ("product", "square"):
             raise ConfigError(f"unknown kernel {self.kernel!r}")
 
@@ -216,7 +197,7 @@ def lambda_packing(
     diam^(n-p), cubes of all dyadic sizes pooled into one packing.
     """
     f_vals = np.asarray(f_vals, float)
-    span = float(np.max(S.points.max(0) - S.points.min(0))) if len(S.points) > 1 else 1.0
+    span = S.extent or 1.0
     top = span if max_diam is None else min(max_diam, 2 * span)
     taus = dyadic_ladder(max(2 * S.h, top / 512), top)
     centers, radii, scores = [], [], []
@@ -280,10 +261,6 @@ def _porous_packing_integral(S, f_vals, p, upper, alpha, mode):
     return bracket.value ** (1.0 / p), bracket
 
 
-def _set_diameter(S: ClosedSet) -> float:
-    return float(np.max(S.points.max(0) - S.points.min(0)))
-
-
 # -- estimator dispatch ------------------------------------------------
 
 
@@ -299,13 +276,14 @@ def trace_estimate(
     f_vals = np.asarray(f_vals, float)
     if len(f_vals) != len(S.points):
         raise ConfigError("one value per set sample required")
-    needs_T = cfg.theorem in ("T12", "T14ii", "T25", "T26")
-    if needs_T and W is None:
+    spec = THEOREMS[cfg.theorem]
+    if spec.needs_W and W is None:
         W = whitney_decomposition(S)
-    needs_mu = cfg.theorem in ("T72", "T715", "T723")
-    if needs_mu and mu is None:
+    if spec.needs_mu and mu is None:
         raise ConfigError(f"{cfg.theorem} needs a measure on the set")
-    return _DISPATCH[cfg.theorem](S, f_vals, cfg, mu, sigma, W)
+    if spec.needs_sigma and sigma is None:
+        raise ConfigError(f"{cfg.theorem} estimate needs a boundary measure")
+    return spec.estimate(S, f_vals, cfg, mu, sigma, W)
 
 
 def _estimate_t11(S, f, cfg, mu, sigma, W):
@@ -340,7 +318,7 @@ def _estimate_t14ii(S, f, cfg, mu, sigma, W):
 
 
 def _estimate_t24(S, f, cfg, mu, sigma, W):
-    diam = _set_diameter(S)
+    diam = S.extent
     sup_term = _sup_packing_quotient(S, f, cfg.p, 2 * diam, cfg.mode)
     integral, bracket = _porous_packing_integral(
         S, f, cfg.p, diam, cfg.alpha, cfg.mode
@@ -447,8 +425,6 @@ def _interior_field(S: ClosedSet, f_vals) -> tuple:
 
 
 def _estimate_decomposed(S, f, cfg, mu, sigma, W):
-    if sigma is None:
-        raise ConfigError("decomposed estimate needs a boundary measure")
     if S.kind != "solid":
         raise ConfigError("decomposed estimate needs a solid set")
     field, interior = _interior_field(S, f)
@@ -467,16 +443,64 @@ def _estimate_decomposed(S, f, cfg, mu, sigma, W):
     )
 
 
-_DISPATCH = {
-    "T11": _estimate_t11,
-    "T12": _estimate_t12,
-    "T14i": _estimate_t14i,
-    "T14ii": _estimate_t14ii,
-    "T24": _estimate_t24,
-    "T25": _estimate_t25,
-    "T26": _estimate_t26,
-    "T72": _estimate_t72,
-    "T715": _estimate_t715,
-    "T723": _estimate_t723,
-    "decomposed": _estimate_decomposed,
+# -- the theorem table -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One trace characterisation: its estimator, what it needs, and the grid
+    norm of the Whitney extension it is compared against ("seminorm",
+    "besov" or "total").  theta, gamma, alpha and alpha_max are defaults and
+    bounds, each a number or a function of the resolved theta; alpha must lie
+    in (0, alpha_max], or in (0, alpha_max) unless alpha_closed."""
+
+    estimate: Callable
+    comparison: str = "total"
+    needs_eps: bool = False
+    needs_W: bool = False
+    needs_mu: bool = False
+    needs_sigma: bool = False
+    needs_sq: bool = False
+    theta: float | None = None
+    gamma: float | Callable | None = None
+    alpha: float | Callable | None = None
+    alpha_max: float | Callable | None = None
+    alpha_closed: bool = False
+
+
+def _of_theta(value, theta):
+    return value(theta) if callable(value) else value
+
+
+THEOREMS = {
+    "T11": Theorem(_estimate_t11, "seminorm", gamma=11.0),
+    # theta = 2.0 is the measured bound for the anchor projection
+    "T12": Theorem(
+        _estimate_t12, needs_eps=True, needs_W=True,
+        theta=2.0, gamma=lambda theta: 10 * theta + 1,
+    ),
+    "T14i": Theorem(_estimate_t14i, "seminorm"),
+    "T14ii": Theorem(_estimate_t14ii, needs_eps=True, needs_W=True),
+    "T24": Theorem(_estimate_t24, alpha=3 / 20, alpha_max=3 / 20, alpha_closed=True),
+    "T25": Theorem(
+        _estimate_t25, needs_eps=True, needs_W=True, theta=2.0,
+        alpha=lambda theta: 3 / (10 + 10 * theta),
+        alpha_max=lambda theta: 3 / (10 + 10 * theta), alpha_closed=True,
+    ),
+    "T26": Theorem(_estimate_t26, "besov", needs_eps=True, needs_W=True, needs_sq=True),
+    "T72": Theorem(_estimate_t72, needs_eps=True, needs_mu=True, alpha=1 / 8, alpha_max=1 / 7),
+    "T715": Theorem(
+        _estimate_t715, needs_eps=True, needs_mu=True, alpha=1 / 15, alpha_max=1 / 14
+    ),
+    # T723's alpha is a default only, with no range to check
+    "T723": Theorem(_estimate_t723, needs_eps=True, needs_mu=True, alpha=1 / 15),
+    "decomposed": Theorem(_estimate_decomposed, needs_eps=True, needs_sigma=True),
 }
+THEOREM_IDS = tuple(THEOREMS)
+
+
+def theorem_spec(theorem) -> Theorem:
+    """The THEOREMS entry of a theorem id; ConfigError for an unknown id."""
+    if theorem not in THEOREM_IDS:
+        raise ConfigError(f"unknown theorem id {theorem!r}")
+    return THEOREMS[theorem]

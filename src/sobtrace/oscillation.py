@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, optimize
+from scipy import ndimage
 
 from .cubes import Cube, conflict_masks
 from .grid import GridField
@@ -26,8 +26,6 @@ from .util import ConfigError, chebyshev, lex_order
 
 __all__ = [
     "oscillation",
-    "oscillation_in_cube",
-    "best_constant_deviation",
     "PackingProblem",
     "PackingResult",
     "solve_packing",
@@ -46,50 +44,6 @@ def oscillation(values) -> float:
     if values.size == 0:
         return 0.0
     return float(values.max() - values.min())
-
-
-def oscillation_in_cube(S: ClosedSet, f_vals, cube: Cube) -> float:
-    idx = S.tree.query_ball_point(np.array(cube.center), cube.radius + 1e-12, p=np.inf)
-    return oscillation(np.asarray(f_vals, float)[idx])
-
-
-def best_constant_deviation(values, q: float, weights=None, tol: float = 1e-10) -> float:
-    """min over constants c of the normalized L_q deviation
-    (mean of |v - c|^q)^(1/q); q = inf gives the half-oscillation.
-
-    Closed forms: median for q = 1, mean for q = 2; other q solved by
-    bounded scalar minimization (the objective is convex in c).
-    """
-    values = np.asarray(values, float)
-    if values.size == 0:
-        return 0.0
-    if weights is None:
-        weights = np.ones_like(values)
-    weights = np.asarray(weights, float)
-    total = weights.sum()
-    if total <= 0:
-        return 0.0
-    w = weights / total
-    if np.isinf(q):
-        return 0.5 * oscillation(values)
-    if q == 1:
-        order = np.argsort(values)
-        cdf = np.cumsum(w[order])
-        c = values[order][np.searchsorted(cdf, 0.5)]
-    elif q == 2:
-        c = float(np.dot(w, values))
-    else:
-        lo, hi = float(values.min()), float(values.max())
-        if lo == hi:
-            return 0.0
-        res = optimize.minimize_scalar(
-            lambda c: float(np.dot(w, np.abs(values - c) ** q)),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": tol},
-        )
-        c = float(res.x)
-    return float(np.dot(w, np.abs(values - c) ** q) ** (1.0 / q))
 
 
 # -- packing solver ----------------------------------------------------

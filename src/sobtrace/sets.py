@@ -52,6 +52,8 @@ class ClosedSet:
             raise ConfigError("a closed set needs at least one sample point")
         if self.points.shape[1] != self.dim or self.bbox.shape != (self.dim, 2):
             raise ConfigError("inconsistent dimensions in ClosedSet")
+        if not (np.isfinite(self.points).all() and np.isfinite(self.bbox).all()):
+            raise ConfigError("sample coordinates and bbox must be finite")
         if self.kind not in ("thin", "solid"):
             raise ConfigError(f"unknown set kind {self.kind!r}")
         if self.kind == "solid" and self.occupancy is None:

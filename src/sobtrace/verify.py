@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,9 +19,11 @@ from .cubes import covering_multiplicity
 from .grid import GridField
 from .measures import DiscreteMeasure, dset_besov_norm
 from .norms import (
+    THEOREMS,
     TraceEstimateConfig,
     grid_besov_norm,
     grid_sobolev_norms,
+    theorem_spec,
     trace_estimate,
 )
 from .sets import ClosedSet
@@ -29,11 +31,6 @@ from .util import ConfigError, NumericalFailure
 from .whitney import WhitneyDecomposition, extend_grid, whitney_decomposition
 
 NEAR_ZERO = 1e-10
-
-# theorems whose comparison norm is the homogeneous gradient seminorm
-_HOMOGENEOUS = {"T11", "T14i"}
-_EPS_REQUIRED = {"T12", "T14ii", "T25", "T26", "T72", "T715", "T723", "decomposed"}
-_NEEDS_W = {"T12", "T14ii", "T25", "T26"}
 
 _DIM2_SETS = {"segment-1d-in-2d", "example-726", "solid-disk", "solid-square"}
 
@@ -140,18 +137,13 @@ def _make_config(theorem, **kw):
     p = kw.pop("p")
     eps = kw.pop("eps")
     s, q = kw.pop("s"), kw.pop("q")
-    if theorem in _EPS_REQUIRED and eps is None:
+    spec = theorem_spec(theorem)
+    if spec.needs_eps and eps is None:
         eps = 0.25
-    if theorem == "T26":
+    if spec.needs_sq:
         s = 1 - 1 / p if s is None else s
         q = p if q is None else q
     return TraceEstimateConfig(theorem=theorem, p=p, eps=eps, s=s, q=q, **kw)
-
-
-def _set_span(S: ClosedSet) -> float:
-    if len(S.points) < 2:
-        return 1.0
-    return float(np.max(S.points.max(0) - S.points.min(0)))
 
 
 def extension_field(W: WhitneyDecomposition, f_vals, cfg: TraceEstimateConfig) -> GridField:
@@ -159,12 +151,12 @@ def extension_field(W: WhitneyDecomposition, f_vals, cfg: TraceEstimateConfig) -
     constant far field for homogeneous seminorms, tight delta and zero
     background for inhomogeneous norms."""
     S = W.S
-    if cfg.theorem in _HOMOGENEOUS:
-        delta = _set_span(S)
+    if THEOREMS[cfg.theorem].comparison == "seminorm":
+        delta = S.extent or 1.0
         x0 = int(np.lexsort(S.points.T[::-1])[0])
         cbar = float(np.asarray(f_vals, float)[x0])
     else:
-        base = cfg.eps if cfg.eps is not None else _set_span(S)
+        base = cfg.eps if cfg.eps is not None else (S.extent or 1.0)
         delta = max(0.001 * base, 2 * S.h)
         cbar = 0.0
     return extend_grid(W, f_vals, delta, cbar)
@@ -174,21 +166,15 @@ def _comparison_value(W, S, mu, f, cfg, comparison, d_exponent):
     if comparison == "besov-dset":
         s = cfg.s if cfg.s is not None else 1 - 1 / cfg.p
         return dset_besov_norm(mu, f.values, s=s, p=cfg.p, d=d_exponent)
-    F = extension_field(W, f.values, cfg)
-    if cfg.theorem in _HOMOGENEOUS:
-        return grid_sobolev_norms(F, cfg.p).seminorm
-    if cfg.theorem == "T26":
-        return grid_besov_norm(F, cfg.s, cfg.p, cfg.q)
-    return grid_sobolev_norms(F, cfg.p).total
+    return _comparison_norm(extension_field(W, f.values, cfg), cfg)
 
 
-def _known_value(f, S, cfg):
-    F = GridField.from_function(S.bbox, S.h, f.source)
-    if cfg.theorem in _HOMOGENEOUS:
-        return grid_sobolev_norms(F, cfg.p).seminorm
-    if cfg.theorem == "T26":
+def _comparison_norm(F: GridField, cfg: TraceEstimateConfig) -> float:
+    """The grid norm the theorem's estimate is compared against."""
+    comparison = THEOREMS[cfg.theorem].comparison
+    if comparison == "besov":
         return grid_besov_norm(F, cfg.s, cfg.p, cfg.q)
-    return grid_sobolev_norms(F, cfg.p).total
+    return getattr(grid_sobolev_norms(F, cfg.p), comparison)  # seminorm | total
 
 
 def boundary_measure(S: ClosedSet) -> DiscreteMeasure:
@@ -233,9 +219,10 @@ def verify_equivalence(
             mode=mode, kernel=kernel, pair_budget=pair_budget, seed=seed,
         )
         W = None
-        if comparison == "extension" or theorem in _NEEDS_W:
+        spec = THEOREMS[theorem]
+        if comparison == "extension" or spec.needs_W:
             W = whitney_decomposition(S)
-        sigma = boundary_measure(S) if theorem == "decomposed" else None
+        sigma = boundary_measure(S) if spec.needs_sigma else None
         for f in test_function_family(family, S):
             intrinsic = trace_estimate(
                 S, f.values, cfg, mu=mu, sigma=sigma, W=W
@@ -253,7 +240,8 @@ def verify_equivalence(
             entry = {"h": h, "name": f.name, "intrinsic": intrinsic,
                      "comparison": comp}
             if comparison == "extension" and f.source is not None:
-                entry["known"] = _known_value(f, S, cfg)
+                known = GridField.from_function(S.bbox, S.h, f.source)
+                entry["known"] = _comparison_norm(known, cfg)
             entries.append(entry)
     stats, deltas = _summarize(entries, h_levels)
     return EquivalenceReport(

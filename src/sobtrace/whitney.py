@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial import cKDTree
 
 from .cubes import GROWTH, Cube
 from .grid import GridField
@@ -294,17 +293,6 @@ class WhitneyDecomposition:
                 cube_of[tuple(slices)] = k
         self._caches[key] = cube_of
         return cube_of
-
-    def theta_estimate(self, box=None, h=None) -> float:
-        """Empirical bound for ||T(x) - x|| / dist(x, S) over grid nodes."""
-        box = self.S.bbox if box is None else box
-        h = self.S.h if h is None else h
-        xs, anchor_idx, dist, _ = projection_data(self, box, h)
-        off = dist > 0
-        if not off.any():
-            return 1.0
-        moved = chebyshev(self.S.points[anchor_idx[off]], xs[off])
-        return float(np.max(moved / dist[off]))
 
 
 def _lex_tie_break(S: ClosedSet, x, nn_dist, nn_idx, rows) -> np.ndarray:

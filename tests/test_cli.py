@@ -115,6 +115,39 @@ def test_tracenorm_overflow_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("tracenorm", {"theorem": "T11", "p": 3.0, "no_such_key": 1}),
+        ("tracenorm", {"theorem": "T11", "p": "inf"}),
+        ("tracenorm", {"theorem": "T11"}),
+        ("tracenorm", {"theorem": "T12", "p": 3.0, "eps": "x"}),
+        ("tracenorm", None),
+        ("tracenorm", "{not json"),
+        ("functional", {"functional": "averaged-modulus", "p": 3.0}),
+        ("functional", {"functional": "averaged-modulus", "t": "x"}),
+        ("functional", {"functional": "packing", "t": 0.25, "alpha": "x"}),
+        ("functional", None),
+        ("verify", ["T11"]),
+    ],
+    ids=[
+        "unknown-key", "p-as-string", "no-p", "bad-eps", "no-file", "not-json",
+        "no-t", "bad-t", "bad-alpha", "functional-no-file", "not-an-object",
+    ],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, command, config):
+    path = tmp_path / "cfg.json"
+    if config is not None:
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+    code = main(
+        [command, "--canonical", "two-points", "--family", "linear", "--config", str(path)]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 def test_verify_report_file(tmp_path, capsys):
     out_dir = tmp_path / "out"
     code, _ = run_cli(

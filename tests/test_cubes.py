@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from sobtrace.cubes import (
     Cube,
     covering_multiplicity,
-    cube_relation,
     interiors_disjoint,
     packing_color_bound,
     partition_into_packings,
@@ -59,11 +58,6 @@ def test_diam_and_volume_match_uniform_norm_side():
 
 def test_relations_hand_cases():
     a = Cube((0.0,), 0.5)
-    assert cube_relation(a, Cube((2.0,), 0.5)) == "disjoint"
-    # touching faces intersect (closed cubes)
-    assert cube_relation(a, Cube((1.0,), 0.5)) == "intersecting"
-    assert cube_relation(a, Cube((0.1,), 0.1)) == "nested"
-    assert cube_relation(Cube((0.1,), 0.1), a) == "nested"
     assert interiors_disjoint(a, Cube((1.0,), 0.5))
     assert not interiors_disjoint(a, Cube((0.9,), 0.5))
 

@@ -64,6 +64,13 @@ class TestDiscreteMeasure:
         with pytest.raises(ConfigError):
             DiscreteMeasure(np.array([[0.0]]), np.array([-1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            DiscreteMeasure(np.array([[0.0], [bad]]), np.array([1.0, 1.0]))
+        with pytest.raises(ConfigError):
+            DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([1.0, bad]))
+
     def test_json_round_trip(self, tmp_path):
         mu, _ = segment_measure(9)
         path = tmp_path / "mu.json"

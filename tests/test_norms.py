@@ -11,6 +11,8 @@ from sobtrace.measures import (
     dset_besov_norm,
 )
 from sobtrace.norms import (
+    THEOREM_IDS,
+    THEOREMS,
     NormReport,
     TraceEstimateConfig,
     grid_besov_norm,
@@ -93,7 +95,56 @@ class TestGridBesov:
         assert abs(vals["smooth"] - 1) < 0.1
 
 
+# id: (config inputs it cannot do without, estimate inputs it cannot do
+# without, resolved (alpha, gamma, theta), largest alpha and whether that
+# endpoint is accepted, comparison norm)
+THEOREM_TABLE = {
+    "T11": ({}, (), (None, 11.0, None), None, "seminorm"),
+    "T12": ({"eps": 0.25}, (), (None, 21.0, 2.0), None, "total"),
+    "T14i": ({}, (), (None, None, None), None, "seminorm"),
+    "T14ii": ({"eps": 0.25}, (), (None, None, None), None, "total"),
+    "T24": ({}, (), (0.15, None, None), (0.15, True), "total"),
+    "T25": ({"eps": 0.25}, (), (0.1, None, 2.0), (0.1, True), "total"),
+    "T26": ({"eps": 0.25, "s": 2 / 3, "q": 3.0}, (), (None, None, None), None, "besov"),
+    "T72": ({"eps": 0.25}, ("mu",), (0.125, None, None), (1 / 7, False), "total"),
+    "T715": ({"eps": 0.25}, ("mu",), (1 / 15, None, None), (1 / 14, False), "total"),
+    "T723": ({"eps": 0.25}, ("mu",), (1 / 15, None, None), None, "total"),
+    "decomposed": ({"eps": 0.25}, ("sigma",), (None, None, None), None, "total"),
+}
+
+
 class TestConfig:
+    @pytest.mark.parametrize("tid", THEOREM_IDS)
+    def test_theorem_table(self, tid):
+        inputs, estimate_inputs, resolved, alpha_max, comparison = THEOREM_TABLE[tid]
+        spec = THEOREMS[tid]
+        assert spec.comparison == comparison
+        assert (spec.needs_eps, spec.needs_W, spec.needs_mu, spec.needs_sigma) == (
+            "eps" in inputs,
+            tid in ("T12", "T14ii", "T25", "T26"),
+            "mu" in estimate_inputs,
+            "sigma" in estimate_inputs,
+        )
+        cfg = TraceEstimateConfig(theorem=tid, p=3.0, **inputs)
+        assert (cfg.alpha, cfg.gamma, cfg.theta) == resolved
+        for key in inputs:
+            with pytest.raises(ConfigError):
+                TraceEstimateConfig(
+                    theorem=tid, p=3.0, **{k: v for k, v in inputs.items() if k != key}
+                )
+        if alpha_max is not None:
+            hi, closed = alpha_max
+            for bad in (0.0, hi * (1 + 1e-9)) + (() if closed else (hi,)):
+                with pytest.raises(ConfigError):
+                    TraceEstimateConfig(theorem=tid, p=3.0, alpha=bad, **inputs)
+            top = hi if closed else hi * (1 - 1e-9)
+            assert TraceEstimateConfig(theorem=tid, p=3.0, alpha=top, **inputs).alpha == top
+        S, mu, x = segment2d(9)
+        given = {"mu": mu, "sigma": counting_measure(S)}
+        for key in estimate_inputs:
+            with pytest.raises(ConfigError):
+                trace_estimate(S, x, cfg, **{k: v for k, v in given.items() if k != key})
+
     def test_unknown_theorem(self):
         with pytest.raises(ConfigError):
             TraceEstimateConfig(theorem="T99", p=3)

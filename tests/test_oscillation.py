@@ -9,11 +9,8 @@ from sobtrace.cubes import Cube, interiors_disjoint
 from sobtrace.grid import GridField
 from sobtrace.oscillation import (
     PackingProblem,
-    best_constant_deviation,
     grid_packing_functional,
     modulus_of_smoothness,
-    oscillation,
-    oscillation_in_cube,
     packing_functional,
     packing_functional_details,
     sharp_maximal,
@@ -112,43 +109,6 @@ class TestPackingSolver:
             for a in range(len(cubes)):
                 for b in range(a + 1, len(cubes)):
                     assert interiors_disjoint(cubes[a], cubes[b])
-
-
-class TestBestConstantDeviation:
-    def test_half_oscillation_at_q_inf(self):
-        assert best_constant_deviation([0.0, 1.0], np.inf) == 0.5
-        assert best_constant_deviation([2.0, 2.0, 2.0], np.inf) == 0.0
-
-    def test_median_at_q_one(self):
-        vals = [0.0, 1.0, 1.0]
-        assert best_constant_deviation(vals, 1) == pytest.approx(1 / 3)
-
-    def test_mean_at_q_two(self):
-        assert best_constant_deviation([0.0, 1.0], 2) == pytest.approx(0.5)
-
-    def test_general_q_matches_grid_scan(self):
-        rng = np.random.default_rng(5)
-        vals = rng.normal(size=12)
-        got = best_constant_deviation(vals, 3.0)
-        grid = np.linspace(vals.min(), vals.max(), 2001)
-        scan = min(
-            np.mean(np.abs(vals - c) ** 3.0) ** (1 / 3.0) for c in grid
-        )
-        assert got <= scan + 1e-6
-
-    def test_weights(self):
-        # weight mass concentrated on one value pulls the optimum there
-        dev = best_constant_deviation([0.0, 1.0], 2, weights=[3.0, 1.0])
-        assert dev == pytest.approx(np.sqrt(0.75 * 0.25 ** 2 + 0.25 * 0.75 ** 2))
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.floats(-5, 5), min_size=1, max_size=10),
-        st.sampled_from([1.0, 2.0, 3.0, np.inf]),
-    )
-    def test_bounded_by_oscillation(self, vals, q):
-        dev = best_constant_deviation(vals, q)
-        assert -1e-12 <= dev <= oscillation(vals) + 1e-9
 
 
 class TestPackingFunctional:
@@ -419,10 +379,3 @@ class TestModulusOfSmoothness:
         box = np.array([[0.0, 1.0], [0.0, 1.0]])
         F = GridField.from_function(box, 1 / 8, lambda x: np.ones(x.shape[:-1]))
         assert modulus_of_smoothness(F, t=0.5, p=3) == 0.0
-
-
-def test_oscillation_in_cube():
-    S = thin_set(np.array([[0.0], [0.5], [1.0]]), h=0.25)
-    f = np.array([0.0, 2.0, 1.0])
-    assert oscillation_in_cube(S, f, Cube((0.25,), 0.3)) == 2.0
-    assert oscillation_in_cube(S, f, Cube((5.0,), 0.1)) == 0.0

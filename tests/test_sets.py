@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sobtrace.cubes import Cube
 from sobtrace.sets import ClosedSet, solid_set, thin_set
-from sobtrace.util import OutOfDomainError
+from sobtrace.util import ConfigError, OutOfDomainError
 
 
 def square_mask(k):
@@ -144,6 +144,15 @@ def test_out_of_domain_guard():
     S = thin_set(np.array([[0.0], [1.0]]), h=1 / 16)
     with pytest.raises(OutOfDomainError):
         S.require_inside(np.array([50.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected(bad):
+    with pytest.raises(ConfigError):
+        thin_set([[0.0, 0.0], [bad, 1.0]], h=0.1)
+    bbox = np.array([[-2.0, 2.0], [-2.0, bad]])
+    with pytest.raises(ConfigError):
+        ClosedSet(dim=2, h=0.1, points=[[0.0, 0.0]], bbox=bbox, kind="thin")
 
 
 def test_json_roundtrip():

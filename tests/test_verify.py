@@ -7,16 +7,19 @@ import pytest
 
 import sobtrace.verify as verify_mod
 from sobtrace.canonical import CanonicalSpec, generate_canonical
-from sobtrace.norms import NormReport
+from sobtrace.canonical import test_function_family as make_family
+from sobtrace.norms import NormReport, TraceEstimateConfig, grid_besov_norm
 from sobtrace.util import NumericalFailure
 from sobtrace.verify import (
     EquivalenceReport,
     _summarize,
     boundary_measure,
     default_h_levels,
+    extension_field,
     verify_equivalence,
     whitney_contract_report,
 )
+from sobtrace.whitney import whitney_decomposition
 
 LEVELS = (1 / 32, 1 / 64)
 
@@ -143,6 +146,22 @@ def test_besov_dset_comparison_runs():
     assert rep.comparison == "besov-dset"
     for e in rep.entries:
         assert "known" not in e
+
+
+def test_t26_compares_with_besov_norm_of_extension():
+    h = 1 / 32
+    rep = verify_equivalence(
+        "T26", "segment-1d-in-2d", "linear", (h,), p=3.0, s=2 / 3, q=3.0, eps=0.25
+    )
+    S, _ = generate_canonical(CanonicalSpec("segment-1d-in-2d", h))
+    W = whitney_decomposition(S)
+    cfg = TraceEstimateConfig(theorem="T26", p=3.0, s=2 / 3, q=3.0, eps=0.25)
+    comparison = {e["name"]: e["comparison"] for e in rep.entries}
+    funcs = make_family("linear", S)
+    assert sorted(comparison) == sorted(f.name for f in funcs)
+    for f in funcs:
+        F = extension_field(W, f.values, cfg)
+        assert comparison[f.name] == grid_besov_norm(F, 2 / 3, 3.0, 3.0)
 
 
 def test_contract_report_keys():

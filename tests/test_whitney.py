@@ -246,4 +246,3 @@ def test_projection_identity_on_set_and_bounded_off(segment2d):
     off = dist > 0
     theta = np.max(moved[off] / dist[off])
     assert theta <= 12.0
-    assert W.theta_estimate() == pytest.approx(theta)
