@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -80,6 +81,20 @@ def _param(cfg: dict, key: str, default=_REQUIRED, kind=float):
         return kind(cfg[key])
     except (TypeError, ValueError):
         raise ConfigError(f"config key {key!r} has a bad value {cfg[key]!r}") from None
+
+
+_KINDS = {"str": str, "float": float, "float | None": float, "int": int}
+
+
+def _declared(raw: dict, declared, known=()) -> dict:
+    """Each declared (name, type name, default) parameter read from raw by
+    _param and converted to its type; a key neither declared nor known is a
+    config error."""
+    declared = list(declared)
+    unknown = set(raw) - {name for name, _, _ in declared} - set(known)
+    if unknown:
+        raise ConfigError(f"unknown config keys {sorted(unknown)}")
+    return {name: _param(raw, name, default, _KINDS[kind]) for name, kind, default in declared}
 
 
 def _parse_level(token: str) -> float:
@@ -274,17 +289,10 @@ def cmd_functional(args) -> int:
 
 
 def cmd_tracenorm(args) -> int:
-    raw = _read_config(args.config)
-    fields = dataclasses.fields(TraceEstimateConfig)
-    unknown = set(raw) - {f.name for f in fields}
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    kinds = {"str": str, "float": float, "float | None": float, "int": int}
-    cfg = TraceEstimateConfig(**{
-        f.name: _param(raw, f.name, _REQUIRED if f.default is dataclasses.MISSING else f.default,
-                       kinds[f.type])
-        for f in fields
-    })
+    cfg = TraceEstimateConfig(**_declared(_read_config(args.config), [
+        (f.name, f.type, _REQUIRED if f.default is dataclasses.MISSING else f.default)
+        for f in dataclasses.fields(TraceEstimateConfig)
+    ]))
     S, mu = _load_set(args)
     vals = _load_values(args, S)
     sigma = boundary_measure(S) if THEOREMS[cfg.theorem].needs_sigma else None
@@ -309,15 +317,22 @@ def cmd_tracenorm(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _read_config(args.config) if args.config else {}
-    theorem = cfg.pop("theorem", None) or args.theorem
-    set_name = cfg.pop("set", None) or args.canonical
-    family = cfg.pop("family", None) or args.family or "restrictions-of-smooth"
+    raw = _read_config(args.config) if args.config else {}
+    defaults = {"pair_budget": args.pair_budget, "seed": args.seed}
+    keywords = [
+        (par.name, par.annotation, defaults.get(par.name, par.default))
+        for par in inspect.signature(verify_equivalence).parameters.values()
+        if par.kind is par.KEYWORD_ONLY
+    ]
+    cfg = _declared(raw, keywords, known=("theorem", "set", "family", "h_levels"))
+    theorem = _param(raw, "theorem", args.theorem, str)
+    set_name = _param(raw, "set", args.canonical, str)
+    family = _param(raw, "family", args.family or "restrictions-of-smooth", str)
     if not theorem or not set_name:
         raise ConfigError("verify needs a theorem id and a canonical set name")
-    levels = _parse_levels(args.h_levels) or cfg.pop("h_levels", None)
-    cfg.setdefault("pair_budget", args.pair_budget)
-    cfg.setdefault("seed", args.seed)
+    levels = _parse_levels(args.h_levels) or _param(
+        raw, "h_levels", None, lambda v: [float(h) for h in v]
+    )
     report = verify_equivalence(theorem, set_name, family, levels, **cfg)
     if args.out:
         path = Path(args.out)

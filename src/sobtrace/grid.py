@@ -92,10 +92,14 @@ class GridField:
     @staticmethod
     def load(path) -> "GridField":
         path = Path(path)
-        header = json.loads(path.with_suffix(".json").read_text())
-        shape = tuple(header["shape"])
-        if header["format"] == "binary":
-            vals = np.fromfile(path.with_suffix(".bin"), dtype="<f8").reshape(shape)
-        else:
-            vals = np.loadtxt(path.with_suffix(".csv")).reshape(shape)
-        return GridField(np.array(header["box"]), float(header["h"]), vals)
+        try:
+            header = json.loads(path.with_suffix(".json").read_text())
+            shape = tuple(header["shape"])
+            if header["format"] == "binary":
+                vals = np.fromfile(path.with_suffix(".bin"), dtype="<f8").reshape(shape)
+            else:
+                vals = np.loadtxt(path.with_suffix(".csv")).reshape(shape)
+            box, h = np.array(header["box"], float), float(header["h"])
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"cannot read grid {path}: {exc}") from None
+        return GridField(box, h, vals)

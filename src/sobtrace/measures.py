@@ -312,6 +312,8 @@ def A_p_mu(
     Plain centers-on-the-set packing has alpha None; porous variants center
     cubes on the boundary.
     """
+    if variant not in ("pair", "center"):
+        raise ConfigError(f"unknown A_p_mu variant {variant!r}")
     if variant == "center":
         if alpha is None:
             raise ConfigError("center-deviation variant requires a porosity level")

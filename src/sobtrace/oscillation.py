@@ -184,6 +184,10 @@ def packing_functional_details(
     """
     if p <= 0 or np.isinf(p):
         raise ConfigError("packing functional needs finite p > 0")
+    if not t > 0:
+        raise ConfigError(f"packing functional needs t > 0, got {t}")
+    if centers not in ("set", "boundary"):
+        raise ConfigError(f"unknown packing centers {centers!r}")
     f_vals = np.asarray(f_vals, float)
     center_set = S if centers == "set" else S.boundary()
     if center_set is S:
@@ -343,6 +347,8 @@ def sharp_maximal(
         Q(x, r) cap S (cell-weighted) divided by r^(n+1).
     """
     x = np.asarray(x, float)
+    if x.shape != (S.dim,):
+        raise ConfigError(f"sharp maximal point needs shape ({S.dim},), got {x.shape}")
     f_vals = None if f_vals is None else np.asarray(f_vals, float)
     if variant == "range_ratio":
         d = chebyshev(S.points, x)

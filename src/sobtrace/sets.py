@@ -11,6 +11,7 @@ cell around a sample is max(0, ||x - sample|| - h/2).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -100,26 +101,46 @@ class ClosedSet:
         d = self.nearest_distance(np.array(cube.center))[0]
         return max(0.0, float(d) - cube.radius - self.sample_radius)
 
+    @property
+    def on_set_reach(self) -> float:
+        """Largest nearest-sample distance of a point on the set: h/2 for
+        both kinds (a thin sample stands for set points within h/2, a solid
+        one for its cell of radius h/2), plus rounding slack."""
+        return self.h / 2.0 + 1e-12
+
     def on_set(self, x) -> np.ndarray | bool:
         """Membership proxy: within h/2 of a sample or inside an occupied cell."""
         x = np.asarray(x, float)
-        single = x.ndim == 1
-        tol = self.h / 2.0 if self.kind == "thin" else self.sample_radius
-        out = self.nearest_distance(x) <= tol + 1e-12
-        return bool(out[0]) if single else out
+        out = self.nearest_distance(x) <= self.on_set_reach
+        return bool(out[0]) if x.ndim == 1 else out
 
     def nearest_point(self, x) -> tuple:
-        """(sample point, index) closest to x; ties pick the lexicographically
-        smallest sample."""
+        """(sample point, index) closest to x, or (points, indices) for an
+        (n, dim) array; ties pick the lexicographically smallest sample, then
+        the smallest index.
+
+        One k=2 query finds the rows with a tie; only those take a ball
+        query for the whole tied group.
+        """
         x = np.asarray(x, float)
-        d, i = self.tree.query(x, p=np.inf)
-        d = float(d)
-        cand = self.tree.query_ball_point(x, d + 1e-12 * (1.0 + d), p=np.inf)
-        cand = np.array(sorted(cand), int)
-        dists = chebyshev(self.points[cand], x)
-        tied = cand[dists <= d + 1e-12 * (1.0 + d)]
-        best = tied[lex_order(self.points[tied])[0]] if len(tied) > 1 else int(i)
-        return self.points[best].copy(), int(best)
+        rows = np.atleast_2d(x)
+        d, i = self.tree.query(rows, k=2, p=np.inf)
+        idx = i[:, 0]
+        reach = d[:, 0] + 1e-12 * (1.0 + d[:, 0])
+        tied = np.nonzero(d[:, 1] <= reach)[0]
+        groups = self.tree.query_ball_point(rows[tied], reach[tied], p=np.inf)
+        sizes = np.fromiter(map(len, groups), int, len(groups))
+        cand = np.fromiter(itertools.chain.from_iterable(groups), int, int(sizes.sum()))
+        owner = np.repeat(np.arange(len(groups)), sizes)
+        keep = chebyshev(self.points[cand], rows[tied][owner]) <= reach[tied][owner]
+        cand, owner = cand[keep], owner[keep]
+        # per owner, lexicographic on the sample, then the smaller index
+        order = np.lexsort((cand,) + tuple(self.points[cand].T[::-1]) + (owner,))
+        first = order[np.diff(owner[order], prepend=-1) != 0]
+        idx[tied[owner[first]]] = cand[first]
+        if x.ndim == 1:
+            return self.points[idx[0]].copy(), int(idx[0])
+        return self.points[idx], idx
 
     def require_inside(self, x):
         x = np.atleast_2d(np.asarray(x, float))

@@ -19,6 +19,14 @@ anchor samples on the set, and the linear extension operator
 
 with c_Q = f(anchor of Q) for cubes of diameter <= 2 delta and a constant
 fill value on larger cubes.
+
+Grid nodes and arbitrary points share one evaluation path.  The sparse
+matrix of raw bump values at the points (WhitneyDecomposition.bumps, cached
+per grid as pou_matrix) gives the normalized average sum_Q b_Q c_Q / sum_Q b_Q
+wherever a bump reaches.  Points on the set (within h/2 of a sample) and
+collar points no bump reaches take the value of their nearest sample
+instead.  Among equally near samples the lexicographically smallest wins
+(ClosedSet.nearest_point), the rule that also picks each cube's anchor.
 """
 
 from __future__ import annotations
@@ -28,17 +36,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.spatial import cKDTree
 
 from .cubes import GROWTH, Cube
 from .grid import GridField
 from .sets import ClosedSet
-from .util import ConfigError, chebyshev, lex_order
+from .util import ConfigError, lex_order
 
 __all__ = [
     "WhitneyDecomposition",
     "whitney_decomposition",
     "collar_profile",
-    "extension_coefficients",
     "extend_points",
     "extend_grid",
     "projection_data",
@@ -46,23 +54,17 @@ __all__ = [
 ]
 
 _FACE_TOL = 1e-12
+# leaf sizes of the two KD-trees WhitneyDecomposition.bumps matches, fastest
+# on a 575k-node grid: large leaves keep the tree over the points small and
+# quick to build, small ones let the cube centers prune it
+_POINTS_LEAFSIZE = 256
+_CENTERS_LEAFSIZE = 4
 
 
 def collar_profile(u):
     """C^1 tent: 1 on [-1, 1], 0 outside (-9/8, 9/8), cubic ramp between."""
     t = np.clip((np.abs(u) - 1.0) * 8.0, 0.0, 1.0)
     return 1.0 - t * t * (3.0 - 2.0 * t)
-
-
-def _bump_window_1d(center, radius, lo, h, n_nodes):
-    """Node index range and profile values where the grown cube meets a grid."""
-    half = GROWTH * radius
-    i0 = max(0, int(np.ceil((center - half - lo) / h - 1e-9)))
-    i1 = min(n_nodes - 1, int(np.floor((center + half - lo) / h + 1e-9)))
-    if i1 < i0:
-        return i0, i1, np.zeros(0)
-    xs = lo + np.arange(i0, i1 + 1) * h
-    return i0, i1, collar_profile((xs - center) / radius)
 
 
 @dataclass(eq=False)
@@ -161,36 +163,49 @@ class WhitneyDecomposition:
 
     # -- partition of unity ---------------------------------------------
 
-    def support_candidates(self, x) -> np.ndarray:
-        """Cube indices whose grown support can contain x (superset, exact
-        membership decided by the profile value)."""
-        x = np.asarray(x, float)
-        out = []
+    def bumps(self, X) -> tuple:
+        """Sparse (points x cubes) CSR matrix of raw bump values at the rows
+        of X, plus the row sums.
+
+        Per cube level, a KD-tree over that level's centers is matched
+        against one over X for the points within the grown cubes' reach; the
+        profile, which vanishes on the grown cube's boundary, decides
+        membership exactly.  Columns ascend within each row (canonical CSR),
+        which fixes the order the row sums add up in.
+        """
+        X = np.atleast_2d(np.asarray(X, float))
+        tree = cKDTree(X, leafsize=_POINTS_LEAFSIZE, balanced_tree=False, compact_nodes=False)
+        lo, hi = tree.mins, tree.maxes
+        rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
         for level in np.unique(self.levels):
-            side = self.root_side / 2 ** int(level)
-            base = np.floor((x - self.root_lo) / side).astype(int)
-            lmap = self._level_map(int(level))
-            for offset in itertools.product((-1, 0, 1), repeat=self.S.dim):
-                k = lmap.get(tuple(base + np.array(offset)))
-                if k is not None:
-                    out.append(k)
-        return np.array(sorted(set(out)), int)
+            cubes = np.nonzero(self.levels == level)[0]
+            # a hair past the grown cube, so rounding drops no point the
+            # profile reaches
+            reach = GROWTH * self.radii[cubes[0]] * (1 + 1e-9)
+            c = self.centers[cubes]
+            cubes = cubes[np.all((c >= lo - reach) & (c <= hi + reach), axis=1)]
+            near = cKDTree(self.centers[cubes], leafsize=_CENTERS_LEAFSIZE, balanced_tree=False,
+                           compact_nodes=False)
+            pairs = near.sparse_distance_matrix(tree, reach, p=np.inf, output_type="ndarray")
+            row, col = pairs["j"], cubes[pairs["i"]]
+            b = collar_profile((X[row, 0] - self.centers[col, 0]) / self.radii[col])
+            for a in range(1, self.S.dim):
+                b = b * collar_profile((X[row, a] - self.centers[col, a]) / self.radii[col])
+            keep = b > 0
+            rows.append(row[keep])
+            cols.append(col[keep])
+            vals.append(b[keep])
+        matrix = sparse.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(len(X), len(self)),
+        )
+        return matrix, np.asarray(matrix.sum(axis=1)).ravel()
 
     def pou_at(self, x) -> tuple:
         """(cube indices, phi values) of the normalized partition of unity at
         a single point; empty when no support reaches x."""
-        x = np.asarray(x, float)
-        cand = self.support_candidates(x)
-        if len(cand) == 0:
-            return cand, np.zeros(0)
-        u = (x[None, :] - self.centers[cand]) / self.radii[cand, None]
-        b = np.prod(collar_profile(u), axis=1)
-        keep = b > 0
-        cand, b = cand[keep], b[keep]
-        total = b.sum()
-        if total <= 0:
-            return cand, b
-        return cand, b / total
+        matrix, _ = self.bumps(np.asarray(x, float)[None, :])
+        return matrix.indices.astype(int), matrix.data / matrix.data.sum()
 
     # -- grid caches ----------------------------------------------------
 
@@ -199,70 +214,30 @@ class WhitneyDecomposition:
         return (box.tobytes(), float(h))
 
     def pou_matrix(self, box, h) -> tuple:
-        """Sparse (nodes x cubes) matrix of raw bump values on a grid, plus
-        the per-node total; cached per grid."""
+        """bumps() at the nodes of a grid; cached per grid."""
         key = ("pou",) + self._grid_key(box, h)
-        if key in self._caches:
-            return self._caches[key]
-        box = np.asarray(box, float)
-        shape = GridField.shape_for(box, h)
-        n_nodes = int(np.prod(shape))
-        rows, cols, vals = [], [], []
-        for k in range(len(self)):
-            per_axis = [
-                _bump_window_1d(self.centers[k, a], self.radii[k], box[a, 0], h, shape[a])
-                for a in range(self.S.dim)
-            ]
-            if any(w[1] < w[0] for w in per_axis):
-                continue
-            local = per_axis[0][2]
-            for a in range(1, self.S.dim):
-                local = np.multiply.outer(local, per_axis[a][2])
-            idx = np.meshgrid(
-                *[np.arange(w[0], w[1] + 1) for w in per_axis], indexing="ij"
-            )
-            flat = np.ravel_multi_index([i.ravel() for i in idx], shape)
-            mask = local.ravel() > 0
-            rows.append(flat[mask])
-            cols.append(np.full(int(mask.sum()), k))
-            vals.append(local.ravel()[mask])
-        if rows:
-            matrix = sparse.csr_matrix(
-                (
-                    np.concatenate(vals),
-                    (np.concatenate(rows), np.concatenate(cols)),
-                ),
-                shape=(n_nodes, len(self)),
-            )
-        else:
-            matrix = sparse.csr_matrix((n_nodes, len(self)))
-        den = np.asarray(matrix.sum(axis=1)).ravel()
-        self._caches[key] = (matrix, den)
-        return matrix, den
+        if key not in self._caches:
+            self._caches[key] = self.bumps(_grid_nodes(box, h))
+        return self._caches[key]
 
     def grid_set_info(self, box, h) -> dict:
-        """Distances and nearest-sample indices of grid nodes; cached."""
+        """Distances to the set, on-set flags and nearest-sample indices of
+        grid nodes; cached.  The nearest sample is resolved only where the
+        extension or the projection reads it, at on-set and unresolved
+        nodes; it is -1 elsewhere."""
         key = ("setinfo",) + self._grid_key(box, h)
         if key in self._caches:
             return self._caches[key]
-        box = np.asarray(box, float)
-        shape = GridField.shape_for(box, h)
-        nodes = GridField(box, h, np.zeros(shape)).nodes()
-        nn_dist, nn_idx = self.S.tree.query(nodes, p=np.inf)
-        dist = np.maximum(0.0, nn_dist - self.S.sample_radius)
-        tol = self.S.h / 2.0 if self.S.kind == "thin" else self.S.sample_radius
-        on_set = nn_dist <= tol + 1e-12
-        # on-set nodes take their nearest sample's value, so ties there go to
-        # the lexicographically smallest sample, as in extend_points; the
-        # second-nearest distance tells which of them have a tie to break
-        on_idx = np.nonzero(on_set)[0]
-        second = self.S.tree.query(nodes[on_idx], k=2, p=np.inf)[0][:, 1]
-        near = nn_dist[on_idx]
-        tied = on_idx[second <= near + 1e-12 * (1.0 + near)]
+        nodes = _grid_nodes(box, h)
+        nn_dist = self.S.nearest_distance(nodes)
+        on_set = nn_dist <= self.S.on_set_reach
+        rows = np.nonzero(on_set | (self.projection_map(box, h).ravel() < 0))[0]
+        nearest = np.full(len(nodes), -1)
+        nearest[rows] = self.S.nearest_point(nodes[rows])[1]
         info = {
-            "shape": shape,
-            "dist": dist,
-            "nearest": _lex_tie_break(self.S, nodes, nn_dist, nn_idx, tied),
+            "shape": GridField.shape_for(box, h),
+            "dist": np.maximum(0.0, nn_dist - self.S.sample_radius),
+            "nearest": nearest,
             "on_set": on_set,
         }
         self._caches[key] = info
@@ -295,23 +270,9 @@ class WhitneyDecomposition:
         return cube_of
 
 
-def _lex_tie_break(S: ClosedSet, x, nn_dist, nn_idx, rows) -> np.ndarray:
-    """Copy of nn_idx, the nearest-sample indices of the points x, in which
-    each of the given rows that has several equally near samples takes the
-    lexicographically smallest of them, the one ClosedSet.nearest_point picks."""
-    out = nn_idx.astype(int)
-    reach = nn_dist[rows] + 1e-12 * (1.0 + nn_dist[rows])
-    groups = S.tree.query_ball_point(x[rows], reach, p=np.inf)
-    sizes = np.fromiter(map(len, groups), int, len(groups))
-    cand = np.fromiter(itertools.chain.from_iterable(groups), int, int(sizes.sum()))
-    owner = np.repeat(np.arange(len(groups)), sizes)
-    keep = chebyshev(S.points[cand], x[rows][owner]) <= reach[owner]
-    cand, owner = cand[keep], owner[keep]
-    # per owner, lexicographic on the sample, then the smaller index
-    order = np.lexsort((cand,) + tuple(S.points[cand].T[::-1]) + (owner,))
-    first = order[np.diff(owner[order], prepend=-1) != 0]
-    out[rows[owner[first]]] = cand[first]
-    return out
+def _grid_nodes(box, h) -> np.ndarray:
+    box = np.asarray(box, float)
+    return GridField(box, h, np.zeros(GridField.shape_for(box, h))).nodes()
 
 
 def whitney_decomposition(S: ClosedSet, box=None, floor_side: float | None = None) -> WhitneyDecomposition:
@@ -392,8 +353,7 @@ def whitney_decomposition(S: ClosedSet, box=None, floor_side: float | None = Non
     radii = sides / 2.0
 
     # anchors: nearest sample to each cube center, lexicographic tie-break
-    nn_dist, nn_idx = S.tree.query(centers, p=np.inf)
-    anchor_idx = _lex_tie_break(S, centers, nn_dist, nn_idx, np.arange(len(centers)))
+    anchor_idx = S.nearest_point(centers)[1]
 
     return WhitneyDecomposition(
         S=S,
@@ -412,37 +372,39 @@ def whitney_decomposition(S: ClosedSet, box=None, floor_side: float | None = Non
 # -- extension operator ------------------------------------------------
 
 
-def extension_coefficients(W: WhitneyDecomposition, f_vals, delta: float, cbar: float) -> np.ndarray:
-    """Per-cube coefficients: anchor value on cubes of diameter <= 2 delta,
-    the fill constant on larger cubes."""
+def _evaluate(W: WhitneyDecomposition, f_vals, delta, cbar, bumps, on_set, nearest) -> np.ndarray:
+    """The extension at the rows of a bump matrix: the normalized bump
+    average num/den of the cube coefficients (anchor value on cubes of
+    diameter <= 2 delta, the fill constant on larger ones) where a bump
+    reaches, and the nearest sample's value on on-set rows and on rows no
+    bump reaches."""
+    matrix, den = bumps
     f_vals = np.asarray(f_vals, float)
     small = W.diams <= 2 * delta * (1 + 1e-12)
-    return np.where(small, f_vals[W.anchor_idx], cbar)
+    num = matrix @ np.where(small, f_vals[W.anchor_idx], cbar)
+    vals = np.zeros(len(den))
+    good = den > 0
+    vals[good] = num[good] / den[good]
+    take = on_set | ~good
+    vals[take] = f_vals[nearest[take]]
+    return vals
 
 
 def extend_points(W: WhitneyDecomposition, f_vals, points, delta: float, cbar: float) -> np.ndarray:
-    """Evaluate the extension at arbitrary points.
+    """Evaluate the extension at arbitrary points, as extend_grid does at
+    grid nodes.
 
     On-set points reproduce the nearest sample value (exact at samples);
     elsewhere the normalized bump average of the cube coefficients applies.
     Collar points no bump reaches fall back to the nearest sample value.
     """
     points = np.atleast_2d(np.asarray(points, float))
-    f_vals = np.asarray(f_vals, float)
-    coeff = extension_coefficients(W, f_vals, delta, cbar)
-    out = np.zeros(len(points))
-    for i, x in enumerate(points):
-        if W.S.on_set(x):
-            _, idx = W.S.nearest_point(x)
-            out[i] = f_vals[idx]
-            continue
-        cand, phi = W.pou_at(x)
-        if len(cand) and phi.sum() > 0:
-            out[i] = float(np.dot(phi, coeff[cand]))
-        else:
-            _, idx = W.S.nearest_point(x)
-            out[i] = f_vals[idx]
-    return out
+    bumps = W.bumps(points)
+    on_set = W.S.on_set(points)
+    rows = np.nonzero(on_set | (bumps[1] == 0))[0]
+    nearest = np.full(len(points), -1)
+    nearest[rows] = W.S.nearest_point(points[rows])[1]
+    return _evaluate(W, f_vals, delta, cbar, bumps, on_set, nearest)
 
 
 def extend_grid(
@@ -457,17 +419,10 @@ def extend_grid(
     repeated calls with new data are sparse matrix-vector products."""
     box = np.asarray(W.S.bbox if box is None else box, float)
     h = W.S.h if h is None else float(h)
-    f_vals = np.asarray(f_vals, float)
-    matrix, den = W.pou_matrix(box, h)
+    # bumps first: the build is the memory peak, lower before the set info is held
+    bumps = W.pou_matrix(box, h)
     info = W.grid_set_info(box, h)
-    coeff = extension_coefficients(W, f_vals, delta, cbar)
-    num = matrix @ coeff
-    vals = np.zeros(len(den))
-    good = den > 0
-    vals[good] = num[good] / den[good]
-    nearest_vals = f_vals[info["nearest"]]
-    vals[~good] = nearest_vals[~good]
-    vals[info["on_set"]] = nearest_vals[info["on_set"]]
+    vals = _evaluate(W, f_vals, delta, cbar, bumps, info["on_set"], info["nearest"])
     return GridField(box, h, vals.reshape(info["shape"]))
 
 
@@ -484,19 +439,13 @@ def projection_data(W: WhitneyDecomposition, box=None, h: float | None = None) -
     cube_of = W.projection_map(box, h).ravel()
     target = np.where(cube_of >= 0, W.anchor_idx[np.maximum(cube_of, 0)], info["nearest"])
     target = np.where(info["on_set"], info["nearest"], target)
-    nodes = GridField(box, h, np.zeros(info["shape"])).nodes()
-    return nodes, target.astype(int), info["dist"], info["on_set"]
+    return _grid_nodes(box, h), target.astype(int), info["dist"], info["on_set"]
 
 
 def compose_with_projection(W: WhitneyDecomposition, f_vals, box=None, h: float | None = None) -> tuple:
     """(GridField of f(T(x)), dist field) on the grid."""
     box = np.asarray(W.S.bbox if box is None else box, float)
     h = W.S.h if h is None else float(h)
-    f_vals = np.asarray(f_vals, float)
     _, target, dist, _ = projection_data(W, box, h)
-    info = W.grid_set_info(box, h)
-    shape = info["shape"]
-    return (
-        GridField(box, h, f_vals[target].reshape(shape)),
-        dist.reshape(shape),
-    )
+    shape = GridField.shape_for(box, h)
+    return GridField(box, h, np.asarray(f_vals, float)[target].reshape(shape)), dist.reshape(shape)

@@ -7,6 +7,7 @@ import pytest
 
 from sobtrace.cli import main
 from sobtrace.grid import GridField
+from sobtrace.util import ConfigError
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +46,23 @@ def test_extend_writes_grid(tmp_path, capsys):
     meta = json.loads((tmp_path / "extend.json").read_text())
     assert list(F.values.shape) == meta["grid_shape"]
     assert meta["total"] > 0
+
+
+@pytest.mark.parametrize("damage", ["short-payload", "no-payload", "no-header"])
+def test_grid_load_rejects_damaged_files(tmp_path, capsys, damage):
+    GridField(np.array([[0.0, 1.0], [0.0, 1.0]]), 0.25, np.zeros((5, 5))).save(tmp_path / "g")
+    payload, header = tmp_path / "g.bin", tmp_path / "g.json"
+    if damage == "short-payload":
+        payload.write_bytes(payload.read_bytes()[:-8])
+    else:
+        (payload if damage == "no-payload" else header).unlink()
+    with pytest.raises(ConfigError):
+        GridField.load(tmp_path / "g")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"functional": "modulus", "t": 0.5, "field": str(tmp_path / "g")}))
+    code = main(["functional", "--canonical", "two-points", "--config", str(cfg)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_functional_averaged_modulus(tmp_path, capsys):
@@ -128,11 +146,21 @@ def test_tracenorm_overflow_exits_3(tmp_path, capsys):
         ("functional", {"functional": "averaged-modulus", "t": "x"}),
         ("functional", {"functional": "packing", "t": 0.25, "alpha": "x"}),
         ("functional", None),
+        ("functional", {"functional": "packing", "t": 0.25, "centers": "bogus"}),
+        ("functional", {"functional": "ap-mu", "t": 0.25, "variant": "zzz"}),
+        ("functional", {"functional": "packing", "t": -1}),
+        ("functional", {"functional": "sharp-maximal", "x": [0.5, 0.5]}),
+        ("functional", {"functional": "modulus", "t": 0.1, "field": "no-such-grid"}),
         ("verify", ["T11"]),
+        ("verify", {"theorem": "T11", "set": "two-points", "bogus": 1}),
+        ("verify", {"theorem": "T11", "set": "two-points", "p": "x"}),
+        ("verify", {"theorem": "T11", "set": "two-points", "h_levels": "x"}),
     ],
     ids=[
         "unknown-key", "p-as-string", "no-p", "bad-eps", "no-file", "not-json",
-        "no-t", "bad-t", "bad-alpha", "functional-no-file", "not-an-object",
+        "no-t", "bad-t", "bad-alpha", "functional-no-file", "bad-centers",
+        "bad-ap-mu-variant", "negative-t", "x-of-wrong-dimension", "missing-grid",
+        "not-an-object", "verify-unknown-key", "verify-bad-p", "verify-bad-h-levels",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):

@@ -53,6 +53,32 @@ def test_nearest_point_lexicographic_tie():
     assert idx == 1
 
 
+def test_nearest_point_batched_matches_per_point_rule():
+    # a shuffled 5x5 lattice of samples, three of them repeated, queried on a
+    # lattice twice as fine: most queries are equidistant to several samples
+    axis = np.arange(5) * 0.25
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    pts = pts[np.random.default_rng(4).permutation(len(pts))]
+    pts = np.concatenate([pts, pts[:3]])
+    S = thin_set(pts, h=1 / 16)
+    q_axis = np.arange(-2, 11) * 0.125
+    queries = np.stack(np.meshgrid(q_axis, q_axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    # per query: the tied samples, then lexicographic order, then the index
+    d = np.max(np.abs(queries[:, None, :] - pts[None, :, :]), axis=2)
+    d_min = d.min(axis=1, keepdims=True)
+    tied = d <= d_min + 1e-12 * (1.0 + d_min)
+    assert np.count_nonzero(tied.sum(axis=1) > 1) > len(queries) // 2
+    rank = np.empty(len(pts), int)
+    rank[np.lexsort((np.arange(len(pts)),) + tuple(pts.T[::-1]))] = np.arange(len(pts))
+    want = np.argmin(np.where(tied, rank, len(pts)), axis=1)
+    points, idx = S.nearest_point(queries)
+    assert np.array_equal(idx, want)
+    assert np.array_equal(points, pts[want])
+    for x, k in zip(queries, want):
+        p, i = S.nearest_point(x)
+        assert i == k and np.array_equal(p, pts[k])
+
+
 def test_boundary_of_solid_square():
     S = solid_set(square_mask(8), h=1 / 8, origin=(0.0, 0.0))
     b = S.boundary()

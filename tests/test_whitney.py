@@ -9,9 +9,12 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.spatial import cKDTree
 
-from sobtrace.cubes import covering_multiplicity
+from sobtrace.canonical import CANONICAL_NAMES, CanonicalSpec, generate_canonical
+from sobtrace.cubes import GROWTH, covering_multiplicity
+from sobtrace.grid import GridField
 from sobtrace.sets import solid_set, thin_set
 from sobtrace.whitney import (
     collar_profile,
@@ -176,6 +179,57 @@ def test_pou_gradient_scale(segment2d):
     assert worst <= 40 * S.dim
 
 
+def _bump_window_1d(center, radius, lo, h, n_nodes):
+    """Node index range and profile values where the grown cube meets a grid."""
+    half = GROWTH * radius
+    i0 = max(0, int(np.ceil((center - half - lo) / h - 1e-9)))
+    i1 = min(n_nodes - 1, int(np.floor((center + half - lo) / h + 1e-9)))
+    if i1 < i0:
+        return i0, i1, np.zeros(0)
+    xs = lo + np.arange(i0, i1 + 1) * h
+    return i0, i1, collar_profile((xs - center) / radius)
+
+
+def cube_major_pou_matrix(W, box, h):
+    """Reference grid bump matrix, built cube by cube as the outer product of
+    per-axis profile windows, with its row sums."""
+    box = np.asarray(box, float)
+    shape = GridField.shape_for(box, h)
+    rows, cols, vals = [], [], []
+    for k in range(len(W)):
+        per_axis = [
+            _bump_window_1d(W.centers[k, a], W.radii[k], box[a, 0], h, shape[a])
+            for a in range(W.S.dim)
+        ]
+        if any(w[1] < w[0] for w in per_axis):
+            continue
+        local = per_axis[0][2]
+        for a in range(1, W.S.dim):
+            local = np.multiply.outer(local, per_axis[a][2])
+        idx = np.meshgrid(*[np.arange(w[0], w[1] + 1) for w in per_axis], indexing="ij")
+        flat = np.ravel_multi_index([i.ravel() for i in idx], shape)
+        mask = local.ravel() > 0
+        rows.append(flat[mask])
+        cols.append(np.full(int(mask.sum()), k))
+        vals.append(local.ravel()[mask])
+    matrix = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(int(np.prod(shape)), len(W)),
+    )
+    return matrix, np.asarray(matrix.sum(axis=1)).ravel()
+
+
+@pytest.mark.parametrize("name", CANONICAL_NAMES)
+def test_pou_matrix_matches_cube_major_reference(name):
+    S, _ = generate_canonical(CanonicalSpec(name, 1 / 32))
+    W = whitney_decomposition(S)
+    matrix, den = W.pou_matrix(S.bbox, S.h)
+    ref, ref_den = cube_major_pou_matrix(W, S.bbox, S.h)
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(matrix, attr), getattr(ref, attr))
+    assert np.array_equal(den, ref_den)
+
+
 def test_extension_reproduces_samples_exactly(segment2d):
     S, W = segment2d
     rng = np.random.default_rng(5)
@@ -206,15 +260,17 @@ def test_extension_linear_in_data(segment2d):
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
 
-def test_grid_and_point_extension_agree(two_points):
-    S, W = two_points
+def test_grid_and_point_extension_agree():
+    # grid nodes and arbitrary points share one evaluation path
     rng = np.random.default_rng(23)
-    f = rng.normal(size=len(S.points))
-    field = extend_grid(W, f, delta=S.extent, cbar=float(f[0]))
-    nodes = field.nodes()
-    pick = rng.choice(len(nodes), size=60, replace=False)
-    direct = extend_points(W, f, nodes[pick], delta=S.extent, cbar=float(f[0]))
-    assert np.allclose(field.values.reshape(-1)[pick], direct, atol=1e-12)
+    for name in CANONICAL_NAMES:
+        S, _ = generate_canonical(CanonicalSpec(name, 1 / 32))
+        W = whitney_decomposition(S)
+        f = rng.normal(size=len(S.points))
+        span = S.extent or 1.0
+        field = extend_grid(W, f, delta=span, cbar=float(f[0]))
+        direct = extend_points(W, f, field.nodes(), delta=span, cbar=float(f[0]))
+        assert np.array_equal(direct, field.values.ravel()), name
 
 
 def test_grid_and_point_extension_agree_on_solid_set(solid_square):
