@@ -15,6 +15,7 @@ import dataclasses
 import inspect
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,13 @@ def _declared(raw: dict, declared, known=()) -> dict:
     return {name: _param(raw, name, default, _KINDS[kind]) for name, kind, default in declared}
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _parse_level(token: str) -> float:
     token = token.strip()
     if "/" in token:
@@ -167,9 +175,7 @@ def cmd_whitney(args) -> int:
     W = whitney_decomposition(S)
     report = whitney_contract_report(S, W, seed=args.seed)
     slack = 2 * S.h + 1e-12
-    dists = np.maximum(
-        0.0, S.nearest_distance(W.centers) - W.radii - S.sample_radius
-    )
+    dists = S.dist_cube(W.centers, W.radii)
     per_cube_ok = (W.diams - dists <= slack) & (dists - 4 * W.diams <= slack)
     payload = {
         "set": S.name,
@@ -208,11 +214,26 @@ def cmd_extend(args) -> int:
     return 0
 
 
-def _run_functional(kind: str, cfg: dict, S, mu, vals):
+class _ReadKeys(dict):
+    """A config object that records the keys read from it with get()."""
+
+    def __init__(self, raw: dict):
+        super().__init__(raw)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def _functional_call(kind: str, cfg: dict, S, mu, vals):
+    """The call a functional config asks for, its parameters read from cfg."""
     p = _param(cfg, "p", 3.0)
+    if not p > 0:
+        raise ConfigError(f"functional needs p > 0, got {p}")
     if kind == "packing":
-        return packing_functional_details(
-            S, vals, _param(cfg, "t"), p,
+        return partial(
+            packing_functional_details, S, vals, _param(cfg, "t"), p,
             centers=cfg.get("centers", "set"),
             alpha=_param(cfg, "alpha", None),
             strong=bool(cfg.get("strong", False)),
@@ -220,13 +241,13 @@ def _run_functional(kind: str, cfg: dict, S, mu, vals):
         )
     if kind == "grid-packing":
         F = GridField.load(_param(cfg, "field", kind=str))
-        return grid_packing_functional(F, _param(cfg, "t"), p, details=True)
+        return partial(grid_packing_functional, F, _param(cfg, "t"), p, details=True)
     if kind == "sharp-maximal":
         x = _param(cfg, "x", kind=lambda v: np.asarray(v, float))
-        return {"value": sharp_maximal(S, vals, x, variant=cfg.get("variant", "range_ratio"))}
+        return partial(sharp_maximal, S, vals, x, variant=cfg.get("variant", "range_ratio"))
     if kind == "ap-mu":
-        return A_p_mu(
-            S, mu, vals, _param(cfg, "t"), p,
+        return partial(
+            A_p_mu, S, mu, vals, _param(cfg, "t"), p,
             q=_param(cfg, "q", 1.0),
             alpha=_param(cfg, "alpha", None),
             strong=bool(cfg.get("strong", False)),
@@ -235,51 +256,52 @@ def _run_functional(kind: str, cfg: dict, S, mu, vals):
             details=True,
         )
     if kind == "local-pair-energy":
-        val = local_pair_energy(mu, vals, _param(cfg, "t"), p, kernel=cfg.get("kernel", "square"))
-        return {"value": val}
+        return partial(local_pair_energy, mu, vals, _param(cfg, "t"), p,
+                       kernel=cfg.get("kernel", "square"))
     if kind == "distance-pair-energy":
-        return {"value": distance_pair_energy(mu, vals, _param(cfg, "eps"), p)}
+        return partial(distance_pair_energy, mu, vals, _param(cfg, "eps"), p)
     if kind == "quasidistance-energy":
-        return quasidistance_pair_energy(
-            S, mu, vals, _param(cfg, "eps"), p,
+        return partial(
+            quasidistance_pair_energy, S, mu, vals, _param(cfg, "eps"), p,
             alpha=_param(cfg, "alpha", 1 / 15),
             pair_budget=_param(cfg, "pair_budget", 4000, int),
             seed=_param(cfg, "seed", 0, int),
             details=True,
         )
     if kind == "besov-dset":
-        return {
-            "value": dset_besov_norm(
-                mu, vals, _param(cfg, "s"), p, _param(cfg, "d", 1.0)
-            )
-        }
+        return partial(dset_besov_norm, mu, vals, _param(cfg, "s"), p, _param(cfg, "d", 1.0))
     if kind == "besov-jonsson":
-        return {
-            "value": besov_trace_functional_jonsson(
-                mu, vals, _param(cfg, "s"), p, _param(cfg, "q", p),
-                _param(cfg, "level_floor", 4 * S.h),
-            )
-        }
+        return partial(
+            besov_trace_functional_jonsson, mu, vals, _param(cfg, "s"), p,
+            _param(cfg, "q", p), _param(cfg, "level_floor", 4 * S.h),
+        )
     if kind == "averaged-modulus":
-        return {"value": averaged_modulus_w1(mu, vals, _param(cfg, "t"), p)}
+        return partial(averaged_modulus_w1, mu, vals, _param(cfg, "t"), p)
     if kind == "modulus":
         F = GridField.load(_param(cfg, "field", kind=str))
-        return {"value": modulus_of_smoothness(F, _param(cfg, "t"), p)}
+        return partial(modulus_of_smoothness, F, _param(cfg, "t"), p)
     if kind == "measure-diagnostics":
-        diag = measure_diagnostics(mu, seed=_param(cfg, "seed", 0, int))
-        return dataclasses.asdict(diag)
+        return partial(measure_diagnostics, mu, seed=_param(cfg, "seed", 0, int))
     raise ConfigError(f"unknown functional {kind!r}")
 
 
 def cmd_functional(args) -> int:
-    cfg = _read_config(args.config)
+    cfg = _ReadKeys(_read_config(args.config))
     kind = cfg.pop("functional", None)
     if not kind:
         raise ConfigError("config needs a 'functional' key")
     S, mu = _load_set(args)
     needs_f = kind not in ("grid-packing", "modulus", "measure-diagnostics")
     vals = _load_values(args, S) if needs_f else None
-    result = _run_functional(kind, cfg, S, mu, vals)
+    call = _functional_call(kind, cfg, S, mu, vals)
+    unknown = set(cfg) - cfg.read
+    if unknown:
+        raise ConfigError(f"functional {kind!r} does not read config keys {sorted(unknown)}")
+    result = call()
+    if dataclasses.is_dataclass(result):
+        result = dataclasses.asdict(result)
+    elif not isinstance(result, dict):
+        result = {"value": result}
     _emit(
         {"functional": kind, "set": S.name, "params": cfg, "result": result},
         args.out,
@@ -366,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sobtrace",
         description="trace-norm functionals and Whitney extension experiments",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--out", help="output directory (default: print JSON)")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -74,10 +74,6 @@ class DiscreteMeasure:
     def total(self) -> float:
         return float(self.weights.sum())
 
-    def cube_mass(self, cube: Cube) -> float:
-        idx = self.tree.query_ball_point(np.array(cube.center), cube.radius, p=np.inf)
-        return float(self.weights[idx].sum())
-
     def ball_mass(self, x, r) -> np.ndarray:
         """Masses of closed uniform-norm balls; x may be a batch of centers."""
         x = np.atleast_2d(np.asarray(x, float))
@@ -173,6 +169,8 @@ def measure_diagnostics(
     Centers are drawn from the support; radii default to a dyadic ladder in
     [4h-ish, 1] where h is the smallest positive pairwise gap observed.
     """
+    if seed < 0:
+        raise ConfigError(f"need seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     m = len(mu.points)
     pick = np.sort(rng.choice(m, size=min(n_centers, m), replace=False))
@@ -301,8 +299,6 @@ def A_p_mu(
     variant: str = "pair",
     centers: str | None = None,
     mode: str = "greedy",
-    taus=None,
-    center_tol: float | None = None,
     details: bool = False,
 ):
     """Measure-scored packing functional.
@@ -310,30 +306,31 @@ def A_p_mu(
     variant "pair" scores each cube by |Q| * mu_oscillation^p; variant
     "center" uses the center-deviation score (and forces strong porosity).
     Plain centers-on-the-set packing has alpha None; porous variants center
-    cubes on the boundary.
+    cubes on the boundary.  The center value is read from a support point
+    within h/2 of the cube center.
     """
     if variant not in ("pair", "center"):
         raise ConfigError(f"unknown A_p_mu variant {variant!r}")
+    if not q > 0:
+        raise ConfigError(f"A_p_mu needs q > 0, got {q}")
     if variant == "center":
         if alpha is None:
             raise ConfigError("center-deviation variant requires a porosity level")
         strong = True
     if centers is None:
         centers = "set" if alpha is None else "boundary"
-    tol = S.h / 2 if center_tol is None else center_tol
     f_vals = np.asarray(f_vals, float)
 
     def score(cube: Cube, _idx) -> float:
         if variant == "center":
-            val = tilde_osc(mu, f_vals, cube, tol)
+            val = tilde_osc(mu, f_vals, cube, S.h / 2)
         else:
             val = mu_oscillation(mu, f_vals, cube, q)
         return cube.diam ** S.dim * val ** p
 
     out = packing_functional_details(
         S, f_vals, t, p,
-        centers=centers, alpha=alpha, strong=strong, mode=mode, taus=taus,
-        score_fn=score,
+        centers=centers, alpha=alpha, strong=strong, mode=mode, score_fn=score,
     )
     return out if details else out["value"]
 
@@ -351,6 +348,8 @@ def local_pair_energy(
     mass(Q(x,t)) * mass(Q(y,t)) (product). Returns the p-th-power sum."""
     if kernel not in ("square", "product"):
         raise ConfigError(f"unknown kernel {kernel!r}")
+    if not t > 0:
+        raise ConfigError(f"pair energy needs t > 0, got {t}")
     f_vals = np.asarray(f_vals, float)
     pts, w = mu.points, mu.weights
     n = mu.dim
@@ -418,6 +417,8 @@ def quasidistance_pair_energy(
     per-pair clearance scans are costly, so above pair_budget the sum is a
     stratified-by-distance estimate (scaled per stratum, exactness noted).
     """
+    if pair_budget < 0 or seed < 0:
+        raise ConfigError(f"need pair_budget >= 0 and seed >= 0, got {pair_budget} and {seed}")
     f_vals = np.asarray(f_vals, float)
     pts, w = mu.points, mu.weights
     n = mu.dim
@@ -489,10 +490,12 @@ def besov_trace_functional_jonsson(
     levels 2^-nu >= level_floor of 2^(nu(s - n/p)) times the product-kernel
     pair energy at threshold 2^-nu (to the 1/p). Finite p, q only."""
     n = mu.dim
+    if not (0 < p < np.inf and 0 < q < np.inf):
+        raise ConfigError("only finite p, q > 0 are implemented")
     if not (n / p < s < 1):
         raise ConfigError(f"need n/p < s < 1, got s={s}, p={p}, n={n}")
-    if np.isinf(p) or np.isinf(q):
-        raise ConfigError("only finite p, q are implemented")
+    if not level_floor > 0:
+        raise ConfigError(f"need level_floor > 0, got {level_floor}")
     f_vals = np.asarray(f_vals, float)
     base = mu.lp_norm(f_vals, p)
     acc = 0.0

@@ -47,7 +47,6 @@ from .util import (
     besov_scale_integral,
     check_finite,
     dyadic_ladder,
-    power_scale_integral,
 )
 from .whitney import WhitneyDecomposition, compose_with_projection, whitney_decomposition
 
@@ -143,6 +142,8 @@ class TraceEstimateConfig:
                 raise ConfigError(f"{self.theorem} needs s and q")
             if not (0 < self.s < 1):
                 raise ConfigError(f"{self.theorem} needs 0 < s < 1")
+            if not self.q > 0:
+                raise ConfigError(f"{self.theorem} needs q > 0")
         if spec.alpha is not None and self.alpha is None:
             self.alpha = _of_theta(spec.alpha, self.theta)
         if spec.alpha_max is not None:
@@ -232,11 +233,12 @@ def lambda_packing(
 # -- shared sub-terms --------------------------------------------------
 
 
-def _composition_norm(W: WhitneyDecomposition, f_vals, eps: float, p: float) -> float:
-    """L_p norm of f(T(x)) over the eps-neighborhood of the set."""
+def _composition_norm(W: WhitneyDecomposition, f_vals, eps: float, p: float) -> tuple:
+    """L_p norm of f(T(x)) over the eps-neighborhood of the set, and the
+    neighborhood's mask on the set's grid."""
     FT, dist = compose_with_projection(W, f_vals)
-    mask = dist <= eps + 1e-12
-    return FT.cell_lp(p, mask)
+    near = dist <= eps + 1e-12
+    return FT.cell_lp(p, near), near
 
 
 def _sup_packing_quotient(S, f_vals, p, upper, mode) -> float:
@@ -257,7 +259,7 @@ def _porous_packing_integral(S, f_vals, p, upper, alpha, mode):
             for t in ts
         ]
     )
-    bracket = power_scale_integral(ts, gs, p)
+    bracket = besov_scale_integral(ts, gs, 1.0, p)
     return bracket.value ** (1.0 / p), bracket
 
 
@@ -292,28 +294,21 @@ def _estimate_t11(S, f, cfg, mu, sigma, W):
 
 
 def _estimate_t12(S, f, cfg, mu, sigma, W):
-    comp = _composition_norm(W, f, cfg.eps, cfg.p)
+    comp, _ = _composition_norm(W, f, cfg.eps, cfg.p)
     # cubes centered on the set stay inside the neighborhood when their
     # radius is below eps
     val = lambda_packing(S, f, cfg.p, cfg.gamma, max_diam=2 * cfg.eps, mode=cfg.mode)
     return _report({"composition": comp, "packing": val}, S.h)
 
 
-def _sharp_field_norm(S, f, p, eps=None) -> float:
-    fld = sharp_maximal_field(S, f)
-    if eps is None:
-        return fld.cell_lp(p)
-    dist = S.dist(fld.nodes()).reshape(fld.values.shape)
-    return fld.cell_lp(p, dist <= eps + 1e-12)
-
-
 def _estimate_t14i(S, f, cfg, mu, sigma, W):
-    return _report({"sharp_field": _sharp_field_norm(S, f, cfg.p)}, S.h)
+    return _report({"sharp_field": sharp_maximal_field(S, f).cell_lp(cfg.p)}, S.h)
 
 
 def _estimate_t14ii(S, f, cfg, mu, sigma, W):
-    comp = _composition_norm(W, f, cfg.eps, cfg.p)
-    sharp = _sharp_field_norm(S, f, cfg.p, cfg.eps)
+    # both terms integrate over the same eps-neighborhood of the set's grid
+    comp, near = _composition_norm(W, f, cfg.eps, cfg.p)
+    sharp = sharp_maximal_field(S, f).cell_lp(cfg.p, near)
     return _report({"composition": comp, "sharp_field": sharp}, S.h)
 
 
@@ -330,7 +325,7 @@ def _estimate_t24(S, f, cfg, mu, sigma, W):
 
 
 def _estimate_t25(S, f, cfg, mu, sigma, W):
-    comp = _composition_norm(W, f, cfg.eps, cfg.p)
+    comp, _ = _composition_norm(W, f, cfg.eps, cfg.p)
     sup_term = _sup_packing_quotient(S, f, cfg.p, cfg.eps, cfg.mode)
     integral, bracket = _porous_packing_integral(
         S, f, cfg.p, cfg.eps, cfg.alpha, cfg.mode
@@ -344,7 +339,7 @@ def _estimate_t25(S, f, cfg, mu, sigma, W):
 
 
 def _estimate_t26(S, f, cfg, mu, sigma, W):
-    comp = _composition_norm(W, f, cfg.eps, cfg.p)
+    comp, _ = _composition_norm(W, f, cfg.eps, cfg.p)
     ts = dyadic_ladder(max(2 * S.h, cfg.eps / 512), cfg.eps)
     gs = np.array([packing_functional(S, f, t, cfg.p, mode=cfg.mode) for t in ts])
     bracket = besov_scale_integral(ts, gs, cfg.s, cfg.q)
@@ -366,7 +361,7 @@ def _estimate_t72(S, f, cfg, mu, sigma, W):
             for t in ts
         ]
     )
-    bracket = power_scale_integral(ts, gs, cfg.p)
+    bracket = besov_scale_integral(ts, gs, 1.0, cfg.p)
     integral = bracket.value ** (1.0 / cfg.p)
     return _report(
         {"lp_mu": base, "sup_quotient": sup_term, "porous_integral": integral}, S.h

@@ -148,12 +148,9 @@ def _thin_candidates(points: np.ndarray, tau: float) -> np.ndarray:
     cell = tau / 8.0
     keys = np.floor(points / cell + 1e-12).astype(np.int64)
     order = lex_order(points)
-    seen = {}
-    for i in order:
-        k = tuple(keys[i])
-        if k not in seen:
-            seen[k] = i
-    return np.array(sorted(seen.values()), int)
+    # the first of each cell in lexicographic order (np.unique's sort is stable)
+    _, first = np.unique(keys[order], axis=0, return_index=True)
+    return np.sort(order[first])
 
 
 def _default_taus(t: float) -> list:
@@ -170,11 +167,10 @@ def packing_functional_details(
     alpha: float | None = None,
     strong: bool = False,
     mode: str = "greedy",
-    taus=None,
     score_fn=None,
-    min_tau: float | None = None,
 ) -> dict:
-    """Packing functional with per-trial-diameter breakdown.
+    """Packing functional with per-trial-diameter breakdown, at the trial
+    diameters t, t/2, t/4, t/8.
 
     score_fn(cube, sample_indices) can replace the default volume-scaled
     oscillation score |Q| * osc^p; sample_indices index the center set's
@@ -195,15 +191,10 @@ def packing_functional_details(
     else:
         _, parent = S.tree.query(center_set.points, k=1, p=np.inf)
         score_vals = f_vals[parent]
-    taus = _default_taus(t) if taus is None else list(taus)
-    if min_tau is not None:
-        taus = [tau for tau in taus if tau >= min_tau * (1 - 1e-12)]
     per_tau = []
     best = 0.0
     best_tau = None
-    for tau in taus:
-        if tau <= 0:
-            continue
+    for tau in _default_taus(t):
         cand_idx = _thin_candidates(center_set.points, tau)
         cand = center_set.points[cand_idx]
         radius = tau / 2.0
@@ -399,18 +390,15 @@ def sharp_maximal(
     raise ConfigError(f"unknown sharp maximal variant {variant!r}")
 
 
-def sharp_maximal_field(
-    S: ClosedSet, f_vals, box=None, h: float | None = None
-) -> GridField:
-    """range_ratio sharp maximal function on a grid.
+def sharp_maximal_field(S: ClosedSet, f_vals) -> GridField:
+    """range_ratio sharp maximal function on the set's grid, S.bbox at step S.h.
 
     Samples are rasterized to their nearest node (max and min layers), and
     each dyadic radius contributes a windowed oscillation; the radius grid
     resolves the supremum up to a factor two, which the empirical-constant
     comparisons absorb.
     """
-    box = np.asarray(S.bbox if box is None else box, float)
-    h = S.h if h is None else float(h)
+    box, h = S.bbox, S.h
     f_vals = np.asarray(f_vals, float)
     shape = GridField.shape_for(box, h)
     fmax = np.full(shape, -np.inf)
@@ -439,17 +427,21 @@ def sharp_maximal_field(
 # -- modulus of smoothness ---------------------------------------------
 
 
-def modulus_of_smoothness(F: GridField, t: float, p: float, max_shifts_per_axis: int = 33) -> float:
+_MAX_SHIFTS_PER_AXIS = 33
+
+
+def modulus_of_smoothness(F: GridField, t: float, p: float) -> float:
     """sup over lattice shifts shorter than t of the L_p difference norm.
 
-    Shifts are thinned to a per-axis budget at coarse t (extreme shifts
-    kept); opposite shifts cover the same pairs, so only half are walked.
+    Shifts are thinned to _MAX_SHIFTS_PER_AXIS per axis at coarse t (extreme
+    shifts kept); opposite shifts cover the same pairs, so only half are
+    walked.
     """
     h = F.h
     k_max = int(np.ceil(t / h)) - 1
     if k_max < 1:
         return 0.0
-    stride = max(1, int(np.ceil((2 * k_max + 1) / max_shifts_per_axis)))
+    stride = max(1, int(np.ceil((2 * k_max + 1) / _MAX_SHIFTS_PER_AXIS)))
     axis_vals = sorted(set(range(-k_max, k_max + 1, stride)) | {-k_max, 0, k_max})
     best = 0.0
     vals = F.values

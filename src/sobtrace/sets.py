@@ -20,7 +20,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .cubes import Cube
-from .util import ConfigError, OutOfDomainError, chebyshev, lex_order
+from .util import ConfigError, chebyshev, lex_order
 
 __all__ = [
     "ClosedSet",
@@ -96,10 +96,10 @@ class ClosedSet:
         d = np.maximum(0.0, self.nearest_distance(x) - self.sample_radius)
         return float(d[0]) if single else d
 
-    def dist_cube(self, cube: Cube) -> float:
-        """Uniform-norm distance from a closed cube to the set."""
-        d = self.nearest_distance(np.array(cube.center))[0]
-        return max(0.0, float(d) - cube.radius - self.sample_radius)
+    def dist_cube(self, centers, radii) -> np.ndarray:
+        """Uniform-norm distances from closed cubes, given by their (m, dim)
+        centers and their radii, to the set."""
+        return np.maximum(0.0, self.nearest_distance(centers) - radii - self.sample_radius)
 
     @property
     def on_set_reach(self) -> float:
@@ -141,11 +141,6 @@ class ClosedSet:
         if x.ndim == 1:
             return self.points[idx[0]].copy(), int(idx[0])
         return self.points[idx], idx
-
-    def require_inside(self, x):
-        x = np.atleast_2d(np.asarray(x, float))
-        if np.any(x < self.bbox[:, 0] - 1e-9) or np.any(x > self.bbox[:, 1] + 1e-9):
-            raise OutOfDomainError("query point outside the set's bounding box")
 
     # -- boundary / interior --------------------------------------------
 

@@ -12,11 +12,8 @@ __all__ = [
     "OutOfDomainError",
     "chebyshev",
     "dyadic_ladder",
-    "lex_argmin",
     "lex_order",
     "IntegralBracket",
-    "sup_quotient",
-    "power_scale_integral",
     "besov_scale_integral",
     "check_finite",
     "json_default",
@@ -42,8 +39,8 @@ def chebyshev(a, b):
 
 def dyadic_ladder(lo: float, hi: float) -> np.ndarray:
     """Ascending scales hi, hi/2, hi/4, ... down to the last value >= lo."""
-    if not (0 < lo <= hi):
-        raise ConfigError(f"need 0 < lo <= hi, got lo={lo}, hi={hi}")
+    if not (0 < lo <= hi < np.inf):
+        raise ConfigError(f"need 0 < lo <= hi < inf, got lo={lo}, hi={hi}")
     out = []
     t = float(hi)
     # tiny slack so lo itself survives float division
@@ -57,11 +54,6 @@ def lex_order(points: np.ndarray) -> np.ndarray:
     """Indices sorting rows lexicographically (first coordinate primary)."""
     pts = np.atleast_2d(np.asarray(points, float))
     return np.lexsort(pts.T[::-1])
-
-
-def lex_argmin(points: np.ndarray) -> int:
-    """Index of the lexicographically smallest row."""
-    return int(lex_order(points)[0])
 
 
 @dataclass(frozen=True)
@@ -82,23 +74,9 @@ class IntegralBracket:
         return self.lower
 
 
-def sup_quotient(ts: np.ndarray, gs: np.ndarray) -> float:
-    """max over the ladder of G(t)/t."""
-    ts = np.asarray(ts, float)
-    gs = np.asarray(gs, float)
-    if ts.size == 0:
-        return 0.0
-    return float(np.max(gs / ts))
-
-
-def _bracket(ts, lower_vals, upper_vals, weights) -> IntegralBracket:
-    lo = float(np.sum(lower_vals * weights))
-    hi = float(np.sum(upper_vals * weights))
-    return IntegralBracket(lo, hi, float(ts[0]), float(ts[-1]))
-
-
-def power_scale_integral(ts: np.ndarray, gs: np.ndarray, p: float) -> IntegralBracket:
-    """Brackets of integral of G(t)^p * t^(-p-1) dt over [ts[0], ts[-1]].
+def besov_scale_integral(ts: np.ndarray, gs: np.ndarray, s: float, q: float) -> IntegralBracket:
+    """Brackets of integral of (G(t)/t^s)^q dt/t, i.e. G^q * t^(-sq-1) dt,
+    over [ts[0], ts[-1]]; s = 1, q = p gives G^p * t^(-p-1) dt.
 
     ts must be ascending; G is treated as nondecreasing, so on each cell the
     left value gives the lower bracket and the right value the upper one.
@@ -108,22 +86,12 @@ def power_scale_integral(ts: np.ndarray, gs: np.ndarray, p: float) -> IntegralBr
     if ts.size < 2:
         return IntegralBracket(0.0, 0.0, float(ts[0]) if ts.size else 0.0,
                                float(ts[-1]) if ts.size else 0.0)
-    t0, t1 = ts[:-1], ts[1:]
-    weights = (t0 ** (-p) - t1 ** (-p)) / p
-    return _bracket(ts, gs[:-1] ** p, gs[1:] ** p, weights)
-
-
-def besov_scale_integral(ts: np.ndarray, gs: np.ndarray, s: float, q: float) -> IntegralBracket:
-    """Brackets of integral of (G(t)/t^s)^q dt/t, i.e. G^q * t^(-sq-1) dt."""
-    ts = np.asarray(ts, float)
-    gs = np.asarray(gs, float)
-    if ts.size < 2:
-        return IntegralBracket(0.0, 0.0, float(ts[0]) if ts.size else 0.0,
-                               float(ts[-1]) if ts.size else 0.0)
     sq = s * q
     t0, t1 = ts[:-1], ts[1:]
     weights = (t0 ** (-sq) - t1 ** (-sq)) / sq
-    return _bracket(ts, gs[:-1] ** q, gs[1:] ** q, weights)
+    lo = float(np.sum(gs[:-1] ** q * weights))
+    hi = float(np.sum(gs[1:] ** q * weights))
+    return IntegralBracket(lo, hi, float(ts[0]), float(ts[-1]))
 
 
 def check_finite(value, what: str):

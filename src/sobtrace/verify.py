@@ -141,7 +141,8 @@ def _make_config(theorem, **kw):
     if spec.needs_eps and eps is None:
         eps = 0.25
     if spec.needs_sq:
-        s = 1 - 1 / p if s is None else s
+        # p <= 0 is left to TraceEstimateConfig to reject
+        s = 1 - 1 / p if s is None and p > 0 else s
         q = p if q is None else q
     return TraceEstimateConfig(theorem=theorem, p=p, eps=eps, s=s, q=q, **kw)
 

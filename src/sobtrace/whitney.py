@@ -21,12 +21,18 @@ with c_Q = f(anchor of Q) for cubes of diameter <= 2 delta and a constant
 fill value on larger cubes.
 
 Grid nodes and arbitrary points share one evaluation path.  The sparse
-matrix of raw bump values at the points (WhitneyDecomposition.bumps, cached
-per grid as pou_matrix) gives the normalized average sum_Q b_Q c_Q / sum_Q b_Q
-wherever a bump reaches.  Points on the set (within h/2 of a sample) and
-collar points no bump reaches take the value of their nearest sample
-instead.  Among equally near samples the lexicographically smallest wins
-(ClosedSet.nearest_point), the rule that also picks each cube's anchor.
+matrix of raw bump values at the points (WhitneyDecomposition.bumps) gives
+the normalized average sum_Q b_Q c_Q / sum_Q b_Q wherever a bump reaches.
+Points on the set (within h/2 of a sample) and collar points no bump
+reaches take the value of their nearest sample instead.  Among equally
+near samples the lexicographically smallest wins (ClosedSet.nearest_point),
+the rule that also picks each cube's anchor.
+
+There is one grid per set: its lattice S.bbox at step S.h, on which the
+decomposition, the extension, the projection and the sharp maximal field
+are all sampled.  The grid products (the bump matrix at the nodes, the
+nodes' distances, on-set flags and nearest samples, and the node-to-cube
+map) are each built once, on first use, and kept on the decomposition.
 """
 
 from __future__ import annotations
@@ -72,7 +78,6 @@ class WhitneyDecomposition:
     S: ClosedSet
     root_lo: np.ndarray
     root_side: float
-    floor_side: float
     centers: np.ndarray  # (m, n)
     radii: np.ndarray  # (m,)
     levels: np.ndarray  # (m,)
@@ -80,7 +85,9 @@ class WhitneyDecomposition:
     anchor_idx: np.ndarray  # (m,)
     n_dropped: int
     _level_maps: dict = field(default_factory=dict, repr=False)
-    _caches: dict = field(default_factory=dict, repr=False)
+    _pou: tuple | None = field(default=None, repr=False)
+    _set_info: dict | None = field(default=None, repr=False)
+    _cube_of: np.ndarray | None = field(default=None, repr=False)
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -101,18 +108,9 @@ class WhitneyDecomposition:
     def cubes(self) -> list:
         return [self.cube(i) for i in range(len(self))]
 
-    def filter(self, eps: float) -> np.ndarray:
-        """Indices of cubes with diameter at most eps."""
-        return np.nonzero(self.diams <= eps * (1 + 1e-12))[0]
-
     def contract_check(self) -> dict:
         """Distance-vs-diameter contract diagnostics over all cubes."""
-        dists = np.maximum(
-            0.0,
-            self.S.nearest_distance(self.centers)
-            - self.radii
-            - self.S.sample_radius,
-        )
+        dists = self.S.dist_cube(self.centers, self.radii)
         d = self.diams
         return {
             "n_cubes": len(self),
@@ -207,49 +205,47 @@ class WhitneyDecomposition:
         matrix, _ = self.bumps(np.asarray(x, float)[None, :])
         return matrix.indices.astype(int), matrix.data / matrix.data.sum()
 
-    # -- grid caches ----------------------------------------------------
+    # -- products on the set's grid ------------------------------------
 
-    def _grid_key(self, box, h) -> tuple:
-        box = np.asarray(box, float)
-        return (box.tobytes(), float(h))
+    def _grid(self, values=None) -> GridField:
+        """A field on the set's grid, S.bbox at step S.h, from node values
+        (flat or shaped; zeros when none are given)."""
+        shape = GridField.shape_for(self.S.bbox, self.S.h)
+        values = np.zeros(shape) if values is None else np.reshape(values, shape)
+        return GridField(self.S.bbox, self.S.h, values)
 
-    def pou_matrix(self, box, h) -> tuple:
-        """bumps() at the nodes of a grid; cached per grid."""
-        key = ("pou",) + self._grid_key(box, h)
-        if key not in self._caches:
-            self._caches[key] = self.bumps(_grid_nodes(box, h))
-        return self._caches[key]
+    def pou_matrix(self) -> tuple:
+        """bumps() at the grid nodes; built on first use and kept."""
+        if self._pou is None:
+            self._pou = self.bumps(self._grid().nodes())
+        return self._pou
 
-    def grid_set_info(self, box, h) -> dict:
+    def grid_set_info(self) -> dict:
         """Distances to the set, on-set flags and nearest-sample indices of
-        grid nodes; cached.  The nearest sample is resolved only where the
-        extension or the projection reads it, at on-set and unresolved
-        nodes; it is -1 elsewhere."""
-        key = ("setinfo",) + self._grid_key(box, h)
-        if key in self._caches:
-            return self._caches[key]
-        nodes = _grid_nodes(box, h)
-        nn_dist = self.S.nearest_distance(nodes)
-        on_set = nn_dist <= self.S.on_set_reach
-        rows = np.nonzero(on_set | (self.projection_map(box, h).ravel() < 0))[0]
-        nearest = np.full(len(nodes), -1)
-        nearest[rows] = self.S.nearest_point(nodes[rows])[1]
-        info = {
-            "shape": GridField.shape_for(box, h),
-            "dist": np.maximum(0.0, nn_dist - self.S.sample_radius),
-            "nearest": nearest,
-            "on_set": on_set,
-        }
-        self._caches[key] = info
-        return info
+        the grid nodes; built on first use and kept.  The nearest sample is
+        resolved only where the extension or the projection reads it, at
+        on-set and unresolved nodes; it is -1 elsewhere."""
+        if self._set_info is None:
+            nodes = self._grid().nodes()
+            nn_dist = self.S.nearest_distance(nodes)
+            on_set = nn_dist <= self.S.on_set_reach
+            rows = np.nonzero(on_set | (self.projection_map().ravel() < 0))[0]
+            nearest = np.full(len(nodes), -1)
+            nearest[rows] = self.S.nearest_point(nodes[rows])[1]
+            self._set_info = {
+                "dist": np.maximum(0.0, nn_dist - self.S.sample_radius),
+                "nearest": nearest,
+                "on_set": on_set,
+            }
+        return self._set_info
 
-    def projection_map(self, box, h) -> np.ndarray:
+    def projection_map(self) -> np.ndarray:
         """Per-node index of the containing cube, painted so shared faces go
-        to the lexicographically smallest center; -1 where unresolved."""
-        key = ("tmap",) + self._grid_key(box, h)
-        if key in self._caches:
-            return self._caches[key]
-        box = np.asarray(box, float)
+        to the lexicographically smallest center; -1 where unresolved.
+        Built on first use and kept."""
+        if self._cube_of is not None:
+            return self._cube_of
+        box, h = self.S.bbox, self.S.h
         shape = GridField.shape_for(box, h)
         cube_of = np.full(shape, -1, int)
         order = lex_order(self.centers)[::-1]  # lex-smallest painted last
@@ -266,27 +262,21 @@ class WhitneyDecomposition:
                 slices.append(slice(i0, i1 + 1))
             if not empty:
                 cube_of[tuple(slices)] = k
-        self._caches[key] = cube_of
+        self._cube_of = cube_of
         return cube_of
 
 
-def _grid_nodes(box, h) -> np.ndarray:
-    box = np.asarray(box, float)
-    return GridField(box, h, np.zeros(GridField.shape_for(box, h))).nodes()
-
-
-def whitney_decomposition(S: ClosedSet, box=None, floor_side: float | None = None) -> WhitneyDecomposition:
-    """Emit the dyadic Whitney family for the complement of S inside a box.
+def whitney_decomposition(S: ClosedSet) -> WhitneyDecomposition:
+    """Emit the dyadic Whitney family for the complement of S inside S.bbox.
 
     The root is the smallest cube anchored at the box corner whose side is h
     times a power of two and covers the box, so the recursion floor lands
     exactly on side h.  Solid sets prune cells fully inside the occupancy.
     """
-    box = np.asarray(S.bbox if box is None else box, float)
+    box = S.bbox
     extent = float(np.max(box[:, 1] - box[:, 0]))
-    floor_side = S.h if floor_side is None else float(floor_side)
-    depth = max(0, int(np.ceil(np.log2(extent / floor_side) - 1e-9)))
-    root_side = floor_side * 2 ** depth
+    depth = max(0, int(np.ceil(np.log2(extent / S.h) - 1e-9)))
+    root_side = S.h * 2 ** depth
     root_lo = box[:, 0].copy()
 
     sat = None
@@ -326,9 +316,7 @@ def whitney_decomposition(S: ClosedSet, box=None, floor_side: float | None = Non
     while len(pending):
         side = root_side / 2 ** level
         centers = root_lo + (pending + 0.5) * side
-        nn = S.nearest_distance(centers)
-        dist = np.maximum(0.0, nn - side / 2 - S.sample_radius)
-        emit = dist >= side * (1 - 1e-12)
+        emit = S.dist_cube(centers, side / 2) >= side * (1 - 1e-12)
         inside = fully_inside(centers[~emit], side / 2) if (~emit).any() else None
         if emit.any():
             kept_cells.append(pending[emit])
@@ -336,7 +324,7 @@ def whitney_decomposition(S: ClosedSet, box=None, floor_side: float | None = Non
         rest = pending[~emit]
         if inside is not None:
             rest = rest[~inside]
-        if side / 2 >= floor_side * (1 - 1e-9) and len(rest):
+        if side / 2 >= S.h * (1 - 1e-9) and len(rest):
             offsets = np.array(list(itertools.product((0, 1), repeat=S.dim)))
             pending = (rest[:, None, :] * 2 + offsets[None, :, :]).reshape(-1, S.dim)
             level += 1
@@ -359,7 +347,6 @@ def whitney_decomposition(S: ClosedSet, box=None, floor_side: float | None = Non
         S=S,
         root_lo=root_lo,
         root_side=root_side,
-        floor_side=floor_side,
         centers=centers,
         radii=radii,
         levels=levels,
@@ -407,45 +394,32 @@ def extend_points(W: WhitneyDecomposition, f_vals, points, delta: float, cbar: f
     return _evaluate(W, f_vals, delta, cbar, bumps, on_set, nearest)
 
 
-def extend_grid(
-    W: WhitneyDecomposition,
-    f_vals,
-    delta: float,
-    cbar: float,
-    box=None,
-    h: float | None = None,
-) -> GridField:
-    """Extension sampled on a grid; the bump matrix is cached per grid, so
+def extend_grid(W: WhitneyDecomposition, f_vals, delta: float, cbar: float) -> GridField:
+    """Extension sampled on the set's grid; the bump matrix is kept on W, so
     repeated calls with new data are sparse matrix-vector products."""
-    box = np.asarray(W.S.bbox if box is None else box, float)
-    h = W.S.h if h is None else float(h)
     # bumps first: the build is the memory peak, lower before the set info is held
-    bumps = W.pou_matrix(box, h)
-    info = W.grid_set_info(box, h)
-    vals = _evaluate(W, f_vals, delta, cbar, bumps, info["on_set"], info["nearest"])
-    return GridField(box, h, vals.reshape(info["shape"]))
+    bumps = W.pou_matrix()
+    info = W.grid_set_info()
+    return W._grid(_evaluate(W, f_vals, delta, cbar, bumps, info["on_set"], info["nearest"]))
 
 
-def projection_data(W: WhitneyDecomposition, box=None, h: float | None = None) -> tuple:
-    """(nodes, target sample index, dist, on_set) of the grid projection.
+def projection_data(W: WhitneyDecomposition) -> tuple:
+    """(nodes, target sample index, dist, on_set) of the projection of the
+    set's grid.
 
     On-set nodes keep their own location (target = nearest sample); outside
     nodes map to the anchor of the containing cube; unresolved collar nodes
     fall back to the nearest sample.
     """
-    box = np.asarray(W.S.bbox if box is None else box, float)
-    h = W.S.h if h is None else float(h)
-    info = W.grid_set_info(box, h)
-    cube_of = W.projection_map(box, h).ravel()
+    info = W.grid_set_info()
+    cube_of = W.projection_map().ravel()
     target = np.where(cube_of >= 0, W.anchor_idx[np.maximum(cube_of, 0)], info["nearest"])
     target = np.where(info["on_set"], info["nearest"], target)
-    return _grid_nodes(box, h), target.astype(int), info["dist"], info["on_set"]
+    return W._grid().nodes(), target.astype(int), info["dist"], info["on_set"]
 
 
-def compose_with_projection(W: WhitneyDecomposition, f_vals, box=None, h: float | None = None) -> tuple:
-    """(GridField of f(T(x)), dist field) on the grid."""
-    box = np.asarray(W.S.bbox if box is None else box, float)
-    h = W.S.h if h is None else float(h)
-    _, target, dist, _ = projection_data(W, box, h)
-    shape = GridField.shape_for(box, h)
-    return GridField(box, h, np.asarray(f_vals, float)[target].reshape(shape)), dist.reshape(shape)
+def compose_with_projection(W: WhitneyDecomposition, f_vals) -> tuple:
+    """(GridField of f(T(x)), dist field) on the set's grid."""
+    _, target, dist, _ = projection_data(W)
+    FT = W._grid(np.asarray(f_vals, float)[target])
+    return FT, dist.reshape(FT.values.shape)

@@ -1,13 +1,23 @@
 """CLI surface: subcommand wiring, exit codes, file outputs."""
 
+import contextlib
+import dataclasses
+import inspect
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sobtrace.cli import main
 from sobtrace.grid import GridField
+from sobtrace.norms import THEOREM_IDS, TraceEstimateConfig
 from sobtrace.util import ConfigError
+from sobtrace.verify import verify_equivalence
 
 
 def run_cli(capsys, *argv):
@@ -151,16 +161,25 @@ def test_tracenorm_overflow_exits_3(tmp_path, capsys):
         ("functional", {"functional": "packing", "t": -1}),
         ("functional", {"functional": "sharp-maximal", "x": [0.5, 0.5]}),
         ("functional", {"functional": "modulus", "t": 0.1, "field": "no-such-grid"}),
+        ("functional", {"functional": "averaged-modulus", "t": 0.25, "bogus": 1}),
+        ("functional", {"functional": "averaged-modulus", "t": 0}),
+        ("functional", {"functional": "measure-diagnostics", "seed": -1}),
+        ("tracenorm", {"theorem": "T72", "p": 3.0, "eps": "inf"}),
         ("verify", ["T11"]),
         ("verify", {"theorem": "T11", "set": "two-points", "bogus": 1}),
         ("verify", {"theorem": "T11", "set": "two-points", "p": "x"}),
         ("verify", {"theorem": "T11", "set": "two-points", "h_levels": "x"}),
+        ("verify", {"theorem": "T26", "set": "two-points", "p": 0}),
+        ("verify", {"theorem": "T26", "set": "two-points", "q": 0}),
+        ("verify", {"theorem": "T715", "set": "two-points", "pair_budget": -1}),
     ],
     ids=[
         "unknown-key", "p-as-string", "no-p", "bad-eps", "no-file", "not-json",
         "no-t", "bad-t", "bad-alpha", "functional-no-file", "bad-centers",
         "bad-ap-mu-variant", "negative-t", "x-of-wrong-dimension", "missing-grid",
+        "functional-unknown-key", "zero-t", "negative-seed", "infinite-eps",
         "not-an-object", "verify-unknown-key", "verify-bad-p", "verify-bad-h-levels",
+        "verify-zero-p", "verify-zero-q", "verify-negative-pair-budget",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
@@ -174,6 +193,60 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     assert code == 2
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+FUNCTIONALS = (
+    "packing", "grid-packing", "sharp-maximal", "ap-mu", "local-pair-energy",
+    "distance-pair-energy", "quasidistance-energy", "besov-dset", "besov-jonsson",
+    "averaged-modulus", "modulus", "measure-diagnostics",
+)
+# each command's config keys, plus junk
+FUZZ_KEYS = {
+    "functional": (
+        "functional", "t", "p", "q", "s", "d", "eps", "alpha", "strong", "mode",
+        "centers", "variant", "kernel", "x", "field", "pair_budget", "seed",
+        "level_floor", "bogus",
+    ),
+    "tracenorm": tuple(f.name for f in dataclasses.fields(TraceEstimateConfig)) + ("bogus",),
+    "verify": ("theorem", "set", "family", "h_levels", "bogus") + tuple(
+        par.name for par in inspect.signature(verify_equivalence).parameters.values()
+        if par.kind is par.KEYWORD_ONLY
+    ),
+}
+FUZZ_VALUES = (None, "", "x", "set", "inf", -1, 0, 0.5, 3, [], {})
+
+
+@st.composite
+def fuzz_case(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_KEYS)))
+    keys = draw(st.lists(st.sampled_from(FUZZ_KEYS[command]), max_size=4, unique=True))
+    config = {key: draw(st.sampled_from(FUZZ_VALUES)) for key in keys}
+    # nearly always a valid name, so the examples reach past the lookup
+    key, names = ("functional", FUNCTIONALS) if command == "functional" else ("theorem", THEOREM_IDS)
+    config[key] = draw(st.sampled_from(names + ("x",)))
+    return command, config
+
+
+@settings(max_examples=800, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fuzz_case())
+def test_config_fuzz_exit_codes(case):
+    command, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        level = ["--h-levels", "1/32"] if command == "verify" else ["--h", "1/32"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--canonical", "two-points", "--family", "linear",
+                         *level, "--config", str(path)])
+    assert code in (0, 2, 3), (config, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+def test_negative_seed_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "-1", "whitney", "--canonical", "two-points"])
+    assert exc.value.code == 2
 
 
 def test_verify_report_file(tmp_path, capsys):

@@ -39,11 +39,11 @@ def segment_measure(m=65):
 class TestDiscreteMeasure:
     def test_cube_mass_additive_and_monotone(self):
         mu, _ = segment_measure()
-        left = mu.cube_mass(Cube((0.2,), 0.199999))
-        right = mu.cube_mass(Cube((0.7,), 0.299999))
-        both = mu.cube_mass(Cube((0.5,), 0.6))
+        left = mu.ball_mass([0.2], 0.199999)[0]
+        right = mu.ball_mass([0.7], 0.299999)[0]
+        both = mu.ball_mass([0.5], 0.6)[0]
         assert left + right <= both + 1e-12
-        assert mu.cube_mass(Cube((0.5,), 0.1)) <= mu.cube_mass(Cube((0.5,), 0.3))
+        assert mu.ball_mass([0.5], 0.1)[0] <= mu.ball_mass([0.5], 0.3)[0]
 
     def test_total_arc_length(self):
         mu, _ = segment_measure()

@@ -9,6 +9,7 @@ from sobtrace.cubes import Cube, interiors_disjoint
 from sobtrace.grid import GridField
 from sobtrace.oscillation import (
     PackingProblem,
+    _thin_candidates,
     grid_packing_functional,
     modulus_of_smoothness,
     packing_functional,
@@ -18,7 +19,7 @@ from sobtrace.oscillation import (
     solve_packing,
 )
 from sobtrace.sets import solid_set, thin_set
-from sobtrace.util import ConfigError
+from sobtrace.util import ConfigError, lex_order
 
 
 def brute_force_packing(problem):
@@ -162,16 +163,37 @@ class TestPackingFunctional:
         val = packing_functional(S, f, t=0.25, p=2, centers="boundary")
         assert np.isfinite(val) and val >= 0
 
-    def test_min_tau_floor(self):
-        S = thin_set(np.array([[0.0], [1.0]]), h=0.25)
-        f = np.array([0.0, 1.0])
-        out = packing_functional_details(S, f, t=2.0, p=2, min_tau=1.5)
-        assert [row[0] for row in out["per_tau"]] == [2.0]
-
     def test_rejects_infinite_p(self):
         S = thin_set(np.array([[0.0], [1.0]]), h=0.25)
         with pytest.raises(ConfigError):
             packing_functional(S, [0.0, 1.0], t=1.0, p=np.inf)
+
+
+def reference_thin_candidates(points, tau):
+    """_thin_candidates as first written: a dict keyed by tau/8 lattice
+    cell, filled in lexicographic order. Kept as the oracle for np.unique."""
+    cell = tau / 8.0
+    keys = np.floor(points / cell + 1e-12).astype(np.int64)
+    seen = {}
+    for i in lex_order(points):
+        k = tuple(keys[i])
+        if k not in seen:
+            seen[k] = i
+    return np.array(sorted(seen.values()), int)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_thin_candidates_match_dict_reference(dim):
+    # a cloud with many samples per cell, exact duplicates, negative
+    # coordinates and points on cell faces
+    rng = np.random.default_rng(dim)
+    pts = rng.uniform(-1.0, 1.0, size=(600, dim))
+    pts = np.concatenate([pts, pts[:50], np.round(pts[50:150] * 8) / 8])
+    rng.shuffle(pts)
+    for tau in (2.0, 1.0, 0.25, 1 / 16):
+        got = _thin_candidates(pts, tau)
+        assert np.array_equal(got, reference_thin_candidates(pts, tau))
+    assert len(_thin_candidates(pts, 1.0)) < len(pts)
 
 
 class TestGridPackingFunctional:

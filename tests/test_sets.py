@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sobtrace.cubes import Cube
 from sobtrace.sets import ClosedSet, solid_set, thin_set
-from sobtrace.util import ConfigError, OutOfDomainError
+from sobtrace.util import ConfigError
 
 
 def square_mask(k):
@@ -41,8 +41,8 @@ def test_dist_solid_is_zero_inside_cells():
 def test_dist_cube_formula():
     S = thin_set(np.array([[0.0, 0.0]]), h=1 / 32)
     q = Cube((1.0, 0.0), 0.25)
-    assert S.dist_cube(q) == pytest.approx(0.75)
-    assert S.dist_cube(Cube((0.1, 0.0), 0.5)) == 0.0
+    assert S.dist_cube([q.center], q.radius)[0] == pytest.approx(0.75)
+    assert S.dist_cube([(0.1, 0.0)], 0.5)[0] == 0.0
 
 
 def test_nearest_point_lexicographic_tie():
@@ -164,12 +164,6 @@ def test_ball_condition_cached_per_seed(monkeypatch):
     other = seg.ball_condition_estimate(seed=1)
     assert scans and other is not first
     assert seg.ball_condition_estimate(seed=1) is other
-
-
-def test_out_of_domain_guard():
-    S = thin_set(np.array([[0.0], [1.0]]), h=1 / 16)
-    with pytest.raises(OutOfDomainError):
-        S.require_inside(np.array([50.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -106,13 +106,6 @@ def test_anchor_is_nearest_sample(two_points):
         assert d_anchor <= S.nearest_distance(W.centers[k])[0] + 1e-12
 
 
-def test_filter_by_diameter(two_points):
-    S, W = two_points
-    idx = W.filter(0.1)
-    assert np.all(W.diams[idx] <= 0.1 + 1e-12)
-    assert len(idx) < len(W)
-
-
 def test_locate_matches_brute_force(segment2d):
     S, W = segment2d
     rng = np.random.default_rng(7)
@@ -223,7 +216,7 @@ def cube_major_pou_matrix(W, box, h):
 def test_pou_matrix_matches_cube_major_reference(name):
     S, _ = generate_canonical(CanonicalSpec(name, 1 / 32))
     W = whitney_decomposition(S)
-    matrix, den = W.pou_matrix(S.bbox, S.h)
+    matrix, den = W.pou_matrix()
     ref, ref_den = cube_major_pou_matrix(W, S.bbox, S.h)
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(matrix, attr), getattr(ref, attr))
