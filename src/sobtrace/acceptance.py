@@ -403,11 +403,9 @@ def _criterion_11(seed, out):
             alpha = 1 / 15
         ratio = 1.35 if name in _COARSE_SCAN else 1.05
         idx = rng.integers(0, len(S.points), size=(n_pairs, 2))
-        pts = S.points
-        for i, j in idx:
-            x, y = pts[i], pts[j]
-            sep = float(chebyshev(x, y))
-            rho = S.quasidistance(x, y, alpha=alpha, ratio=ratio)
+        X, Y = S.points[idx[:, 0]], S.points[idx[:, 1]]
+        rhos, _, _ = S.quasidistances(X, Y, alpha=alpha, ratio=ratio)
+        for sep, rho in zip(chebyshev(X, Y).tolist(), rhos.tolist()):
             if rho < sep - 1e-12:
                 return False, f"{name}: rho {rho:.4f} < separation {sep:.4f}"
             if bc and 0 < sep <= 0.25:

@@ -43,7 +43,7 @@ from .oscillation import (
     sharp_maximal,
 )
 from .sets import ClosedSet
-from .util import ConfigError, NumericalFailure, json_default
+from .util import ConfigError, NumericalFailure, json_default, read_json
 from .verify import boundary_measure, verify_equivalence, whitney_contract_report
 from .whitney import extend_grid, whitney_decomposition
 
@@ -60,10 +60,7 @@ def _emit(payload: dict, out: str | None, name: str) -> None:
 
 def _read_config(path) -> dict:
     """The JSON object in a --config file."""
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    obj = read_json(path, "config")
     if not isinstance(obj, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     return obj
@@ -124,6 +121,8 @@ def _load_set(args) -> tuple[ClosedSet, DiscreteMeasure]:
         S = ClosedSet.load(args.set)
         if getattr(args, "measure", None):
             mu = DiscreteMeasure.load(args.measure)
+            if mu.dim != S.dim:
+                raise ConfigError(f"measure of dimension {mu.dim} on a set of dimension {S.dim}")
         else:
             mu = counting_measure(S, normalized=True)
         return S, mu
@@ -134,8 +133,15 @@ def _load_set(args) -> tuple[ClosedSet, DiscreteMeasure]:
 
 def _load_values(args, S: ClosedSet) -> np.ndarray:
     if getattr(args, "function", None):
-        obj = json.loads(Path(args.function).read_text())
-        vals = np.asarray(obj["values"] if isinstance(obj, dict) else obj, float)
+        obj = read_json(args.function, "function")
+        try:
+            vals = np.asarray(obj.get("values") if isinstance(obj, dict) else obj, float)
+        except (TypeError, ValueError):
+            vals = None
+        if vals is None or vals.ndim != 1:
+            raise ConfigError(
+                f"function {args.function} must hold a list of numbers or {{\"values\": [...]}}"
+            )
     elif getattr(args, "family", None):
         members = function_family(args.family, S)
         idx = args.member

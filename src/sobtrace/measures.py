@@ -9,6 +9,7 @@ the dyadic Besov-trace functional, and the averaged smoothness modulus.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +20,7 @@ from scipy.spatial import cKDTree
 from .cubes import Cube
 from .oscillation import packing_functional_details
 from .sets import ClosedSet
-from .util import ConfigError, OutOfDomainError, chebyshev
+from .util import ConfigError, OutOfDomainError, chebyshev, read_json
 
 __all__ = [
     "DiscreteMeasure",
@@ -114,7 +115,11 @@ class DiscreteMeasure:
 
     @staticmethod
     def load(path) -> "DiscreteMeasure":
-        return DiscreteMeasure.from_json(json.loads(Path(path).read_text()))
+        obj = read_json(path, "measure")
+        try:
+            return DiscreteMeasure.from_json(obj)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed measure {path}: {exc!r}") from None
 
 
 def counting_measure(S: ClosedSet, normalized: bool = False, name: str = "counting") -> DiscreteMeasure:
@@ -340,6 +345,13 @@ def A_p_mu(
 _ROW_CHUNK = 512
 
 
+def _require_finite_p(p: float) -> None:
+    # with p = inf, |f(x)-f(y)|^p and the kernel powers give 0 * inf = NaN,
+    # and a final 1/p power turns NaN or 0 into 1
+    if not np.isfinite(p):
+        raise ConfigError(f"pair energy needs a finite p, got {p}")
+
+
 def local_pair_energy(
     mu: DiscreteMeasure, f_vals, t: float, p: float, kernel: str = "square"
 ) -> float:
@@ -350,6 +362,7 @@ def local_pair_energy(
         raise ConfigError(f"unknown kernel {kernel!r}")
     if not t > 0:
         raise ConfigError(f"pair energy needs t > 0, got {t}")
+    _require_finite_p(p)
     f_vals = np.asarray(f_vals, float)
     pts, w = mu.points, mu.weights
     n = mu.dim
@@ -379,6 +392,7 @@ def distance_pair_energy(
     """Double sum over pairs with 0 < ||x-y|| < eps of
     w_x w_y |f(x)-f(y)|^p * ||x-y||^(n-p) / mass(Q(x, ||x-y||))^2,
     the per-pair masses read off sorted-distance prefix sums. Power form."""
+    _require_finite_p(p)
     f_vals = np.asarray(f_vals, float)
     pts, w = mu.points, mu.weights
     n = mu.dim
@@ -397,6 +411,20 @@ def distance_pair_energy(
         num = w[i] * w[sel] * np.abs(f_vals[i] - f_vals[sel]) ** p
         total += float(np.sum(num * d[sel] ** (n - p) / mass ** 2))
     return total
+
+
+def _close_pairs(mu: DiscreteMeasure, eps: float) -> np.ndarray:
+    """(k, 2) index pairs i < j of atoms closer than eps, ordered by i, then
+    by j's place in i's ball query."""
+    pts = mu.points
+    own = mu.tree.query_ball_point(pts, eps, p=np.inf)
+    sizes = np.fromiter(map(len, own), int, len(own))
+    first = np.repeat(np.arange(len(own)), sizes)
+    second = np.fromiter(itertools.chain.from_iterable(own), int, int(sizes.sum()))
+    keep = first < second
+    first, second = first[keep], second[keep]
+    keep = chebyshev(pts[first], pts[second]) < eps
+    return np.stack([first[keep], second[keep]], axis=1)
 
 
 def quasidistance_pair_energy(
@@ -419,16 +447,11 @@ def quasidistance_pair_energy(
     """
     if pair_budget < 0 or seed < 0:
         raise ConfigError(f"need pair_budget >= 0 and seed >= 0, got {pair_budget} and {seed}")
+    _require_finite_p(p)
     f_vals = np.asarray(f_vals, float)
     pts, w = mu.points, mu.weights
     n = mu.dim
-    pairs = []
-    own = mu.tree.query_ball_point(pts, eps, p=np.inf)
-    for i, g in enumerate(own):
-        for j in g:
-            if i < j and chebyshev(pts[i], pts[j]) < eps:
-                pairs.append((i, j))
-    pairs = np.array(pairs, int).reshape(-1, 2)
+    pairs = _close_pairs(mu, eps)
     exact = len(pairs) <= pair_budget
     if exact:
         sample = pairs
@@ -451,15 +474,15 @@ def quasidistance_pair_energy(
             factors.append(np.full(take, len(members) / take))
         sample = pairs[np.concatenate(sample_idx)]
         factors = np.concatenate(factors)
+    rhos, _, _ = S.quasidistances(pts[sample[:, 0]], pts[sample[:, 1]], alpha=alpha)
+    admitted = rhos < eps
+    sample, factors, rhos = sample[admitted], factors[admitted], rhos[admitted]
+    masses_i = mu.ball_mass(pts[sample[:, 0]], rhos).tolist()
+    masses_j = mu.ball_mass(pts[sample[:, 1]], rhos).tolist()
     total = 0.0
-    used = 0
-    for (i, j), scale in zip(sample, factors):
-        rho = S.quasidistance(pts[i], pts[j], alpha=alpha)
-        if not np.isfinite(rho) or rho >= eps:
-            continue
-        used += 1
-        mass_i = float(mu.ball_mass(pts[i][None], rho)[0])
-        mass_j = float(mu.ball_mass(pts[j][None], rho)[0])
+    for (i, j), scale, rho, mass_i, mass_j in zip(
+        sample, factors, rhos.tolist(), masses_i, masses_j
+    ):
         kern = rho ** (n - p)
         contrib = np.abs(f_vals[i] - f_vals[j]) ** p * kern
         # both pair orders, each with its own square-kernel mass
@@ -474,8 +497,8 @@ def quasidistance_pair_energy(
             "value": total,
             "exact": exact,
             "candidate_pairs": int(len(pairs)),
-            "evaluated_pairs": int(len(sample)),
-            "admitted_pairs": used,
+            "evaluated_pairs": int(len(admitted)),
+            "admitted_pairs": int(admitted.sum()),
         }
     return total
 
@@ -516,6 +539,7 @@ def dset_besov_norm(
     """Direct intrinsic Besov norm on a d-dimensional support:
     L_p(mu) norm plus the classical double sum with kernel
     |f(x)-f(y)|^p / ||x-y||^(d + s p) over pairs closer than max_sep."""
+    _require_finite_p(p)
     f_vals = np.asarray(f_vals, float)
     pts, w = mu.points, mu.weights
     total = 0.0

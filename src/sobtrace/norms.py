@@ -142,8 +142,8 @@ class TraceEstimateConfig:
                 raise ConfigError(f"{self.theorem} needs s and q")
             if not (0 < self.s < 1):
                 raise ConfigError(f"{self.theorem} needs 0 < s < 1")
-            if not self.q > 0:
-                raise ConfigError(f"{self.theorem} needs q > 0")
+            if not (0 < self.q < np.inf):
+                raise ConfigError(f"{self.theorem} needs a finite q > 0")
         if spec.alpha is not None and self.alpha is None:
             self.alpha = _of_theta(spec.alpha, self.theta)
         if spec.alpha_max is not None:

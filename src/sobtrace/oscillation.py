@@ -98,17 +98,16 @@ def solve_packing(problem: PackingProblem, mode: str = "greedy") -> PackingResul
 
 def _solve_greedy(problem: PackingProblem) -> np.ndarray:
     order = _greedy_order(problem)
+    C = np.empty_like(problem.centers)
+    R = np.empty_like(problem.radii)
     chosen: list = []
     for i in order:
         c, r = problem.centers[i], problem.radii[i]
-        ok = True
-        for j in chosen:
-            # interiors meet iff the center Chebyshev gap is below the
-            # radius sum on every axis, i.e. below it in the max norm
-            if np.max(np.abs(c - problem.centers[j])) < r + problem.radii[j] - 1e-12:
-                ok = False
-                break
-        if ok:
+        k = len(chosen)
+        # interiors meet iff the center Chebyshev gap is below the radius
+        # sum on every axis, i.e. below it in the max norm
+        if not np.any(chebyshev(c, C[:k]) < r + R[:k] - 1e-12):
+            C[k], R[k] = c, r
             chosen.append(int(i))
     return np.array(chosen, int)
 
@@ -199,12 +198,7 @@ def packing_functional_details(
         cand = center_set.points[cand_idx]
         radius = tau / 2.0
         if alpha is not None:
-            keep = [
-                i
-                for i, c in enumerate(cand)
-                if S.is_porous(Cube(tuple(c), radius), alpha, strong=strong)
-            ]
-            cand = cand[keep]
+            cand = cand[S.porous(cand, radius, alpha, strong=strong)]
         if len(cand) == 0:
             per_tau.append((tau, 0.0, 0))
             continue

@@ -7,6 +7,13 @@ samples.  Distances, porosity tests, the empty-core quasi-distance and the
 ball-condition estimate all reduce to nearest-sample queries, which a
 Chebyshev KD-tree answers exactly:  the uniform distance from a point to the
 cell around a sample is max(0, ||x - sample|| - h/2).
+
+The empty-cube searches (clearance, porosity, quasi-distance, empty
+subcubes) scan a capped h/2 lattice of each box and are batched: callers
+pass many boxes at once, and boxes with the same lattice shape share one KD
+query.  A box's clearance is the distance at the lexicographically first
+lattice node within 1e-15 of the box's maximum, not the maximum itself;
+porosity verdicts near their threshold depend on this tie rule.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .cubes import Cube
-from .util import ConfigError, chebyshev, lex_order
+from .util import ConfigError, chebyshev, read_json
 
 __all__ = [
     "ClosedSet",
@@ -30,6 +37,7 @@ __all__ = [
 ]
 
 _LATTICE_CAP = 41  # max candidate-lattice nodes per axis in empty-cube searches
+_SCAN_CHUNK = 400_000  # lattice nodes per KD query in batched empty-cube searches
 
 
 @dataclass(eq=False)
@@ -55,6 +63,8 @@ class ClosedSet:
             raise ConfigError("inconsistent dimensions in ClosedSet")
         if not (np.isfinite(self.points).all() and np.isfinite(self.bbox).all()):
             raise ConfigError("sample coordinates and bbox must be finite")
+        if not (np.isfinite(self.h) and self.h > 0):
+            raise ConfigError(f"resolution h must be finite and positive, got {self.h}")
         if self.kind not in ("thin", "solid"):
             raise ConfigError(f"unknown set kind {self.kind!r}")
         if self.kind == "solid" and self.occupancy is None:
@@ -185,88 +195,154 @@ class ClosedSet:
 
     # -- empty-cube searches --------------------------------------------
 
-    def _lattice(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Deterministic candidate grid in a box, h/2 spacing capped per axis."""
-        axes = []
-        for a in range(self.dim):
-            width = max(hi[a] - lo[a], 0.0)
-            count = min(_LATTICE_CAP, int(np.floor(width / (self.h / 2))) + 1)
-            count = max(count, 2) if width > 0 else 1
-            axes.append(np.linspace(lo[a], hi[a], count))
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+    def _scans(self, lo: np.ndarray, hi: np.ndarray):
+        """Capped h/2 candidate lattices of the boxes [lo[i], hi[i]], with the
+        distance to the set at every node.
+
+        Yields (rows, nodes, dist): nodes is (k, N, dim) in ij order, which
+        is lexicographic, and dist is (k, N).  Boxes with the same per-axis
+        node counts share one KD query per chunk of about _SCAN_CHUNK nodes.
+        Each axis is numpy's scalar linspace, l + arange(num) * step with
+        the last node at u, computed for a whole chunk at once.
+        """
+        delta = hi - lo
+        per_axis = np.floor(delta / (self.h / 2)).astype(int) + 1
+        counts = np.where(delta > 0, np.minimum(np.maximum(per_axis, 2), _LATTICE_CAP), 1)
+        keys = np.ravel_multi_index(counts.T, (_LATTICE_CAP + 1,) * self.dim)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        changes = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+        bounds = [0, *changes, len(order)] if len(order) else []
+        for begin, end in zip(bounds[:-1], bounds[1:]):
+            shape = counts[order[begin]].tolist()
+            size = int(np.prod(shape))
+            per = max(1, _SCAN_CHUNK // size)
+            for first in range(begin, end, per):
+                rows = order[first:min(first + per, end)]
+                l, u, width = lo[rows], hi[rows], delta[rows]
+                nodes = np.empty((len(rows), *shape, self.dim))
+                for a, num in enumerate(shape):
+                    ax = np.arange(num) * (width[:, a, None] / max(num - 1, 1)) + l[:, a, None]
+                    if num > 1:
+                        ax[:, -1] = u[:, a]
+                    view = [len(rows)] + [1] * self.dim
+                    view[1 + a] = num
+                    nodes[..., a] = ax.reshape(view)
+                nodes = nodes.reshape(len(rows), size, self.dim)
+                dist = self.dist(nodes.reshape(-1, self.dim)).reshape(len(rows), size)
+                yield rows, nodes, dist
+
+    def clearances(self, lo, hi) -> tuple:
+        """Max distance to the set over the candidate lattice of each box
+        [lo[i], hi[i]] ((m, dim) arrays); returns (clearances, argmax nodes).
+
+        The argmax is the lexicographically first node whose distance is
+        within 1e-15 of the box's maximum, and its distance is returned.
+        """
+        lo = np.asarray(lo, float).reshape(-1, self.dim)
+        hi = np.asarray(hi, float).reshape(-1, self.dim)
+        clear = np.empty(len(lo))
+        at = np.empty(lo.shape)
+        for rows, nodes, dist in self._scans(lo, hi):
+            k = np.argmax(dist >= dist.max(axis=1, keepdims=True) - 1e-15, axis=1)
+            pick = np.arange(len(rows))
+            clear[rows] = dist[pick, k]
+            at[rows] = nodes[pick, k]
+        return clear, at
 
     def max_clearance_in(self, lo, hi) -> tuple:
         """Max distance to the set over a candidate grid in [lo, hi];
         returns (clearance, argmax point)."""
-        cands = self._lattice(np.asarray(lo, float), np.asarray(hi, float))
-        d = self.dist(cands)
-        k = int(np.argmax(d))
-        # deterministic tie-break on the lexicographically smallest candidate
-        tied = np.nonzero(d >= d[k] - 1e-15)[0]
-        if len(tied) > 1:
-            k = int(tied[lex_order(cands[tied])[0]])
-        return float(d[k]), cands[k]
+        clear, at = self.clearances(lo, hi)
+        return float(clear[0]), at[0]
 
-    def is_porous(self, cube: Cube, alpha: float, strong: bool = False) -> bool:
-        """True when `cube` contains a set-free subcube of relative size alpha.
+    def porous(self, centers, radius: float, alpha: float, strong: bool = False) -> np.ndarray:
+        """Porosity of the cubes Q(centers[i], radius): True where the cube
+        contains a set-free subcube of relative size alpha.
 
-        The subcube must sit inside `cube`, so its center is searched over the
-        (1-alpha)-shrunken box; strict clearance > alpha * r certifies the
-        closed subcube misses the set.  With strong=True, every concentric
-        dilation eta*cube down to the grid scale must pass the same test.
+        The subcube must sit inside the cube, so its center is searched over
+        the (1-alpha)-shrunken box; strict clearance > alpha * r certifies
+        the closed subcube misses the set.  With strong=True, every
+        concentric dilation eta*cube down to the grid scale must pass the
+        same test; each rung scans only the cubes that passed so far.
         """
         if not (0 < alpha <= 1):
             raise ConfigError(f"porosity parameter must be in (0, 1], got {alpha}")
+        centers = np.asarray(centers, float).reshape(-1, self.dim)
+        etas = [1.0]
         if strong:
+            etas = []
             eta = 1.0
-            while eta * cube.radius >= self.h / 2 - 1e-15:
-                if not self.is_porous(cube.dilate(eta), alpha):
-                    return False
+            while eta * radius >= self.h / 2 - 1e-15:
+                etas.append(eta)
                 eta *= 0.5
-            return True
-        slack = (1.0 - alpha) * cube.radius
-        c = np.array(cube.center)
-        clearance, _ = self.max_clearance_in(c - slack, c + slack)
-        return clearance > alpha * cube.radius
+        ok = np.ones(len(centers), bool)
+        for eta in etas:
+            rows = np.nonzero(ok)[0]
+            r = eta * radius
+            slack = (1.0 - alpha) * r
+            clear, _ = self.clearances(centers[rows] - slack, centers[rows] + slack)
+            ok[rows] = clear > alpha * r
+        return ok
+
+    def is_porous(self, cube: Cube, alpha: float, strong: bool = False) -> bool:
+        """True when `cube` contains a set-free subcube of relative size
+        alpha (see `porous`)."""
+        return bool(self.porous([cube.center], cube.radius, alpha, strong)[0])
+
+    def quasidistances(self, X, Y, alpha: float = 1.0 / 15.0, ratio: float = 1.05) -> tuple:
+        """Quasidistances of the pairs (X[i], Y[i]); returns (rho, witness
+        centers, witness radii), with inf and NaN where no cube qualifies.
+
+        rho is the smallest found diameter of a cube holding both points
+        whose alpha-core avoids the set.  Feasibility is not monotone in the
+        diameter, so each pair walks a geometric grid from ||x-y|| up to the
+        bbox extent and stops at its first feasible level; a coarser ratio
+        trades value precision for speed but never returns below ||x-y||.
+        Candidate centers range over the box of points within d/2 of both
+        points.  All pairs still walking take one step together.
+        """
+        X = np.asarray(X, float).reshape(-1, self.dim)
+        Y = np.asarray(Y, float).reshape(-1, self.dim)
+        upper, lower = np.maximum(X, Y), np.minimum(X, Y)
+        d = np.maximum(chebyshev(X, Y), self.h / 4.0)
+        d_top = float(np.max(self.bbox[:, 1] - self.bbox[:, 0])) * (1 + 1e-12)
+        rho = np.full(len(X), np.inf)
+        centers = np.full(X.shape, np.nan)
+        radii = np.full(len(X), np.nan)
+        walking = np.nonzero(d <= d_top)[0]
+        while len(walking):
+            r = d[walking] / 2.0
+            clear, at = self.clearances(upper[walking] - r[:, None], lower[walking] + r[:, None])
+            hit = clear > alpha * r
+            done = walking[hit]
+            rho[done], centers[done], radii[done] = d[done], at[hit], r[hit]
+            walking = walking[~hit]
+            d[walking] *= ratio
+            walking = walking[d[walking] <= d_top]
+        return rho, centers, radii
 
     def quasidistance(
         self, x, y, alpha: float = 1.0 / 15.0, return_witness: bool = False,
         ratio: float = 1.05,
     ):
-        """Smallest found diameter of a cube holding x and y whose alpha-core
-        avoids the set; inf when no cube up to the bbox size qualifies.
+        """Quasidistance of one pair (see `quasidistances`); with
+        return_witness, also the witness cube, or None when rho is inf."""
+        rho, centers, radii = self.quasidistances([x], [y], alpha, ratio)
+        d = float(rho[0])
+        if not return_witness:
+            return d
+        return (d, None) if d == np.inf else (d, Cube(tuple(centers[0]), radii[0]))
 
-        Feasibility is not monotone in the diameter, so the scan walks a
-        geometric grid from ||x-y|| up to the bbox extent and stops at the
-        first feasible level; a coarser ratio trades value precision for
-        speed but never returns below ||x-y||.  Candidate centers range over
-        the box of points within d/2 of both x and y.
-        """
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        sep = float(chebyshev(x, y))
-        d = max(sep, self.h / 4.0)
-        d_max = float(np.max(self.bbox[:, 1] - self.bbox[:, 0]))
-        while d <= d_max * (1 + 1e-12):
-            r = d / 2.0
-            lo = np.maximum(x, y) - r
-            hi = np.minimum(x, y) + r
-            clearance, center = self.max_clearance_in(lo, hi)
-            if clearance > alpha * r:
-                if return_witness:
-                    return d, Cube(tuple(center), r)
-                return d
-            d *= ratio
-        return (np.inf, None) if return_witness else np.inf
-
-    def largest_empty_subcube(self, cube: Cube) -> float:
-        """Radius of the biggest set-free subcube found inside `cube`."""
-        c = np.array(cube.center)
-        cands = self._lattice(c - cube.radius, c + cube.radius)
-        room = cube.radius - chebyshev(cands, c)
-        radius = np.minimum(self.dist(cands), room)
-        return float(np.max(radius))
+    def empty_subcubes(self, centers, radius: float) -> np.ndarray:
+        """Radius of the biggest set-free subcube found inside each cube
+        Q(centers[i], radius)."""
+        centers = np.asarray(centers, float).reshape(-1, self.dim)
+        out = np.empty(len(centers))
+        for rows, nodes, dist in self._scans(centers - radius, centers + radius):
+            room = radius - chebyshev(nodes, centers[rows, None])
+            out[rows] = np.minimum(dist, room).max(axis=1)
+        return out
 
     def ball_condition_estimate(
         self, seed: int = 0, n_centers: int = 48
@@ -288,13 +364,13 @@ class ClosedSet:
             rng.choice(m, size=n_centers, replace=False)
         )
         radii = [r for r in (2.0 ** -np.arange(1, 12)) if 8 * self.h <= 2 * r <= 1.0]
+        gaps = [self.empty_subcubes(self.points[idx], float(r)) for r in radii]
         worst = 0.0
         satisfied = True
         table = []
-        for i in idx:
-            for r in radii:
-                cube = Cube(tuple(self.points[i]), float(r))
-                gap = self.largest_empty_subcube(cube)
+        for k in range(len(idx)):
+            for r, gap in zip(radii, gaps):
+                gap = float(gap[k])
                 table.append((float(r), gap))
                 if gap <= 0:
                     satisfied = False
@@ -343,8 +419,11 @@ class ClosedSet:
 
     @staticmethod
     def load(path) -> "ClosedSet":
-        with open(path) as fh:
-            return ClosedSet.from_json(json.load(fh))
+        obj = read_json(path, "set")
+        try:
+            return ClosedSet.from_json(obj)
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise ConfigError(f"malformed set {path}: {exc!r}") from None
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
-"""Shared numeric helpers: uniform-norm geometry, dyadic ladders, scale integrals."""
+"""Shared helpers: uniform-norm geometry, dyadic ladders, scale integrals, JSON input."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +19,7 @@ __all__ = [
     "besov_scale_integral",
     "check_finite",
     "json_default",
+    "read_json",
 ]
 
 
@@ -30,6 +33,15 @@ class NumericalFailure(RuntimeError):
 
 class OutOfDomainError(ValueError):
     """A query point lies outside the domain a structure was built for."""
+
+
+def read_json(path, what: str):
+    """The JSON value in a file; a missing, unreadable or non-JSON file is a
+    config error naming `what` the file was meant to hold."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
 
 def chebyshev(a, b):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sobtrace.canonical import CanonicalSpec, generate_canonical
 from sobtrace.cli import main
 from sobtrace.grid import GridField
 from sobtrace.norms import THEOREM_IDS, TraceEstimateConfig
@@ -143,6 +144,45 @@ def test_tracenorm_overflow_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@dataclasses.dataclass(frozen=True)
+class InputFiles:
+    """A valid config run with input files: (flag, text) pairs, where text
+    None leaves the file missing and _DIRECTORY puts a directory there."""
+
+    config: dict
+    files: tuple
+
+
+_DIRECTORY = object()
+_TWO_POINTS = json.dumps(
+    generate_canonical(CanonicalSpec("two-points", 1 / 32))[0].to_json()
+)
+_WRONG_SHAPE = {
+    "--function": json.dumps({"vals": [0.0, 1.0]}),
+    "--set": json.dumps({"dim": 1, "h": 0.03125}),
+    "--measure": json.dumps({"points": [[0.0], [1.0]]}),
+}
+_T11 = {"theorem": "T11", "p": 3.0}
+_FILE_CASES = {}
+for _flag in ("--function", "--set", "--measure"):
+    # a measure file is read only beside a set file
+    _before = (("--set", _TWO_POINTS),) if _flag == "--measure" else ()
+    for _kind, _text in (
+        ("missing", None), ("unreadable", _DIRECTORY), ("not-json", "{oops"),
+        ("wrong-shape", _WRONG_SHAPE[_flag]),
+    ):
+        _FILE_CASES[f"{_flag[2:]}-file-{_kind}"] = (
+            "tracenorm", InputFiles(_T11, _before + ((_flag, _text),))
+        )
+_FILE_CASES["measure-file-wrong-dimension"] = ("tracenorm", InputFiles(_T11, (
+    ("--set", _TWO_POINTS),
+    ("--measure", json.dumps({"points": [[0.0, 0.0]], "weights": [1.0]})),
+)))
+_FILE_CASES["function-file-not-a-list"] = (
+    "tracenorm", InputFiles(_T11, (("--function", json.dumps([[0.0], [1.0]])),))
+)
+
+
 @pytest.mark.parametrize(
     "command, config",
     [
@@ -172,7 +212,10 @@ def test_tracenorm_overflow_exits_3(tmp_path, capsys):
         ("verify", {"theorem": "T26", "set": "two-points", "p": 0}),
         ("verify", {"theorem": "T26", "set": "two-points", "q": 0}),
         ("verify", {"theorem": "T715", "set": "two-points", "pair_budget": -1}),
-    ],
+        ("functional", {"functional": "averaged-modulus", "t": 0.5, "p": "inf"}),
+        ("functional", {"functional": "besov-dset", "s": 0.5, "p": "inf"}),
+        ("tracenorm", {"theorem": "T26", "p": 3, "eps": 0.5, "s": 0.5, "q": "inf"}),
+    ] + list(_FILE_CASES.values()),
     ids=[
         "unknown-key", "p-as-string", "no-p", "bad-eps", "no-file", "not-json",
         "no-t", "bad-t", "bad-alpha", "functional-no-file", "bad-centers",
@@ -180,14 +223,25 @@ def test_tracenorm_overflow_exits_3(tmp_path, capsys):
         "functional-unknown-key", "zero-t", "negative-seed", "infinite-eps",
         "not-an-object", "verify-unknown-key", "verify-bad-p", "verify-bad-h-levels",
         "verify-zero-p", "verify-zero-q", "verify-negative-pair-budget",
-    ],
+        "infinite-p-averaged-modulus", "infinite-p-besov-dset", "infinite-q-t26",
+    ] + list(_FILE_CASES),
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     path = tmp_path / "cfg.json"
+    files = []
+    if isinstance(config, InputFiles):
+        for flag, text in config.files:
+            files += [flag, str(tmp_path / flag[2:])]
+            if text is _DIRECTORY:
+                (tmp_path / flag[2:]).mkdir()
+            elif text is not None:
+                (tmp_path / flag[2:]).write_text(text)
+        config = config.config
     if config is not None:
         path.write_text(config if isinstance(config, str) else json.dumps(config))
     code = main(
         [command, "--canonical", "two-points", "--family", "linear", "--config", str(path)]
+        + files
     )
     err = capsys.readouterr().err
     assert code == 2

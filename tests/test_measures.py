@@ -8,6 +8,7 @@ from sobtrace.cubes import Cube
 from sobtrace.grid import GridField
 from sobtrace.measures import (
     A_p_mu,
+    _close_pairs,
     DiscreteMeasure,
     arc_length_measure,
     averaged_modulus_w1,
@@ -24,7 +25,7 @@ from sobtrace.measures import (
 )
 from sobtrace.oscillation import modulus_of_smoothness, packing_functional
 from sobtrace.sets import solid_set, thin_set
-from sobtrace.util import ConfigError, OutOfDomainError
+from sobtrace.util import ConfigError, OutOfDomainError, chebyshev
 
 
 def two_point_measure():
@@ -291,6 +292,23 @@ class TestPairEnergies:
         )
         assert not est["exact"]
         assert est["value"] == pytest.approx(full, rel=0.6)
+
+    @pytest.mark.parametrize("eps", [0.0, 1 / 16, 0.3, 5.0])
+    def test_close_pairs_match_double_loop(self, eps):
+        # duplicate atoms, a lattice with many pairs at exactly eps, and a
+        # random cloud; the order must be the old double loop's
+        rng = np.random.default_rng(4)
+        grid_pts = np.stack(np.meshgrid(*[np.arange(6) / 16] * 2, indexing="ij"), -1)
+        pts = np.vstack([grid_pts.reshape(-1, 2), rng.uniform(0, 0.5, (30, 2)), [[0.0, 0.0]]])
+        mu = DiscreteMeasure(pts, np.full(len(pts), 1.0 / len(pts)))
+        want = []
+        for i, g in enumerate(mu.tree.query_ball_point(pts, eps, p=np.inf)):
+            for j in g:
+                if i < j and chebyshev(pts[i], pts[j]) < eps:
+                    want.append((i, j))
+        got = _close_pairs(mu, eps)
+        assert got.shape == (len(want), 2)
+        assert got.tolist() == [list(ij) for ij in want]
 
 
 class TestBesovScale:

@@ -9,6 +9,8 @@ from sobtrace.cubes import Cube, interiors_disjoint
 from sobtrace.grid import GridField
 from sobtrace.oscillation import (
     PackingProblem,
+    _greedy_order,
+    _solve_greedy,
     _thin_candidates,
     grid_packing_functional,
     modulus_of_smoothness,
@@ -36,6 +38,19 @@ def brute_force_packing(problem):
         ):
             best = max(best, sum(problem.scores[i] for i in idx))
     return best
+
+
+def reference_solve_greedy(problem):
+    """The scalar greedy walk: one np.max per (candidate, chosen) pair."""
+    chosen = []
+    for i in _greedy_order(problem):
+        c, r = problem.centers[i], problem.radii[i]
+        if all(
+            not np.max(np.abs(c - problem.centers[j])) < r + problem.radii[j] - 1e-12
+            for j in chosen
+        ):
+            chosen.append(int(i))
+    return np.array(chosen, int)
 
 
 class TestPackingSolver:
@@ -110,6 +125,21 @@ class TestPackingSolver:
             for a in range(len(cubes)):
                 for b in range(a + 1, len(cubes)):
                     assert interiors_disjoint(cubes[a], cubes[b])
+
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_vectorised_greedy_matches_scalar_walk(self, dim):
+        rng = np.random.default_rng(dim)
+        for m in (1, 5, 60, 400):
+            # radii on a coarse ladder and centers on a lattice, so touching
+            # cubes and equal scores (ties in the greedy order) are common
+            problem = PackingProblem(
+                centers=rng.integers(0, 12, size=(m, dim)) / 8.0,
+                radii=rng.choice([1 / 16, 1 / 8, 0.25], size=m),
+                scores=rng.integers(1, 4, size=m).astype(float),
+            )
+            got = _solve_greedy(problem)
+            assert got.tolist() == reference_solve_greedy(problem).tolist()
 
 
 class TestPackingFunctional:

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sobtrace.canonical import CANONICAL_NAMES, CanonicalSpec, generate_canonical
 from sobtrace.cubes import Cube
 from sobtrace.sets import ClosedSet, solid_set, thin_set
-from sobtrace.util import ConfigError
+from sobtrace.util import ConfigError, chebyshev, lex_order
 
 
 def square_mask(k):
@@ -151,13 +152,13 @@ def test_ball_condition_cached_per_seed(monkeypatch):
     first = seg.ball_condition_estimate()
     assert isinstance(first.table, tuple) and first.table
     scans = []
-    real = ClosedSet.largest_empty_subcube
+    real = ClosedSet.empty_subcubes
 
-    def counting(self, cube):
-        scans.append(cube)
-        return real(self, cube)
+    def counting(self, centers, radius):
+        scans.append(radius)
+        return real(self, centers, radius)
 
-    monkeypatch.setattr(ClosedSet, "largest_empty_subcube", counting)
+    monkeypatch.setattr(ClosedSet, "empty_subcubes", counting)
     assert seg.ball_condition_estimate() is first
     assert seg.ball_condition_estimate(seed=0, n_centers=48) is first
     assert scans == []
@@ -193,3 +194,158 @@ def test_dist_is_one_lipschitz(seed):
     a, b = rng.uniform(-0.2, 1.2, size=(2, 2))
     gap = np.max(np.abs(a - b))
     assert abs(S.dist(a) - S.dist(b)) <= gap + 1e-12
+
+
+# -- batched empty-cube searches against the per-box loops ---------------
+#
+# The loops below are the one-box-at-a-time scans the batched methods
+# replaced: a linspace/meshgrid lattice per box, one KD query per box, and
+# the lexicographic 1e-15 tie rule.  The batched methods must agree with
+# them bit for bit.
+
+
+def _ref_lattice(S, lo, hi):
+    axes = []
+    for a in range(S.dim):
+        width = max(hi[a] - lo[a], 0.0)
+        count = min(41, int(np.floor(width / (S.h / 2))) + 1)
+        count = max(count, 2) if width > 0 else 1
+        axes.append(np.linspace(lo[a], hi[a], count))
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def _ref_max_clearance_in(S, lo, hi):
+    cands = _ref_lattice(S, np.asarray(lo, float), np.asarray(hi, float))
+    d = S.dist(cands)
+    k = int(np.argmax(d))
+    tied = np.nonzero(d >= d[k] - 1e-15)[0]
+    if len(tied) > 1:
+        k = int(tied[lex_order(cands[tied])[0]])
+    return float(d[k]), cands[k]
+
+
+def _ref_is_porous(S, cube, alpha, strong=False):
+    if strong:
+        eta = 1.0
+        while eta * cube.radius >= S.h / 2 - 1e-15:
+            if not _ref_is_porous(S, cube.dilate(eta), alpha):
+                return False
+            eta *= 0.5
+        return True
+    slack = (1.0 - alpha) * cube.radius
+    c = np.array(cube.center)
+    clearance, _ = _ref_max_clearance_in(S, c - slack, c + slack)
+    return clearance > alpha * cube.radius
+
+
+def _ref_quasidistance(S, x, y, alpha, ratio):
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    d = max(float(chebyshev(x, y)), S.h / 4.0)
+    d_max = float(np.max(S.bbox[:, 1] - S.bbox[:, 0]))
+    while d <= d_max * (1 + 1e-12):
+        r = d / 2.0
+        clearance, center = _ref_max_clearance_in(
+            S, np.maximum(x, y) - r, np.minimum(x, y) + r
+        )
+        if clearance > alpha * r:
+            return d, Cube(tuple(center), r)
+        d *= ratio
+    return np.inf, None
+
+
+def _ref_largest_empty_subcube(S, cube):
+    c = np.array(cube.center)
+    cands = _ref_lattice(S, c - cube.radius, c + cube.radius)
+    room = cube.radius - chebyshev(cands, c)
+    return float(np.max(np.minimum(S.dist(cands), room)))
+
+
+_CATALOG = {
+    name: generate_canonical(CanonicalSpec(name, 1 / 32))[0] for name in CANONICAL_NAMES
+}
+
+
+def _probe_centers(S, k, seed=5):
+    """Sample points, a few of them nudged off the set by a fraction of h."""
+    rng = np.random.default_rng(seed)
+    pts = S.points[rng.choice(len(S.points), size=min(k, len(S.points)), replace=False)]
+    shift = rng.choice([0.0, 0.0, 0.3, -0.5], size=pts.shape) * S.h
+    return pts + shift
+
+
+class TestBatchedScans:
+    @pytest.mark.parametrize("name", CANONICAL_NAMES)
+    def test_clearances_match_per_box_loop(self, name):
+        S = _CATALOG[name]
+        rng = np.random.default_rng(1)
+        c = _probe_centers(S, 40)
+        half = rng.choice([0.0, S.h / 8, S.h, 3.3 * S.h, 0.4], size=c.shape)
+        lo, hi = c - half, c + rng.permutation(half.ravel()).reshape(c.shape)
+        clear, at = S.clearances(lo, hi)
+        for i in range(len(c)):
+            want, want_at = _ref_max_clearance_in(S, lo[i], hi[i])
+            assert clear[i] == want
+            assert np.array_equal(at[i], want_at)
+            assert S.max_clearance_in(lo[i], hi[i])[0] == want
+
+    @pytest.mark.parametrize("name", CANONICAL_NAMES)
+    @pytest.mark.parametrize("strong", [False, True])
+    def test_porous_matches_per_cube_loop(self, name, strong):
+        S = _CATALOG[name]
+        c = _probe_centers(S, 24)
+        for radius in (S.h / 3, 1 / 12, 0.25):
+            for alpha in (1 / 15, 1 / 4, 1 / 2, 1.0):
+                got = S.porous(c, radius, alpha, strong=strong)
+                want = [_ref_is_porous(S, Cube(tuple(x), radius), alpha, strong) for x in c]
+                assert got.tolist() == want
+
+    @pytest.mark.parametrize("name", CANONICAL_NAMES)
+    def test_quasidistances_match_per_pair_ladder(self, name):
+        S = _CATALOG[name]
+        rng = np.random.default_rng(2)
+        idx = rng.integers(0, len(S.points), size=(12, 2))
+        X, Y = S.points[idx[:, 0]], S.points[idx[:, 1]]
+        for alpha, ratio in ((1 / 15, 1.35), (1 / 2, 1.05)):
+            rho, centers, radii = S.quasidistances(X, Y, alpha=alpha, ratio=ratio)
+            for k in range(len(X)):
+                want, cube = _ref_quasidistance(S, X[k], Y[k], alpha, ratio)
+                assert rho[k] == want
+                if cube is None:
+                    assert np.isnan(radii[k]) and np.isnan(centers[k]).all()
+                else:
+                    assert (tuple(centers[k]), radii[k]) == (cube.center, cube.radius)
+                    got = S.quasidistance(X[k], Y[k], alpha, return_witness=True, ratio=ratio)
+                    assert got == (want, cube)
+
+    @pytest.mark.parametrize("name", CANONICAL_NAMES)
+    def test_empty_subcubes_match_per_center_scan(self, name):
+        S = _CATALOG[name]
+        c = _probe_centers(S, 24)
+        for radius in (S.h / 3, 2 * S.h, 0.25):
+            got = S.empty_subcubes(c, radius)
+            want = [_ref_largest_empty_subcube(S, Cube(tuple(x), radius)) for x in c]
+            assert got.tolist() == want
+
+    def test_tie_rule_keeps_borderline_verdict(self):
+        # both lattice nodes lie within 1e-15 of the maximum: the first one's
+        # distance is the clearance and does not exceed alpha * r, while the
+        # plain maximum (at the second node) would make the cube porous
+        S = _CATALOG["two-points"]
+        r, alpha = 1 / 192, 0.5
+        lo, hi = np.array([1.0 - (1 - alpha) * r]), np.array([1.0 + (1 - alpha) * r])
+        clear, at = S.clearances([lo], [hi])
+        want, want_at = _ref_max_clearance_in(S, lo, hi)
+        assert clear[0] == want and np.array_equal(at[0], want_at)
+        assert clear[0] <= alpha * r < S.dist(hi)
+        assert S.porous([[1.0]], r, alpha).tolist() == [False]
+        assert not _ref_is_porous(S, Cube((1.0,), r), alpha)
+
+    def test_zero_width_axis(self):
+        S = _CATALOG["segment-1d-in-2d"]
+        lo = np.array([[0.3, -0.2], [0.5, 0.1], [0.25, 0.25]])
+        hi = np.array([[0.3, 0.2], [0.9, 0.1], [0.25, 0.25]])
+        clear, at = S.clearances(lo, hi)
+        for i in range(len(lo)):
+            want, want_at = _ref_max_clearance_in(S, lo[i], hi[i])
+            assert clear[i] == want and np.array_equal(at[i], want_at)
