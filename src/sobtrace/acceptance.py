@@ -35,9 +35,9 @@ from .cubes import (
     partition_into_packings,
 )
 from .grid import GridField
-from .measures import A_p_mu, local_pair_energy, measure_diagnostics
+from .measures import A_p_mu, ap_mu_options, local_pair_energy, measure_diagnostics
 from .norms import TraceEstimateConfig, grid_sobolev_norms, trace_estimate
-from .oscillation import PackingProblem, grid_packing_functional, solve_packing
+from .oscillation import PackingProblem, grid_packing_functional, packing_profile, solve_packing
 from .util import chebyshev, dyadic_ladder, json_default
 from .verify import verify_equivalence, whitney_contract_report
 from .whitney import collar_profile, extend_points, whitney_decomposition
@@ -427,12 +427,15 @@ _C12_TS = (1 / 32, 1 / 16, 1 / 8)
 def _c12_constant(name, h, p=3.0):
     S, mu = generate_canonical(CanonicalSpec(name, h))
     fields = function_family("restrictions-of-smooth", S)[:3]
+    # one profile per function serves every sandwich side: A(t/4) and A(4t)
+    scales = [t / 4 for t in _C12_TS] + [4 * t for t in _C12_TS]
     C = 0.0
     for f in fields:
-        for t in _C12_TS:
+        opts = ap_mu_options(S, mu, f.values, p, q=p)
+        A = packing_profile(S, f.values, scales, p, **opts).tolist()
+        for t, left, right in zip(_C12_TS, A[:3], A[3:]):
             I = t ** p * local_pair_energy(mu, f.values, t, p, kernel="square")
-            left = A_p_mu(S, mu, f.values, t / 4, p, q=p) ** p
-            right = A_p_mu(S, mu, f.values, 4 * t, p, q=p) ** p
+            left, right = left ** p, right ** p
             if left > 0:
                 C = max(C, np.inf if I <= 0 else left / I)
             if I > 0:
@@ -499,7 +502,7 @@ def quick_reports(out_dir, seed: int = 0) -> list[Path]:
     famc = function_family("restrictions-of-smooth", Sc)
     dump(
         "functional_ap_mu.json",
-        A_p_mu(Sc, muc, famc[0].values, 1 / 8, 3.0, q=3.0, details=True),
+        A_p_mu(Sc, muc, famc[0].values, 1 / 8, 3.0, q=3.0),
     )
     return written
 

@@ -4,7 +4,8 @@ Subcommands: whitney (decompose + contract report), extend (sample the
 extension on a grid), functional (evaluate one functional from a JSON
 config), tracenorm (trace-norm estimate with breakdown), verify
 (equivalence experiment), demo (acceptance suite / deterministic report
-pipeline).  Exit codes: 0 ok, 2 config error, 3 numerical failure.
+pipeline).  Exit codes: 0 ok, 2 config error (non-finite function values
+included), 3 numerical failure (a non-finite result or a float overflow).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .oscillation import (
     sharp_maximal,
 )
 from .sets import ClosedSet
-from .util import ConfigError, NumericalFailure, json_default, read_json
+from .util import ConfigError, NumericalFailure, check_finite, json_default, read_json
 from .verify import boundary_measure, verify_equivalence, whitney_contract_report
 from .whitney import extend_grid, whitney_decomposition
 
@@ -77,7 +78,7 @@ def _param(cfg: dict, key: str, default=_REQUIRED, kind=float):
         return default
     try:
         return kind(cfg[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"config key {key!r} has a bad value {cfg[key]!r}") from None
 
 
@@ -142,6 +143,8 @@ def _load_values(args, S: ClosedSet) -> np.ndarray:
             raise ConfigError(
                 f"function {args.function} must hold a list of numbers or {{\"values\": [...]}}"
             )
+        if not np.isfinite(vals).all():
+            raise ConfigError(f"function {args.function} holds a non-finite value")
     elif getattr(args, "family", None):
         members = function_family(args.family, S)
         idx = args.member
@@ -259,7 +262,6 @@ def _functional_call(kind: str, cfg: dict, S, mu, vals):
             strong=bool(cfg.get("strong", False)),
             variant=cfg.get("variant", "pair"),
             mode=cfg.get("mode", "greedy"),
-            details=True,
         )
     if kind == "local-pair-energy":
         return partial(local_pair_energy, mu, vals, _param(cfg, "t"), p,
@@ -308,6 +310,8 @@ def cmd_functional(args) -> int:
         result = dataclasses.asdict(result)
     elif not isinstance(result, dict):
         result = {"value": result}
+    if "value" in result:
+        check_finite(result["value"], f"functional {kind!r}")
     _emit(
         {"functional": kind, "set": S.name, "params": cfg, "result": result},
         args.out,
@@ -446,7 +450,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericalFailure as exc:
+    except (NumericalFailure, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

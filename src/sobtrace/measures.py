@@ -31,6 +31,7 @@ __all__ = [
     "measure_diagnostics",
     "mu_oscillation",
     "tilde_osc",
+    "ap_mu_options",
     "A_p_mu",
     "local_pair_energy",
     "distance_pair_energy",
@@ -291,11 +292,10 @@ def tilde_osc(mu: DiscreteMeasure, f_vals, cube: Cube, center_tol: float) -> flo
     return float(np.sum(w * np.abs(v - f_center)) / mass)
 
 
-def A_p_mu(
+def ap_mu_options(
     S: ClosedSet,
     mu: DiscreteMeasure,
     f_vals,
-    t: float,
     p: float,
     *,
     q: float,
@@ -303,10 +303,10 @@ def A_p_mu(
     strong: bool = False,
     variant: str = "pair",
     centers: str | None = None,
-    mode: str = "greedy",
-    details: bool = False,
-):
-    """Measure-scored packing functional.
+) -> dict:
+    """The packing options (centers, alpha, strong, score_fn) of the
+    measure-scored packing functional, for packing_functional_details and
+    packing_profile alike.
 
     variant "pair" scores each cube by |Q| * mu_oscillation^p; variant
     "center" uses the center-deviation score (and forces strong porosity).
@@ -333,11 +333,18 @@ def A_p_mu(
             val = mu_oscillation(mu, f_vals, cube, q)
         return cube.diam ** S.dim * val ** p
 
-    out = packing_functional_details(
-        S, f_vals, t, p,
-        centers=centers, alpha=alpha, strong=strong, mode=mode, score_fn=score,
-    )
-    return out if details else out["value"]
+    return {"centers": centers, "alpha": alpha, "strong": strong, "score_fn": score}
+
+
+def A_p_mu(
+    S: ClosedSet, mu: DiscreteMeasure, f_vals, t: float, p: float, *, mode: str = "greedy",
+    **options,
+) -> dict:
+    """Measure-scored packing functional at t, with the breakdown of
+    packing_functional_details; the options (q, alpha, strong, variant,
+    centers) are those of ap_mu_options."""
+    opts = ap_mu_options(S, mu, f_vals, p, **options)
+    return packing_functional_details(S, f_vals, t, p, mode=mode, **opts)
 
 
 # -- pair energies -----------------------------------------------------

@@ -26,8 +26,8 @@ import numpy as np
 
 from .grid import GridField
 from .measures import (
-    A_p_mu,
     DiscreteMeasure,
+    ap_mu_options,
     distance_pair_energy,
     local_pair_energy,
     quasidistance_pair_energy,
@@ -37,7 +37,7 @@ from .oscillation import (
     _thin_candidates,
     modulus_of_smoothness,
     oscillation,
-    packing_functional,
+    packing_profile,
     sharp_maximal_field,
     solve_packing,
 )
@@ -176,9 +176,15 @@ class NormReport:
 
 
 def _report(breakdown: dict, h: float, notes=()) -> NormReport:
+    breakdown = {k: float(v) for k, v in breakdown.items()}
     value = float(sum(breakdown.values()))
     check_finite(value, "trace estimate")
-    return NormReport(value, dict(breakdown), h, tuple(notes))
+    return NormReport(value, breakdown, h, tuple(notes))
+
+
+def _scales(S: ClosedSet, top: float) -> np.ndarray:
+    """The dyadic ladder top, top/2, ... down to 2h, at most ten steps."""
+    return dyadic_ladder(max(2 * S.h, top / 512), top)
 
 
 # -- packing-sum lambda functional (mixed cube sizes) ------------------
@@ -200,7 +206,7 @@ def lambda_packing(
     f_vals = np.asarray(f_vals, float)
     span = S.extent or 1.0
     top = span if max_diam is None else min(max_diam, 2 * span)
-    taus = dyadic_ladder(max(2 * S.h, top / 512), top)
+    taus = _scales(S, top)
     centers, radii, scores = [], [], []
     n = S.dim
     for tau in taus:
@@ -241,26 +247,16 @@ def _composition_norm(W: WhitneyDecomposition, f_vals, eps: float, p: float) -> 
     return FT.cell_lp(p, near), near
 
 
-def _sup_packing_quotient(S, f_vals, p, upper, mode) -> float:
-    ts = dyadic_ladder(max(2 * S.h, upper / 512), upper)
-    best = 0.0
-    for t in ts:
-        best = max(best, packing_functional(S, f_vals, t, p, mode=mode) / t)
-    return best
-
-
-def _porous_packing_integral(S, f_vals, p, upper, alpha, mode):
-    ts = dyadic_ladder(max(2 * S.h, upper / 512), upper)
-    gs = np.array(
-        [
-            packing_functional(
-                S, f_vals, t, p, centers="boundary", alpha=alpha, mode=mode
-            )
-            for t in ts
-        ]
-    )
+def _packing_terms(S, f_vals, p, mode, sup_top, integral_top, plain, porous) -> tuple:
+    """sup of A(t)/t over the scales up to sup_top, A the packing profile
+    with the options plain; (int (A(t)/t)^p dt/t)^(1/p) and its bracket over
+    the scales up to integral_top, A the profile with the options porous."""
+    ts = _scales(S, sup_top)
+    sup_term = np.max(packing_profile(S, f_vals, ts, p, mode=mode, **plain) / ts)
+    ts = _scales(S, integral_top)
+    gs = packing_profile(S, f_vals, ts, p, mode=mode, **porous)
     bracket = besov_scale_integral(ts, gs, 1.0, p)
-    return bracket.value ** (1.0 / p), bracket
+    return sup_term, bracket.value ** (1.0 / p), bracket
 
 
 # -- estimator dispatch ------------------------------------------------
@@ -314,9 +310,8 @@ def _estimate_t14ii(S, f, cfg, mu, sigma, W):
 
 def _estimate_t24(S, f, cfg, mu, sigma, W):
     diam = S.extent
-    sup_term = _sup_packing_quotient(S, f, cfg.p, 2 * diam, cfg.mode)
-    integral, bracket = _porous_packing_integral(
-        S, f, cfg.p, diam, cfg.alpha, cfg.mode
+    sup_term, integral, bracket = _packing_terms(
+        S, f, cfg.p, cfg.mode, 2 * diam, diam, {}, {"centers": "boundary", "alpha": cfg.alpha}
     )
     notes = (f"integral bracket [{bracket.lower:.4g}, {bracket.upper:.4g}]",)
     return _report(
@@ -326,9 +321,8 @@ def _estimate_t24(S, f, cfg, mu, sigma, W):
 
 def _estimate_t25(S, f, cfg, mu, sigma, W):
     comp, _ = _composition_norm(W, f, cfg.eps, cfg.p)
-    sup_term = _sup_packing_quotient(S, f, cfg.p, cfg.eps, cfg.mode)
-    integral, bracket = _porous_packing_integral(
-        S, f, cfg.p, cfg.eps, cfg.alpha, cfg.mode
+    sup_term, integral, bracket = _packing_terms(
+        S, f, cfg.p, cfg.mode, cfg.eps, cfg.eps, {}, {"centers": "boundary", "alpha": cfg.alpha}
     )
     notes = (f"integral bracket [{bracket.lower:.4g}, {bracket.upper:.4g}]",)
     return _report(
@@ -340,8 +334,8 @@ def _estimate_t25(S, f, cfg, mu, sigma, W):
 
 def _estimate_t26(S, f, cfg, mu, sigma, W):
     comp, _ = _composition_norm(W, f, cfg.eps, cfg.p)
-    ts = dyadic_ladder(max(2 * S.h, cfg.eps / 512), cfg.eps)
-    gs = np.array([packing_functional(S, f, t, cfg.p, mode=cfg.mode) for t in ts])
+    ts = _scales(S, cfg.eps)
+    gs = packing_profile(S, f, ts, cfg.p, mode=cfg.mode)
     bracket = besov_scale_integral(ts, gs, cfg.s, cfg.q)
     tail = bracket.value ** (1.0 / cfg.q)
     return _report({"composition": comp, "scale_integral": tail}, S.h)
@@ -349,20 +343,11 @@ def _estimate_t26(S, f, cfg, mu, sigma, W):
 
 def _estimate_t72(S, f, cfg, mu, sigma, W):
     base = mu.lp_norm(f, cfg.p)
-    ts = dyadic_ladder(max(2 * S.h, cfg.eps / 512), cfg.eps)
-    sup_term = max(
-        A_p_mu(S, mu, f, t, cfg.p, q=cfg.p, mode=cfg.mode) / t for t in ts
+    sup_term, integral, _ = _packing_terms(
+        S, f, cfg.p, cfg.mode, cfg.eps, cfg.eps,
+        ap_mu_options(S, mu, f, cfg.p, q=cfg.p),
+        ap_mu_options(S, mu, f, cfg.p, q=cfg.p, alpha=cfg.alpha),
     )
-    gs = np.array(
-        [
-            A_p_mu(
-                S, mu, f, t, cfg.p, q=cfg.p, alpha=cfg.alpha, mode=cfg.mode
-            )
-            for t in ts
-        ]
-    )
-    bracket = besov_scale_integral(ts, gs, 1.0, cfg.p)
-    integral = bracket.value ** (1.0 / cfg.p)
     return _report(
         {"lp_mu": base, "sup_quotient": sup_term, "porous_integral": integral}, S.h
     )
@@ -370,7 +355,7 @@ def _estimate_t72(S, f, cfg, mu, sigma, W):
 
 def _estimate_t715(S, f, cfg, mu, sigma, W):
     base = mu.lp_norm(f, cfg.p)
-    ts = dyadic_ladder(max(2 * S.h, cfg.eps / 512), cfg.eps)
+    ts = _scales(S, cfg.eps)
     sup_term = max(
         local_pair_energy(mu, f, t, cfg.p, kernel=cfg.kernel) ** (1.0 / cfg.p)
         for t in ts
@@ -410,7 +395,7 @@ def _interior_field(S: ClosedSet, f_vals) -> tuple:
     """Raster f over the occupancy lattice; returns (field, interior mask)."""
     occ = S.occupancy
     lo = S.bbox[:, 0]
-    idx = np.round((S.points - lo) / S.h - 0.5).astype(int)
+    idx = S._cell_index()
     vals = np.zeros(occ.shape)
     vals[tuple(idx.T)] = f_vals
     interior = np.zeros(occ.shape, bool)

@@ -7,6 +7,8 @@ The central object is the packing functional
 
 computed over candidate cubes at trial diameters t, t/2, t/4, t/8 with a
 greedy disjoint selection (exact branch-and-bound on small candidate sets).
+The estimators read it along a scale ladder through packing_profile, which
+packs each distinct trial diameter of the ladder once.
 Variants restrict centers to boundary samples, require the cubes to be
 porous, or replace the oscillation score by measure-based local deviations
 supplied as a callable.
@@ -29,8 +31,8 @@ __all__ = [
     "PackingProblem",
     "PackingResult",
     "solve_packing",
-    "packing_functional",
     "packing_functional_details",
+    "packing_profile",
     "grid_packing_functional",
     "sharp_maximal",
     "sharp_maximal_field",
@@ -156,31 +158,17 @@ def _default_taus(t: float) -> list:
     return [t, t / 2, t / 4, t / 8]
 
 
-def packing_functional_details(
-    S: ClosedSet,
-    f_vals,
-    t: float,
-    p: float,
-    *,
-    centers: str = "set",
-    alpha: float | None = None,
-    strong: bool = False,
-    mode: str = "greedy",
-    score_fn=None,
-) -> dict:
-    """Packing functional with per-trial-diameter breakdown, at the trial
-    diameters t, t/2, t/4, t/8.
-
-    score_fn(cube, sample_indices) can replace the default volume-scaled
-    oscillation score |Q| * osc^p; sample_indices index the center set's
-    samples (the boundary samples for boundary-centered packings, which
-    also carry the default oscillation so that boundary variants score
-    osc over Q cap dS).
-    """
+def _packing_table(S: ClosedSet, f_vals, ts, p: float, *, centers: str = "set",
+                   alpha: float | None = None, strong: bool = False,
+                   mode: str = "greedy", score_fn=None) -> dict:
+    """{tau: (power sum, cubes chosen)} for every distinct trial diameter of
+    the scales ts, each packed once, in the order the scales first reach it;
+    the options are those of packing_functional_details."""
     if p <= 0 or np.isinf(p):
         raise ConfigError("packing functional needs finite p > 0")
-    if not t > 0:
-        raise ConfigError(f"packing functional needs t > 0, got {t}")
+    for t in ts:
+        if not t > 0:
+            raise ConfigError(f"packing functional needs t > 0, got {t}")
     if centers not in ("set", "boundary"):
         raise ConfigError(f"unknown packing centers {centers!r}")
     f_vals = np.asarray(f_vals, float)
@@ -190,17 +178,17 @@ def packing_functional_details(
     else:
         _, parent = S.tree.query(center_set.points, k=1, p=np.inf)
         score_vals = f_vals[parent]
-    per_tau = []
-    best = 0.0
-    best_tau = None
-    for tau in _default_taus(t):
+    table = {}
+    for tau in (tau for t in ts for tau in _default_taus(t)):
+        if tau in table:
+            continue
         cand_idx = _thin_candidates(center_set.points, tau)
         cand = center_set.points[cand_idx]
         radius = tau / 2.0
         if alpha is not None:
             cand = cand[S.porous(cand, radius, alpha, strong=strong)]
         if len(cand) == 0:
-            per_tau.append((tau, 0.0, 0))
+            table[tau] = (0.0, 0)
             continue
         groups = center_set.tree.query_ball_point(cand, radius + 1e-12, p=np.inf)
         if score_fn is None:
@@ -220,10 +208,29 @@ def packing_functional_details(
         result = solve_packing(
             PackingProblem(cand, np.full(len(cand), radius), scores), mode=mode
         )
-        per_tau.append((tau, result.value, len(result.chosen)))
-        if result.value > best:
-            best = result.value
-            best_tau = tau
+        table[tau] = (result.value, len(result.chosen))
+    return table
+
+
+def packing_functional_details(S: ClosedSet, f_vals, t: float, p: float, **options) -> dict:
+    """Packing functional with per-trial-diameter breakdown, at the trial
+    diameters t, t/2, t/4, t/8.
+
+    Options: cubes are centered on the set's samples (centers "set", the
+    default) or on its boundary samples ("boundary"); with alpha they must
+    be alpha-porous (strongly so with strong=True); mode is the packing
+    solver's ("greedy" or "exact"). score_fn(cube, sample_indices) can
+    replace the default volume-scaled oscillation score |Q| * osc^p;
+    sample_indices index the center set's samples (the boundary samples for
+    boundary-centered packings, which also carry the default oscillation so
+    that boundary variants score osc over Q cap dS).
+    """
+    table = _packing_table(S, f_vals, [t], p, **options)
+    per_tau = [(tau, *table[tau]) for tau in _default_taus(t)]
+    best, best_tau = 0.0, None
+    for tau, total, _ in per_tau:
+        if total > best:
+            best, best_tau = total, tau
     return {
         "value": best ** (1.0 / p),
         "power_sum": best,
@@ -232,8 +239,15 @@ def packing_functional_details(
     }
 
 
-def packing_functional(S, f_vals, t, p, **kwargs) -> float:
-    return packing_functional_details(S, f_vals, t, p, **kwargs)["value"]
+def packing_profile(S: ClosedSet, f_vals, ts, p: float, **options) -> np.ndarray:
+    """The packing functional at every scale of ts, with the options of
+    packing_functional_details. A trial diameter that several scales share
+    (on a dyadic ladder t/2 of one scale is the next scale down) is packed
+    once."""
+    table = _packing_table(S, f_vals, ts, p, **options)
+    return np.array(
+        [max(table[tau][0] for tau in _default_taus(t)) ** (1.0 / p) for t in ts]
+    )
 
 
 # -- packing functional for grid fields --------------------------------
@@ -318,16 +332,11 @@ def sharp_maximal(
     f_vals,
     x,
     variant: str = "range_ratio",
-    p: float | None = None,
-    field: GridField | None = None,
-    r_levels=None,
 ) -> float:
     """Pointwise sharp maximal function.
 
     range_ratio: sup over r of osc(f over Q(x, r) cap S) / r, evaluated
         exactly at the radii where new samples enter the cube.
-    deviation_ratio: sup over dyadic r of the normalized L_p deviation of a
-        grid field over Q(x, r), divided by r.
     l1_density_ratio: sup over dyadic r of the L_1 deviation mass of f over
         Q(x, r) cap S (cell-weighted) divided by r^(n+1).
     """
@@ -350,25 +359,6 @@ def sharp_maximal(
         if not keep.any():
             return 0.0
         return float(np.max(osc[keep] / uniq[keep]))
-    if variant == "deviation_ratio":
-        if field is None or p is None:
-            raise ConfigError("deviation_ratio needs a grid field and p")
-        vals = field.values
-        h = field.h
-        node = np.round((x - field.box[:, 0]) / h).astype(int)
-        best = 0.0
-        r = h
-        while r <= np.max(field.box[:, 1] - field.box[:, 0]):
-            k = int(round(r / h))
-            sl = tuple(
-                slice(max(0, i - k), min(s, i + k + 1))
-                for i, s in zip(node, vals.shape)
-            )
-            window = vals[sl]
-            dev = np.mean(np.abs(window - window.mean()) ** p) ** (1.0 / p)
-            best = max(best, dev / r)
-            r *= 2
-        return best
     if variant == "l1_density_ratio":
         best = 0.0
         r = S.h
@@ -398,12 +388,9 @@ def sharp_maximal_field(S: ClosedSet, f_vals) -> GridField:
     fmax = np.full(shape, -np.inf)
     fmin = np.full(shape, np.inf)
     idx = np.round((S.points - box[:, 0]) / h).astype(int)
-    idx = np.clip(idx, 0, np.array(shape) - 1)
-    for j, cell in enumerate(map(tuple, idx)):
-        if f_vals[j] > fmax[cell]:
-            fmax[cell] = f_vals[j]
-        if f_vals[j] < fmin[cell]:
-            fmin[cell] = f_vals[j]
+    cells = tuple(np.clip(idx, 0, np.array(shape) - 1).T)
+    np.maximum.at(fmax, cells, f_vals)
+    np.minimum.at(fmin, cells, f_vals)
     out = np.zeros(shape)
     r = h
     extent = float(np.max(box[:, 1] - box[:, 0]))

@@ -67,14 +67,22 @@ class ClosedSet:
             raise ConfigError(f"resolution h must be finite and positive, got {self.h}")
         if self.kind not in ("thin", "solid"):
             raise ConfigError(f"unknown set kind {self.kind!r}")
-        if self.kind == "solid" and self.occupancy is None:
-            raise ConfigError("solid sets need an occupancy mask")
         margin = np.minimum(
             self.points.min(axis=0) - self.bbox[:, 0],
             self.bbox[:, 1] - self.points.max(axis=0),
         )
         if np.any(margin < 1.0 - 1e-9):
             raise ConfigError("bbox must keep a margin >= 1 around the samples")
+        if self.kind == "solid":
+            # the mask covers the bbox in h-cells and holds every sample's cell
+            if self.occupancy is None:
+                raise ConfigError("solid sets need an occupancy mask")
+            cells = (self.bbox[:, 1] - self.bbox[:, 0]) / self.h
+            occ = self.occupancy
+            if occ.ndim != self.dim or np.any(np.abs(cells - occ.shape) > 1e-6):
+                raise ConfigError(f"occupancy shape {occ.shape} does not match the bbox at step h")
+            if not occ[tuple(self._cell_index().T)].all():
+                raise ConfigError("a sample of a solid set lies in an unoccupied cell")
 
     # -- basic geometry -------------------------------------------------
 
@@ -171,14 +179,15 @@ class ClosedSet:
             self._split_cells()
         return self._interior_mask
 
+    def _cell_index(self) -> np.ndarray:
+        """The occupancy index of the h-cell around each sample."""
+        return np.round((self.points - self.bbox[:, 0] - self.h / 2) / self.h).astype(int)
+
     def _split_cells(self):
         occ = self.occupancy
         structure = np.ones((3,) * self.dim, bool)
         interior_cells = ndimage.binary_erosion(occ, structure=structure)
-        cell_index = np.round(
-            (self.points - self.bbox[:, 0] - self.h / 2) / self.h
-        ).astype(int)
-        interior = interior_cells[tuple(cell_index.T)]
+        interior = interior_cells[tuple(self._cell_index().T)]
         bpoints = self.points[~interior]
         if bpoints.shape[0] == 0:  # degenerate tiny solid, keep everything
             bpoints = self.points
@@ -400,8 +409,11 @@ class ClosedSet:
     def from_json(obj: dict) -> "ClosedSet":
         occupancy = None
         if obj["kind"] == "solid":
-            occupancy = np.zeros(tuple(obj["cells_shape"]), bool)
-            cells = np.array(obj["cells"], int)
+            shape = tuple(int(n) for n in obj["cells_shape"])
+            cells = np.array(obj["cells"], int).reshape(-1, len(shape))
+            if np.any(cells < 0) or np.any(cells >= shape):
+                raise ConfigError(f"a cell index lies outside cells_shape {list(shape)}")
+            occupancy = np.zeros(shape, bool)
             occupancy[tuple(cells.T)] = True
         return ClosedSet(
             dim=int(obj["dim"]),

@@ -17,6 +17,7 @@ from sobtrace.canonical import CanonicalSpec, generate_canonical
 from sobtrace.cli import main
 from sobtrace.grid import GridField
 from sobtrace.norms import THEOREM_IDS, TraceEstimateConfig
+from sobtrace.sets import solid_set
 from sobtrace.util import ConfigError
 from sobtrace.verify import verify_equivalence
 
@@ -144,6 +145,42 @@ def test_tracenorm_overflow_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("t, p, values", [
+    (0.5, 2000, None),  # t ** (n - p) overflows a Python float
+    (2.0, 3.0, [1e300, -1e300]),  # the energy overflows to inf in numpy
+], ids=["python-float-overflow", "infinite-value"])
+def test_functional_overflow_exits_3(tmp_path, capsys, t, p, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"functional": "local-pair-energy", "t": t, "p": p}))
+    source = ["--family", "linear"]
+    if values is not None:
+        (tmp_path / "fn.json").write_text(json.dumps(values))
+        source = ["--function", str(tmp_path / "fn.json")]
+    code = main(["functional", "--canonical", "two-points", *source, "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure:")
+
+
+def test_tracenorm_csv_values_are_floats(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theorem": "T24", "p": 3.0}))
+    out_dir = tmp_path / "out"
+    code, _ = run_cli(
+        capsys,
+        "--out", str(out_dir),
+        "tracenorm", "--canonical", "segment-1d-in-2d", "--h", "1/32",
+        "--family", "linear", "--config", str(cfg),
+    )
+    assert code == 0
+    rows = (out_dir / "tracenorm.csv").read_text().strip().splitlines()[1:]
+    assert [term for term, _ in (r.split(",", 1) for r in rows)] == [
+        "porous_integral", "sup_quotient", "total",
+    ]
+    for row in rows:
+        float(row.split(",", 1)[1])
+
+
 @dataclasses.dataclass(frozen=True)
 class InputFiles:
     """A valid config run with input files: (flag, text) pairs, where text
@@ -178,6 +215,21 @@ _FILE_CASES["measure-file-wrong-dimension"] = ("tracenorm", InputFiles(_T11, (
     ("--set", _TWO_POINTS),
     ("--measure", json.dumps({"points": [[0.0, 0.0]], "weights": [1.0]})),
 )))
+_SOLID = solid_set(np.ones((4, 4), bool), 0.25, (0.0, 0.0)).to_json()
+_FILE_CASES["set-file-negative-cell"] = ("tracenorm", InputFiles(_T11, (
+    ("--set", json.dumps({**_SOLID, "cells": _SOLID["cells"] + [[-1, -1]]})),
+)))
+_FILE_CASES["set-file-shape-off-bbox"] = ("tracenorm", InputFiles(_T11, (
+    ("--set", json.dumps({**_SOLID, "cells_shape": [n + 1 for n in _SOLID["cells_shape"]]})),
+)))
+# json.dumps writes NaN and Infinity, and json.loads reads them back
+_FILE_CASES["function-file-nan"] = (
+    "tracenorm", InputFiles(_T11, (("--function", json.dumps([float("nan"), 1.0])),))
+)
+_FILE_CASES["function-file-infinite-value"] = ("functional", InputFiles(
+    {"functional": "local-pair-energy", "t": 0.5},
+    (("--function", json.dumps([float("inf"), 1.0])),),
+))
 _FILE_CASES["function-file-not-a-list"] = (
     "tracenorm", InputFiles(_T11, (("--function", json.dumps([[0.0], [1.0]])),))
 )
@@ -215,6 +267,9 @@ _FILE_CASES["function-file-not-a-list"] = (
         ("functional", {"functional": "averaged-modulus", "t": 0.5, "p": "inf"}),
         ("functional", {"functional": "besov-dset", "s": 0.5, "p": "inf"}),
         ("tracenorm", {"theorem": "T26", "p": 3, "eps": 0.5, "s": 0.5, "q": "inf"}),
+        # json writes inf as Infinity, and int(inf) overflows
+        ("functional", {"functional": "quasidistance-energy", "eps": 0.25,
+                        "pair_budget": float("inf")}),
     ] + list(_FILE_CASES.values()),
     ids=[
         "unknown-key", "p-as-string", "no-p", "bad-eps", "no-file", "not-json",
@@ -224,6 +279,7 @@ _FILE_CASES["function-file-not-a-list"] = (
         "not-an-object", "verify-unknown-key", "verify-bad-p", "verify-bad-h-levels",
         "verify-zero-p", "verify-zero-q", "verify-negative-pair-budget",
         "infinite-p-averaged-modulus", "infinite-p-besov-dset", "infinite-q-t26",
+        "infinite-pair-budget",
     ] + list(_FILE_CASES),
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
@@ -267,7 +323,7 @@ FUZZ_KEYS = {
         if par.kind is par.KEYWORD_ONLY
     ),
 }
-FUZZ_VALUES = (None, "", "x", "set", "inf", -1, 0, 0.5, 3, [], {})
+FUZZ_VALUES = (None, "", "x", "set", "inf", -1, 0, 0.5, 3, 2000, [], {})
 
 
 @st.composite

@@ -23,7 +23,7 @@ from sobtrace.measures import (
     quasidistance_pair_energy,
     tilde_osc,
 )
-from sobtrace.oscillation import modulus_of_smoothness, packing_functional
+from sobtrace.oscillation import modulus_of_smoothness, packing_functional_details
 from sobtrace.sets import solid_set, thin_set
 from sobtrace.util import ConfigError, OutOfDomainError, chebyshev
 
@@ -155,7 +155,7 @@ class TestAPMu:
     def test_constant_zero(self):
         S = thin_set(np.array([[0.0], [1.0]]), h=0.25)
         mu = counting_measure(S, normalized=True)
-        assert A_p_mu(S, mu, [2.0, 2.0], t=2.0, p=2, q=2) == 0.0
+        assert A_p_mu(S, mu, [2.0, 2.0], t=2.0, p=2, q=2)["value"] == 0.0
 
     def test_majorized_by_plain_packing(self):
         # score-wise domination carries to the exact packing optimum
@@ -164,8 +164,8 @@ class TestAPMu:
         mu = counting_measure(S, normalized=True)
         f = np.array([0.0, 1.0, 0.2, 0.8])
         for t in (0.5, 1.0, 2.0):
-            plain = packing_functional(S, f, t, 2, mode="exact")
-            weighted = A_p_mu(S, mu, f, t, 2, q=2, mode="exact")
+            plain = packing_functional_details(S, f, t, 2, mode="exact")["value"]
+            weighted = A_p_mu(S, mu, f, t, 2, q=2, mode="exact")["value"]
             assert weighted <= plain + 1e-12
 
     def test_q_inf_matches_plain(self):
@@ -173,8 +173,8 @@ class TestAPMu:
         S = thin_set(pts, h=0.25)
         mu = counting_measure(S)
         f = np.array([0.0, 2.0, 1.0])
-        got = A_p_mu(S, mu, f, t=1.0, p=2, q=np.inf, mode="exact")
-        want = packing_functional(S, f, t=1.0, p=2, mode="exact")
+        got = A_p_mu(S, mu, f, t=1.0, p=2, q=np.inf, mode="exact")["value"]
+        want = packing_functional_details(S, f, t=1.0, p=2, mode="exact")["value"]
         assert got == pytest.approx(want)
 
     def test_mass_growth_bound(self):
@@ -187,7 +187,7 @@ class TestAPMu:
             f = rng.normal(size=65)
             base = mu.lp_norm(f, 2)
             for t in (0.25, 1.0, 2.0):
-                val = A_p_mu(S, mu, f, t, 2, q=2)
+                val = A_p_mu(S, mu, f, t, 2, q=2)["value"]
                 worst = max(worst, val / ((1 + t ** 0.5) * base))
         assert worst <= 100.0
 
@@ -203,7 +203,7 @@ class TestAPMu:
         S = thin_set(pts, h=1 / 32)
         mu = arc_length_measure(pts, h=1 / 32)
         f = pts[:, 0] ** 2
-        val = A_p_mu(S, mu, f, t=0.25, p=3, q=3, alpha=0.1, variant="center")
+        val = A_p_mu(S, mu, f, t=0.25, p=3, q=3, alpha=0.1, variant="center")["value"]
         assert np.isfinite(val) and val >= 0
 
 
@@ -250,8 +250,8 @@ class TestPairEnergies:
         p = 3
         for t in (1 / 8, 1 / 4):
             mid = t ** p * local_pair_energy(mu, f, t, p, kernel="square")
-            lo = A_p_mu(S, mu, f, t / 4, p, q=p) ** p
-            hi = A_p_mu(S, mu, f, 4 * t, p, q=p) ** p
+            lo = A_p_mu(S, mu, f, t / 4, p, q=p)["value"] ** p
+            hi = A_p_mu(S, mu, f, 4 * t, p, q=p)["value"] ** p
             assert lo <= 1e4 * mid
             assert mid <= 1e4 * hi
 

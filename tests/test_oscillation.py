@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
+from sobtrace.canonical import CANONICAL_NAMES, CanonicalSpec, generate_canonical
+from sobtrace.canonical import test_function_family as function_family
 from sobtrace.cubes import Cube, interiors_disjoint
 from sobtrace.grid import GridField
+from sobtrace.measures import ap_mu_options
 from sobtrace.oscillation import (
     PackingProblem,
     _greedy_order,
@@ -14,14 +17,14 @@ from sobtrace.oscillation import (
     _thin_candidates,
     grid_packing_functional,
     modulus_of_smoothness,
-    packing_functional,
     packing_functional_details,
+    packing_profile,
     sharp_maximal,
     sharp_maximal_field,
     solve_packing,
 )
 from sobtrace.sets import solid_set, thin_set
-from sobtrace.util import ConfigError, lex_order
+from sobtrace.util import ConfigError, dyadic_ladder, lex_order
 
 
 def brute_force_packing(problem):
@@ -148,9 +151,11 @@ class TestPackingFunctional:
         f = np.array([0.0, 1.0])
         # only the full-diameter cubes capture the jump: one admitted,
         # score = diam * osc^2 = 2
-        assert packing_functional(S, f, t=2.0, p=2) == pytest.approx(np.sqrt(2.0))
+        assert packing_functional_details(S, f, t=2.0, p=2)["value"] == pytest.approx(
+            np.sqrt(2.0)
+        )
         # below the separation every cube holds one sample
-        assert packing_functional(S, f, t=0.5, p=2) == 0.0
+        assert packing_functional_details(S, f, t=0.5, p=2)["value"] == 0.0
 
     def test_details_breakdown(self):
         S = thin_set(np.array([[0.0], [1.0]]), h=0.25)
@@ -172,10 +177,10 @@ class TestPackingFunctional:
     def test_custom_score_fn(self):
         S = thin_set(np.array([[0.0], [1.0]]), h=0.25)
         f = np.array([0.0, 1.0])
-        out = packing_functional(
+        out = packing_functional_details(
             S, f, t=2.0, p=2, score_fn=lambda cube, idx: float(len(idx))
         )
-        assert out == pytest.approx(np.sqrt(2.0))  # one cube, two samples
+        assert out["value"] == pytest.approx(np.sqrt(2.0))  # one cube, two samples
 
     def test_porosity_filter_prunes(self):
         occ = np.ones((16, 16), bool)
@@ -190,13 +195,37 @@ class TestPackingFunctional:
         occ = np.ones((16, 16), bool)
         S = solid_set(occ, h=1 / 16, origin=np.zeros(2))
         f = S.points[:, 0] ** 2
-        val = packing_functional(S, f, t=0.25, p=2, centers="boundary")
+        val = packing_functional_details(S, f, t=0.25, p=2, centers="boundary")["value"]
         assert np.isfinite(val) and val >= 0
 
     def test_rejects_infinite_p(self):
         S = thin_set(np.array([[0.0], [1.0]]), h=0.25)
         with pytest.raises(ConfigError):
-            packing_functional(S, [0.0, 1.0], t=1.0, p=np.inf)
+            packing_functional_details(S, [0.0, 1.0], t=1.0, p=np.inf)
+
+
+@pytest.mark.parametrize("name", CANONICAL_NAMES)
+def test_profile_matches_per_scale_loop(name):
+    """packing_profile packs each distinct trial diameter once; the per-scale
+    loop packs t, t/2, t/4, t/8 again at every scale. Values must be equal."""
+    S, mu = generate_canonical(CanonicalSpec(name, 1 / 32))
+    f = function_family("restrictions-of-smooth", S)[5].values
+    p = 3.0
+    options = [
+        {},
+        {"centers": "boundary", "alpha": 3 / 20},
+        {"centers": "boundary", "alpha": 3 / 20, "strong": True},
+        ap_mu_options(S, mu, f, p, q=p),
+        ap_mu_options(S, mu, f, p, q=p, alpha=1 / 8),
+        ap_mu_options(S, mu, f, p, q=p, alpha=1 / 8, variant="center"),
+    ]
+    if name == "two-points":
+        options.append({"mode": "exact"})
+    ladders = [dyadic_ladder(max(2 * S.h, 0.25 / 512), 0.25), np.array([0.5])]
+    for opts in options:
+        for ts in ladders:
+            want = [packing_functional_details(S, f, t, p, **opts)["value"] for t in ts]
+            assert packing_profile(S, f, ts, p, **opts).tolist() == want
 
 
 def reference_thin_candidates(points, tau):
@@ -247,7 +276,7 @@ class TestGridPackingFunctional:
         assert out["best_tau"] == 0.25
         pts = np.linspace(0, 1, 65)[:, None]
         S = thin_set(pts, h=h)
-        set_val = packing_functional(S, pts[:, 0], t=0.25, p=2)
+        set_val = packing_functional_details(S, pts[:, 0], t=0.25, p=2)["value"]
         assert out["value"] == pytest.approx(set_val, rel=0.05)
 
 
@@ -357,6 +386,32 @@ class TestGridPackingWalk:
         assert got["best_tau"] == want["best_tau"]
 
 
+def reference_sharp_maximal_field(S, f_vals):
+    """sharp_maximal_field as first written, each sample rasterized by a
+    Python loop. Kept as the oracle for np.maximum.at/np.minimum.at."""
+    box, h = S.bbox, S.h
+    shape = GridField.shape_for(box, h)
+    fmax = np.full(shape, -np.inf)
+    fmin = np.full(shape, np.inf)
+    idx = np.round((S.points - box[:, 0]) / h).astype(int)
+    idx = np.clip(idx, 0, np.array(shape) - 1)
+    for j, cell in enumerate(map(tuple, idx)):
+        if f_vals[j] > fmax[cell]:
+            fmax[cell] = f_vals[j]
+        if f_vals[j] < fmin[cell]:
+            fmin[cell] = f_vals[j]
+    out = np.zeros(shape)
+    r = h
+    extent = float(np.max(box[:, 1] - box[:, 0]))
+    while r <= extent:
+        w = 2 * int(round(r / h)) + 1
+        hi = ndimage.maximum_filter(fmax, size=w, mode="constant", cval=-np.inf)
+        lo = ndimage.minimum_filter(fmin, size=w, mode="constant", cval=np.inf)
+        out = np.maximum(out, np.where(np.isfinite(hi) & np.isfinite(lo), hi - lo, 0.0) / r)
+        r *= 2
+    return out
+
+
 class TestSharpMaximal:
     def test_two_point_midpoint(self):
         S = thin_set(np.array([[0.0], [1.0]]), h=0.25)
@@ -385,12 +440,13 @@ class TestSharpMaximal:
             # dyadic radius grid resolves the sup within a factor two
             assert 0.49 * exact <= field.values[i] <= 1.6 * exact + 1e-12
 
-    def test_deviation_ratio_variant(self):
-        box = np.array([[0.0, 1.0]])
-        F = GridField.from_function(box, 1 / 32, lambda x: x[..., 0])
-        S = thin_set(np.linspace(0, 1, 33)[:, None], h=1 / 32)
-        val = sharp_maximal(S, None, [0.5], variant="deviation_ratio", p=2.0, field=F)
-        assert 0.1 < val < 2.0
+    @pytest.mark.parametrize("name", CANONICAL_NAMES)
+    def test_field_matches_per_sample_loop(self, name):
+        S, _ = generate_canonical(CanonicalSpec(name, 1 / 32))
+        f = function_family("restrictions-of-smooth", S)[5].values
+        assert np.array_equal(
+            sharp_maximal_field(S, f).values, reference_sharp_maximal_field(S, f)
+        )
 
     def test_l1_density_ratio_variant(self):
         pts = np.linspace(0, 1, 33)[:, None]

@@ -185,6 +185,26 @@ def test_json_roundtrip():
     assert back.dist(np.array([2.0, 0.5])) == pytest.approx(S.dist(np.array([2.0, 0.5])))
 
 
+_SQUARE_JSON = solid_set(square_mask(4), h=1 / 4, origin=(0.0, 0.0)).to_json()
+_CELLS, _SHAPE = _SQUARE_JSON["cells"], _SQUARE_JSON["cells_shape"]
+
+
+@pytest.mark.parametrize("edit", [
+    {"cells": _CELLS + [[-1, -1]]},  # a negative index would wrap to the far corner
+    {"cells": _CELLS + [[_SHAPE[0], 0]]},
+    {"cells_shape": [_SHAPE[0] + 1, _SHAPE[1]]},
+    {"cells": _CELLS[1:]},  # the first sample's cell left empty
+], ids=["negative-cell", "cell-past-shape", "shape-off-bbox", "sample-cell-empty"])
+def test_from_json_checks_cells(edit):
+    with pytest.raises(ConfigError):
+        ClosedSet.from_json({**_SQUARE_JSON, **edit})
+
+
+def test_from_json_allows_occupied_cell_without_sample():
+    S = ClosedSet.from_json({**_SQUARE_JSON, "cells": _CELLS + [[0, 0]]})
+    assert S.occupancy[0, 0]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 5000))
 def test_dist_is_one_lipschitz(seed):
