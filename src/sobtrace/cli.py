@@ -240,9 +240,16 @@ def _functional_call(kind: str, cfg: dict, S, mu, vals):
     p = _param(cfg, "p", 3.0)
     if not p > 0:
         raise ConfigError(f"functional needs p > 0, got {p}")
+
+    def scale():
+        t = _param(cfg, "t")
+        if not (np.isfinite(t) and t > 0):
+            raise ConfigError(f"functional needs a finite scale t > 0, got {t}")
+        return t
+
     if kind == "packing":
         return partial(
-            packing_functional_details, S, vals, _param(cfg, "t"), p,
+            packing_functional_details, S, vals, scale(), p,
             centers=cfg.get("centers", "set"),
             alpha=_param(cfg, "alpha", None),
             strong=bool(cfg.get("strong", False)),
@@ -250,13 +257,13 @@ def _functional_call(kind: str, cfg: dict, S, mu, vals):
         )
     if kind == "grid-packing":
         F = GridField.load(_param(cfg, "field", kind=str))
-        return partial(grid_packing_functional, F, _param(cfg, "t"), p, details=True)
+        return partial(grid_packing_functional, F, scale(), p, details=True)
     if kind == "sharp-maximal":
         x = _param(cfg, "x", kind=lambda v: np.asarray(v, float))
         return partial(sharp_maximal, S, vals, x, variant=cfg.get("variant", "range_ratio"))
     if kind == "ap-mu":
         return partial(
-            A_p_mu, S, mu, vals, _param(cfg, "t"), p,
+            A_p_mu, S, mu, vals, scale(), p,
             q=_param(cfg, "q", 1.0),
             alpha=_param(cfg, "alpha", None),
             strong=bool(cfg.get("strong", False)),
@@ -264,7 +271,7 @@ def _functional_call(kind: str, cfg: dict, S, mu, vals):
             mode=cfg.get("mode", "greedy"),
         )
     if kind == "local-pair-energy":
-        return partial(local_pair_energy, mu, vals, _param(cfg, "t"), p,
+        return partial(local_pair_energy, mu, vals, scale(), p,
                        kernel=cfg.get("kernel", "square"))
     if kind == "distance-pair-energy":
         return partial(distance_pair_energy, mu, vals, _param(cfg, "eps"), p)
@@ -284,10 +291,10 @@ def _functional_call(kind: str, cfg: dict, S, mu, vals):
             _param(cfg, "q", p), _param(cfg, "level_floor", 4 * S.h),
         )
     if kind == "averaged-modulus":
-        return partial(averaged_modulus_w1, mu, vals, _param(cfg, "t"), p)
+        return partial(averaged_modulus_w1, mu, vals, scale(), p)
     if kind == "modulus":
         F = GridField.load(_param(cfg, "field", kind=str))
-        return partial(modulus_of_smoothness, F, _param(cfg, "t"), p)
+        return partial(modulus_of_smoothness, F, scale(), p)
     if kind == "measure-diagnostics":
         return partial(measure_diagnostics, mu, seed=_param(cfg, "seed", 0, int))
     raise ConfigError(f"unknown functional {kind!r}")

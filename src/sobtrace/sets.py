@@ -13,7 +13,11 @@ subcubes) scan a capped h/2 lattice of each box and are batched: callers
 pass many boxes at once, and boxes with the same lattice shape share one KD
 query.  A box's clearance is the distance at the lexicographically first
 lattice node within 1e-15 of the box's maximum, not the maximum itself;
-porosity verdicts near their threshold depend on this tie rule.
+porosity verdicts near their threshold depend on this tie rule.  The
+empty-subcube search (the ball condition) needs only the maximum of
+min(dist, room) per box, so it bounds its KD queries at the cube radius
+and skips the nodes whose room cannot raise the maximum; the result is the
+all-node maximum exactly.
 """
 
 from __future__ import annotations
@@ -103,8 +107,13 @@ class ClosedSet:
         spread = self.points.max(axis=0) - self.points.min(axis=0)
         return float(spread.max())
 
-    def nearest_distance(self, x) -> np.ndarray:
-        d, _ = self.tree.query(np.atleast_2d(np.asarray(x, float)), p=np.inf)
+    def nearest_distance(self, x, bound: float = np.inf) -> np.ndarray:
+        """Uniform distance from each row of x to its nearest sample.  A row
+        whose nearest sample is at distance >= bound reads inf; the others
+        are exact, equal to the unbounded query."""
+        d, _ = self.tree.query(
+            np.atleast_2d(np.asarray(x, float)), p=np.inf, distance_upper_bound=bound
+        )
         return d
 
     def dist(self, x):
@@ -204,15 +213,14 @@ class ClosedSet:
 
     # -- empty-cube searches --------------------------------------------
 
-    def _scans(self, lo: np.ndarray, hi: np.ndarray):
-        """Capped h/2 candidate lattices of the boxes [lo[i], hi[i]], with the
-        distance to the set at every node.
+    def _lattices(self, lo: np.ndarray, hi: np.ndarray):
+        """Capped h/2 candidate lattices of the boxes [lo[i], hi[i]].
 
-        Yields (rows, nodes, dist): nodes is (k, N, dim) in ij order, which
-        is lexicographic, and dist is (k, N).  Boxes with the same per-axis
-        node counts share one KD query per chunk of about _SCAN_CHUNK nodes.
-        Each axis is numpy's scalar linspace, l + arange(num) * step with
-        the last node at u, computed for a whole chunk at once.
+        Yields (rows, nodes): nodes is (k, N, dim) in ij order, which is
+        lexicographic.  Boxes with the same per-axis node counts come in
+        chunks of about _SCAN_CHUNK nodes.  Each axis is numpy's scalar
+        linspace, l + arange(num) * step with the last node at u, computed
+        for a whole chunk at once.
         """
         delta = hi - lo
         per_axis = np.floor(delta / (self.h / 2)).astype(int) + 1
@@ -237,9 +245,15 @@ class ClosedSet:
                     view = [len(rows)] + [1] * self.dim
                     view[1 + a] = num
                     nodes[..., a] = ax.reshape(view)
-                nodes = nodes.reshape(len(rows), size, self.dim)
-                dist = self.dist(nodes.reshape(-1, self.dim)).reshape(len(rows), size)
-                yield rows, nodes, dist
+                yield rows, nodes.reshape(len(rows), size, self.dim)
+
+    def _scans(self, lo: np.ndarray, hi: np.ndarray):
+        """The lattices of _lattices with the exact distance to the set at
+        every node: yields (rows, nodes, dist), dist (k, N), one KD query
+        per chunk."""
+        for rows, nodes in self._lattices(lo, hi):
+            dist = self.dist(nodes.reshape(-1, self.dim)).reshape(nodes.shape[:2])
+            yield rows, nodes, dist
 
     def clearances(self, lo, hi) -> tuple:
         """Max distance to the set over the candidate lattice of each box
@@ -345,12 +359,31 @@ class ClosedSet:
 
     def empty_subcubes(self, centers, radius: float) -> np.ndarray:
         """Radius of the biggest set-free subcube found inside each cube
-        Q(centers[i], radius)."""
+        Q(centers[i], radius): the maximum of min(dist, room) over the cube's
+        lattice, room being a node's distance to the cube's boundary.
+
+        room <= radius, so each node's distance is queried only up to the
+        radius (a farther node contributes its room).  The inner nodes
+        (room > radius/2) go first; a remaining node whose room does not
+        exceed its cube's best so far cannot raise the maximum and is not
+        queried.  The maximum is exact, so this equals the all-node scan.
+        """
         centers = np.asarray(centers, float).reshape(-1, self.dim)
         out = np.empty(len(centers))
-        for rows, nodes, dist in self._scans(centers - radius, centers + radius):
+        # past this nearest-sample distance, the set distance is >= radius
+        bound = (radius + self.sample_radius) * (1 + 1e-12)
+        for rows, nodes in self._lattices(centers - radius, centers + radius):
             room = radius - chebyshev(nodes, centers[rows, None])
-            out[rows] = np.minimum(dist, room).max(axis=1)
+            gain = np.full(room.shape, -np.inf)
+
+            def scan(ask):
+                near = self.nearest_distance(nodes[ask], bound)
+                gain[ask] = np.minimum(np.maximum(0.0, near - self.sample_radius), room[ask])
+
+            inner = room > radius / 2
+            scan(inner)
+            scan(~inner & (room > gain.max(axis=1, keepdims=True)))
+            out[rows] = gain.max(axis=1)
         return out
 
     def ball_condition_estimate(

@@ -31,8 +31,11 @@ the rule that also picks each cube's anchor.
 There is one grid per set: its lattice S.bbox at step S.h, on which the
 decomposition, the extension, the projection and the sharp maximal field
 are all sampled.  The grid products (the bump matrix at the nodes, the
-nodes' distances, on-set flags and nearest samples, and the node-to-cube
-map) are each built once, on first use, and kept on the decomposition.
+nodes' on-set flags and nearest samples, their distances to the set, and
+the node-to-cube map) are each built once, on first use, and kept on the
+decomposition.  The extension reads only the on-set flags and nearest
+samples, so their KD query stops just past the on-set reach; distances
+beyond it are queried only when the projection reads them.
 """
 
 from __future__ import annotations
@@ -87,6 +90,7 @@ class WhitneyDecomposition:
     _level_maps: dict = field(default_factory=dict, repr=False)
     _pou: tuple | None = field(default=None, repr=False)
     _set_info: dict | None = field(default=None, repr=False)
+    _dist: np.ndarray | None = field(default=None, repr=False)
     _cube_of: np.ndarray | None = field(default=None, repr=False)
 
     # -- bookkeeping ----------------------------------------------------
@@ -221,23 +225,33 @@ class WhitneyDecomposition:
         return self._pou
 
     def grid_set_info(self) -> dict:
-        """Distances to the set, on-set flags and nearest-sample indices of
-        the grid nodes; built on first use and kept.  The nearest sample is
-        resolved only where the extension or the projection reads it, at
-        on-set and unresolved nodes; it is -1 elsewhere."""
+        """Nearest-sample distances, on-set flags and nearest-sample indices
+        of the grid nodes; built on first use and kept.
+
+        The distance query ("near") stops just past the on-set reach: it
+        is exact up to there and inf beyond; grid_dist completes it.  The
+        nearest sample is resolved only where the extension or the
+        projection reads it, at on-set and unresolved nodes; it is -1
+        elsewhere."""
         if self._set_info is None:
             nodes = self._grid().nodes()
-            nn_dist = self.S.nearest_distance(nodes)
-            on_set = nn_dist <= self.S.on_set_reach
+            near = self.S.nearest_distance(nodes, bound=2 * self.S.on_set_reach)
+            on_set = near <= self.S.on_set_reach
             rows = np.nonzero(on_set | (self.projection_map().ravel() < 0))[0]
             nearest = np.full(len(nodes), -1)
             nearest[rows] = self.S.nearest_point(nodes[rows])[1]
-            self._set_info = {
-                "dist": np.maximum(0.0, nn_dist - self.S.sample_radius),
-                "nearest": nearest,
-                "on_set": on_set,
-            }
+            self._set_info = {"near": near, "nearest": nearest, "on_set": on_set}
         return self._set_info
+
+    def grid_dist(self) -> np.ndarray:
+        """Distances to the set at the grid nodes: grid_set_info's bounded
+        query, its far nodes queried exactly; built on first use and kept."""
+        if self._dist is None:
+            near = self.grid_set_info()["near"].copy()
+            far = np.isinf(near)
+            near[far] = self.S.nearest_distance(self._grid().nodes()[far])
+            self._dist = np.maximum(0.0, near - self.S.sample_radius)
+        return self._dist
 
     def projection_map(self) -> np.ndarray:
         """Per-node index of the containing cube, painted so shared faces go
@@ -415,7 +429,7 @@ def projection_data(W: WhitneyDecomposition) -> tuple:
     cube_of = W.projection_map().ravel()
     target = np.where(cube_of >= 0, W.anchor_idx[np.maximum(cube_of, 0)], info["nearest"])
     target = np.where(info["on_set"], info["nearest"], target)
-    return W._grid().nodes(), target.astype(int), info["dist"], info["on_set"]
+    return W._grid().nodes(), target.astype(int), W.grid_dist(), info["on_set"]
 
 
 def compose_with_projection(W: WhitneyDecomposition, f_vals) -> tuple:

@@ -270,6 +270,8 @@ _FILE_CASES["function-file-not-a-list"] = (
         # json writes inf as Infinity, and int(inf) overflows
         ("functional", {"functional": "quasidistance-energy", "eps": 0.25,
                         "pair_budget": float("inf")}),
+        ("functional", {"functional": "local-pair-energy", "t": "inf"}),
+        ("functional", {"functional": "averaged-modulus", "t": "inf"}),
     ] + list(_FILE_CASES.values()),
     ids=[
         "unknown-key", "p-as-string", "no-p", "bad-eps", "no-file", "not-json",
@@ -279,7 +281,7 @@ _FILE_CASES["function-file-not-a-list"] = (
         "not-an-object", "verify-unknown-key", "verify-bad-p", "verify-bad-h-levels",
         "verify-zero-p", "verify-zero-q", "verify-negative-pair-budget",
         "infinite-p-averaged-modulus", "infinite-p-besov-dset", "infinite-q-t26",
-        "infinite-pair-budget",
+        "infinite-pair-budget", "infinite-t-local-pair-energy", "infinite-t-averaged-modulus",
     ] + list(_FILE_CASES),
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):

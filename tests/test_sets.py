@@ -31,6 +31,31 @@ def test_dist_thin_matches_brute_force():
     assert np.allclose(S.dist(queries), brute, atol=0)
 
 
+@pytest.mark.parametrize("name", CANONICAL_NAMES)
+def test_bounded_nearest_distance(name):
+    S = _CATALOG[name]
+    rng = np.random.default_rng(4)
+    x = rng.uniform(S.bbox[:, 0], S.bbox[:, 1], size=(399, S.dim))
+    x[:50] = S.points[rng.integers(0, len(S.points), 50)] + rng.uniform(-S.h, S.h, (50, S.dim))
+    full = S.nearest_distance(x)
+    # an odd count: the median is one row's distance, so that row sits at the bound
+    assert np.count_nonzero(full == np.median(full)) >= 1
+    for bound in (np.median(full), S.h, 2 * S.on_set_reach):
+        got = S.nearest_distance(x, bound)
+        below = full < bound
+        assert below.any() and not below.all()
+        assert np.array_equal(got[below], full[below])
+        assert np.isinf(got[~below]).all()
+
+
+def test_bounded_nearest_distance_is_strict():
+    S = thin_set(np.array([[0.0, 0.0], [1.0, 0.0]]), h=1 / 16)
+    x = np.array([[0.25, 0.125], [0.125, 0.25], [0.25, 0.0], [0.5, 0.0]])
+    assert S.nearest_distance(x).tolist() == [0.25, 0.25, 0.25, 0.5]
+    assert S.nearest_distance(x, 0.25).tolist() == [np.inf] * 4
+    assert S.nearest_distance(x, 0.5).tolist() == [0.25, 0.25, 0.25, np.inf]
+
+
 def test_dist_solid_is_zero_inside_cells():
     S = solid_set(square_mask(8), h=1 / 8, origin=(0.0, 0.0))
     assert S.dist(np.array([0.5, 0.5])) == 0.0
@@ -342,10 +367,30 @@ class TestBatchedScans:
     def test_empty_subcubes_match_per_center_scan(self, name):
         S = _CATALOG[name]
         c = _probe_centers(S, 24)
-        for radius in (S.h / 3, 2 * S.h, 0.25):
+        # the ball condition's radii, 1/2 down to 4h, prune most lattice nodes
+        for radius in (S.h / 3, 2 * S.h, 4 * S.h, 0.25, 0.5):
             got = S.empty_subcubes(c, radius)
             want = [_ref_largest_empty_subcube(S, Cube(tuple(x), radius)) for x in c]
             assert got.tolist() == want
+
+    @pytest.mark.parametrize("name", ["segment-1d-in-2d", "example-726", "cantor-1d"])
+    def test_ball_condition_matches_unpruned_scan(self, name):
+        # the reference is the all-node scan empty_subcubes replaced: the
+        # exact distance at every lattice node, then max of min(dist, room)
+        def unpruned(S, centers, radius):
+            out = np.empty(len(centers))
+            for rows, nodes, dist in S._scans(centers - radius, centers + radius):
+                room = radius - chebyshev(nodes, centers[rows, None])
+                out[rows] = np.minimum(dist, room).max(axis=1)
+            return out
+
+        got = generate_canonical(CanonicalSpec(name, 1 / 64))[0].ball_condition_estimate()
+        S = generate_canonical(CanonicalSpec(name, 1 / 64))[0]
+        S.empty_subcubes = lambda centers, radius: unpruned(S, centers, radius)
+        want = S.ball_condition_estimate()
+        assert got.table == want.table
+        assert got.beta_hat == want.beta_hat
+        assert got.satisfied == want.satisfied
 
     def test_tie_rule_keeps_borderline_verdict(self):
         # both lattice nodes lie within 1e-15 of the maximum: the first one's

@@ -295,3 +295,37 @@ def test_projection_identity_on_set_and_bounded_off(segment2d):
     off = dist > 0
     theta = np.max(moved[off] / dist[off])
     assert theta <= 12.0
+
+
+# grid_set_info queries distances only up to just past the on-set reach; the
+# reference below is the one full-grid query it replaced
+
+
+@pytest.mark.parametrize("name", CANONICAL_NAMES)
+def test_grid_set_info_matches_full_query(name):
+    S, _ = generate_canonical(CanonicalSpec(name, 1 / 32))
+    W = whitney_decomposition(S)
+    info = W.grid_set_info()
+    nodes = W._grid().nodes()
+    on_set = S.nearest_distance(nodes) <= S.on_set_reach
+    rows = np.nonzero(on_set | (W.projection_map().ravel() < 0))[0]
+    nearest = np.full(len(nodes), -1)
+    nearest[rows] = S.nearest_point(nodes[rows])[1]
+    assert np.array_equal(info["on_set"], on_set)
+    assert np.array_equal(info["nearest"], nearest)
+
+
+@pytest.mark.parametrize("name", CANONICAL_NAMES)
+@pytest.mark.parametrize("extend_first", [False, True])
+def test_projection_dist_is_exact(name, extend_first):
+    S, _ = generate_canonical(CanonicalSpec(name, 1 / 32))
+    W = whitney_decomposition(S)
+    f = np.random.default_rng(31).normal(size=len(S.points))
+    if extend_first:
+        extend_grid(W, f, delta=S.extent, cbar=0.0)
+    nodes, _, dist, _ = projection_data(W)
+    assert np.array_equal(dist, S.dist(nodes))
+    if not extend_first:
+        field = extend_grid(W, f, delta=S.extent, cbar=0.0)
+        fresh = whitney_decomposition(S)
+        assert np.array_equal(field.values, extend_grid(fresh, f, S.extent, 0.0).values)
