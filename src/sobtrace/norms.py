@@ -35,7 +35,7 @@ from .measures import (
 from .oscillation import (
     PackingProblem,
     _thin_candidates,
-    modulus_of_smoothness,
+    modulus_profile,
     oscillation,
     packing_profile,
     sharp_maximal_field,
@@ -86,12 +86,14 @@ def grid_besov_norm(
     F: GridField, s: float, p: float, q: float, details: bool = False
 ):
     """L_p part plus the dyadic-scale modulus integral
-    (int (omega(t)/t^s)^q dt/t)^(1/q); q = inf takes the scale supremum."""
+    (int (omega(t)/t^s)^q dt/t)^(1/q); q = inf takes the scale supremum.
+    The ladder's moduli omega(t) are read from one modulus profile, which
+    differences each shift the ladder walks once."""
     if not (0 < s < 1):
         raise ConfigError(f"need 0 < s < 1, got {s}")
     extent = float(np.max(F.box[:, 1] - F.box[:, 0]))
     ts = dyadic_ladder(2 * F.h, extent / 2)
-    gs = np.array([modulus_of_smoothness(F, t, p) for t in ts])
+    gs = modulus_profile(F, ts, p)
     lp = F.cell_lp(p)
     if np.isinf(q):
         tail = float(np.max(gs / ts ** s)) if len(ts) else 0.0

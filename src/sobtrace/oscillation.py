@@ -12,10 +12,15 @@ packs each distinct trial diameter of the ladder once.
 Variants restrict centers to boundary samples, require the cubes to be
 porous, or replace the oscillation score by measure-based local deviations
 supplied as a callable.
+
+The grid modulus of smoothness, omega_p(f, t), is the sup over lattice
+shifts shorter than t of the L_p difference norm. The Besov ladder reads it
+through modulus_profile, which differences each shift of the ladder once.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +41,7 @@ __all__ = [
     "grid_packing_functional",
     "sharp_maximal",
     "sharp_maximal_field",
+    "modulus_profile",
     "modulus_of_smoothness",
 ]
 
@@ -278,7 +284,8 @@ def grid_packing_functional(
     the nodes whose cubes would overlap its cube, is blocked. The walk takes
     the order in chunks and drops, in one vectorised lookup, the nodes a
     chunk finds already blocked; blocking is monotone, so that changes no
-    admission.
+    admission. The survivors' scores are read once per chunk, as Python
+    floats, and summed in admission order.
     """
     if p <= 0 or np.isinf(p):
         raise ConfigError("packing functional needs finite p > 0")
@@ -301,17 +308,19 @@ def grid_packing_functional(
         order = cand[np.lexsort((cand, -flat[cand]))]
         blocked = np.zeros(shape, bool)
         bflat = blocked.reshape(-1)  # a view: patches written to blocked show here
+        # bool items are one byte, so byte strides are index strides
+        axes = list(zip(blocked.strides, shape))
         total, count = 0.0, 0
         for start in range(0, len(order), _WALK_CHUNK):
             chunk = order[start:start + _WALK_CHUNK]
-            for pos in chunk[~bflat[chunk]].tolist():
+            live = chunk[~bflat[chunk]]
+            for pos, node_score in zip(live.tolist(), flat[live].tolist()):
                 if bflat[pos]:
                     continue
-                total += flat[pos]
+                total += node_score
                 count += 1
                 patch = []
-                # bool items are one byte, so byte strides are index strides
-                for stride, s in zip(blocked.strides, shape):
+                for stride, s in axes:
                     i, pos = divmod(pos, stride)
                     patch.append(slice(max(0, i - k + 1), min(s, i + k)))
                 blocked[tuple(patch)] = True
@@ -411,40 +420,66 @@ def sharp_maximal_field(S: ClosedSet, f_vals) -> GridField:
 _MAX_SHIFTS_PER_AXIS = 33
 
 
+def _shift_norm(vals: np.ndarray, shift: tuple, p: float, cell: float,
+                buf: np.ndarray) -> float:
+    """L_p norm (cell-weighted) of vals shifted by `shift` nodes minus vals,
+    over the nodes where both are defined, computed in a C-contiguous
+    prefix of buf so that np.sum reduces it as it would a fresh array. A
+    shift as long as its axis leaves no node pair and has norm 0."""
+    shape = vals.shape
+    shift = [max(-n, min(n, s)) for s, n in zip(shift, shape)]
+    a = vals[tuple(slice(max(0, s), min(n, n + s)) for s, n in zip(shift, shape))]
+    b = vals[tuple(slice(max(0, -s), min(n, n - s)) for s, n in zip(shift, shape))]
+    diff = buf[:a.size].reshape(a.shape)
+    np.subtract(a, b, out=diff)
+    np.abs(diff, out=diff)
+    if np.isinf(p):
+        return float(diff.max()) if diff.size else 0.0
+    # **= keeps numpy's scalar-exponent fast paths (p = 2 squares), so the
+    # bits are those of diff ** p
+    diff **= p
+    return float((np.sum(diff) * cell) ** (1.0 / p))
+
+
+def modulus_profile(F: GridField, ts, p: float) -> np.ndarray:
+    """modulus_of_smoothness at every scale of ts, each scale walking its
+    shifts in the same order. A shift that several scales walk (on a dyadic
+    ladder many shifts of one scale recur at the next) is differenced once."""
+    if not p > 0:
+        raise ConfigError(f"modulus of smoothness needs p > 0, got {p}")
+    for t in ts:
+        if not 0 < t < np.inf:
+            raise ConfigError(f"modulus of smoothness needs finite t > 0, got {t}")
+    h, vals = F.h, F.values
+    cell = h ** F.dim
+    buf = np.empty(vals.size)
+    shift_norms: dict = {}
+    out = np.zeros(len(ts))
+    for j, t in enumerate(ts):
+        k_max = int(np.ceil(t / h)) - 1
+        if k_max < 1:
+            continue
+        stride = max(1, int(np.ceil((2 * k_max + 1) / _MAX_SHIFTS_PER_AXIS)))
+        axis_vals = sorted(set(range(-k_max, k_max + 1, stride)) | {-k_max, 0, k_max})
+        best = 0.0
+        for shift in itertools.product(axis_vals, repeat=F.dim):
+            # skip the zero shift and mirror shifts (first nonzero entry < 0)
+            if next((s for s in shift if s), 0) <= 0:
+                continue
+            norm = shift_norms.get(shift)
+            if norm is None:
+                norm = shift_norms[shift] = _shift_norm(vals, shift, p, cell, buf)
+            best = max(best, norm)
+        out[j] = best
+    return out
+
+
 def modulus_of_smoothness(F: GridField, t: float, p: float) -> float:
-    """sup over lattice shifts shorter than t of the L_p difference norm.
+    """sup over lattice shifts shorter than t of the L_p difference norm
+    (p = inf: the sup norm).
 
     Shifts are thinned to _MAX_SHIFTS_PER_AXIS per axis at coarse t (extreme
     shifts kept); opposite shifts cover the same pairs, so only half are
     walked.
     """
-    h = F.h
-    k_max = int(np.ceil(t / h)) - 1
-    if k_max < 1:
-        return 0.0
-    stride = max(1, int(np.ceil((2 * k_max + 1) / _MAX_SHIFTS_PER_AXIS)))
-    axis_vals = sorted(set(range(-k_max, k_max + 1, stride)) | {-k_max, 0, k_max})
-    best = 0.0
-    vals = F.values
-    shape = vals.shape
-    for shift in np.stack(
-        np.meshgrid(*[axis_vals] * F.dim, indexing="ij"), axis=-1
-    ).reshape(-1, F.dim):
-        if not shift.any():
-            continue
-        first = shift[np.nonzero(shift)[0][0]]
-        if first < 0:
-            continue  # mirror shift covers the same pairs
-        src = tuple(
-            slice(max(0, int(s)), min(n, n + int(s))) for s, n in zip(shift, shape)
-        )
-        dst = tuple(
-            slice(max(0, -int(s)), min(n, n - int(s))) for s, n in zip(shift, shape)
-        )
-        diff = np.abs(vals[src] - vals[dst])
-        if np.isinf(p):
-            norm = float(diff.max()) if diff.size else 0.0
-        else:
-            norm = float((np.sum(diff ** p) * h ** F.dim) ** (1.0 / p))
-        best = max(best, norm)
-    return best
+    return float(modulus_profile(F, [t], p)[0])

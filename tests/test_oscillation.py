@@ -9,6 +9,7 @@ from sobtrace.canonical import CANONICAL_NAMES, CanonicalSpec, generate_canonica
 from sobtrace.canonical import test_function_family as function_family
 from sobtrace.cubes import Cube, interiors_disjoint
 from sobtrace.grid import GridField
+from sobtrace.norms import grid_besov_norm
 from sobtrace.measures import ap_mu_options
 from sobtrace.oscillation import (
     PackingProblem,
@@ -17,6 +18,7 @@ from sobtrace.oscillation import (
     _thin_candidates,
     grid_packing_functional,
     modulus_of_smoothness,
+    modulus_profile,
     packing_functional_details,
     packing_profile,
     sharp_maximal,
@@ -487,3 +489,122 @@ class TestModulusOfSmoothness:
         box = np.array([[0.0, 1.0], [0.0, 1.0]])
         F = GridField.from_function(box, 1 / 8, lambda x: np.ones(x.shape[:-1]))
         assert modulus_of_smoothness(F, t=0.5, p=3) == 0.0
+
+
+def reference_modulus_of_smoothness(F, t, p):
+    """modulus_of_smoothness as first written: every scale walks its shifts
+    again and each difference is a fresh array raised by diff ** p. Kept as
+    the oracle for modulus_profile (valid while no shift outruns its axis)."""
+    h = F.h
+    k_max = int(np.ceil(t / h)) - 1
+    if k_max < 1:
+        return 0.0
+    stride = max(1, int(np.ceil((2 * k_max + 1) / 33)))
+    axis_vals = sorted(set(range(-k_max, k_max + 1, stride)) | {-k_max, 0, k_max})
+    best = 0.0
+    vals = F.values
+    shape = vals.shape
+    for shift in np.stack(
+        np.meshgrid(*[axis_vals] * F.dim, indexing="ij"), axis=-1
+    ).reshape(-1, F.dim):
+        if not shift.any():
+            continue
+        first = shift[np.nonzero(shift)[0][0]]
+        if first < 0:
+            continue  # mirror shift covers the same pairs
+        src = tuple(
+            slice(max(0, int(s)), min(n, n + int(s))) for s, n in zip(shift, shape)
+        )
+        dst = tuple(
+            slice(max(0, -int(s)), min(n, n - int(s))) for s, n in zip(shift, shape)
+        )
+        diff = np.abs(vals[src] - vals[dst])
+        if np.isinf(p):
+            norm = float(diff.max()) if diff.size else 0.0
+        else:
+            norm = float((np.sum(diff ** p) * h ** F.dim) ** (1.0 / p))
+        best = max(best, norm)
+    return best
+
+
+# random fields with at least 19 nodes per axis, so that scales up to
+# k_max = 18 (thinned to stride 2 from k_max = 17) keep every shift inside
+# its axis
+_MODULUS_FIELDS = {
+    "line": lambda: GridField(
+        np.array([[0.0, 1.0]]), 1 / 64, np.random.default_rng(21).standard_normal(65)
+    ),
+    "square": lambda: GridField(
+        _UNIT_SQUARE, 1 / 64, np.random.default_rng(22).standard_normal((65, 65))
+    ),
+    "cube": lambda: GridField(
+        np.array([[0.0, 1.125], [0.0, 1.1875], [0.0, 1.25]]),
+        1 / 16,
+        np.random.default_rng(23).standard_normal((19, 20, 21)) * 3.0,
+    ),
+}
+_MODULUS_PS = [1, 2, 2.5, 3.0, np.inf]
+
+
+class TestModulusProfile:
+    """modulus_profile differences each shift once per ladder, in place; its
+    moduli equal the per-scale walk's bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_MODULUS_FIELDS))
+    @pytest.mark.parametrize("p", _MODULUS_PS)
+    def test_matches_per_scale_reference(self, name, p):
+        F = _MODULUS_FIELDS[name]()
+        h = F.h
+        # k_max < 1 (t <= h), stride 1 (k_max <= 16) and stride 2 (k_max = 17,
+        # 18), out of order and with a repeated scale
+        ladders = [[5 * h, h / 2, h, 1.5 * h, 2 * h, 5 * h, 3 * h]]
+        if name != "cube":
+            ladders += [[17 * h, 3 * h, 17 * h, h], [16.5 * h, 19 * h],
+                        dyadic_ladder(2 * h, 0.5), [24 * h, 40 * h]]
+        elif p == 2.5:  # the cube's shift count grows with k_max^3: one thinned scale
+            ladders.append([17 * h, 3 * h])
+        for ts in ladders:
+            want = [reference_modulus_of_smoothness(F, t, p) for t in ts]
+            assert modulus_profile(F, ts, p).tolist() == want
+            assert [modulus_of_smoothness(F, t, p) for t in ts] == want
+
+    @pytest.mark.parametrize("p", [2, 3.0])
+    def test_besov_moduli_match_reference(self, p):
+        box = np.array([[0.0, 1.0], [0.0, 0.75]])
+        F = GridField.from_function(box, 1 / 64, lambda x: np.cos(x[:, 0] + 2 * x[:, 1]))
+        value, info = grid_besov_norm(F, 0.5, p, 3, details=True)
+        want = [reference_modulus_of_smoothness(F, t, p) for t in info["ts"]]
+        assert info["gs"].tolist() == want
+        assert value == grid_besov_norm(F, 0.5, p, 3)
+
+    def test_shift_past_axis_has_no_pairs(self):
+        # 9 nodes: shifts of 9 or more nodes pair no node with another
+        F = GridField(np.array([[0.0, 1.0]]), 1 / 8, np.random.default_rng(5).standard_normal(9))
+        whole = modulus_of_smoothness(F, 9 / 8, 2.0)  # k_max = 8: every shift with a pair
+        for t in (1.5, 2.0, 2.5, 3.0):  # k_max 11, 15, 19, 23
+            assert modulus_of_smoothness(F, t, 2.0) == whole
+        # a box much wider than tall: the ladder's long shifts outrun the
+        # short axis
+        G = GridField(
+            np.array([[0.0, 1.0], [0.0, 0.25]]),
+            1 / 32,
+            np.random.default_rng(6).standard_normal((33, 9)),
+        )
+        _, info = grid_besov_norm(G, 0.5, 2.0, 2.0, details=True)
+        assert np.all(np.isfinite(info["gs"])) and info["gs"][-1] > 0
+
+    @pytest.mark.parametrize("p", [0, -1.0, np.nan, -np.inf])
+    def test_rejects_bad_p(self, p):
+        F = _MODULUS_FIELDS["line"]()
+        with pytest.raises(ConfigError):
+            modulus_of_smoothness(F, 0.5, p)
+        with pytest.raises(ConfigError):
+            modulus_profile(F, [0.25, 0.5], p)
+
+    @pytest.mark.parametrize("t", [0.0, -0.25, np.inf, -np.inf, np.nan])
+    def test_rejects_bad_t(self, t):
+        F = _MODULUS_FIELDS["line"]()
+        with pytest.raises(ConfigError):
+            modulus_of_smoothness(F, t, 2.0)
+        with pytest.raises(ConfigError):
+            modulus_profile(F, [0.25, t, 0.5], 2.0)
