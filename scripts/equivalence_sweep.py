@@ -24,20 +24,20 @@ class SweepConfig:
     seed: int = 0
     jobs: list = field(
         default_factory=lambda: [
-            # (theorem, set, h-levels, extra kwargs)
-            ("T11", "segment-1d-in-2d", (1 / 128, 1 / 256), {}),
-            ("T11", "cantor-1d", (1 / 512, 1 / 1024), {}),
-            ("T14i", "segment-1d-in-2d", (1 / 128, 1 / 256), {}),
-            ("T14ii", "segment-1d-in-2d", (1 / 64, 1 / 128), {}),
-            ("T12", "segment-1d-in-2d", (1 / 64, 1 / 128), {}),
-            ("T24", "segment-1d-in-2d", (1 / 64, 1 / 128), {}),
-            ("T25", "segment-1d-in-2d", (1 / 64, 1 / 128), {}),
-            ("T26", "segment-1d-in-2d", (1 / 64, 1 / 128), {}),
-            ("T72", "segment-1d-in-2d", (1 / 64, 1 / 128), {}),
-            ("T715", "segment-1d-in-2d", (1 / 64, 1 / 128), {}),
-            ("T723", "segment-1d-in-2d", (1 / 64, 1 / 128), {}),
-            ("T723", "cantor-1d", (1 / 256, 1 / 512), {}),
-            ("decomposed", "solid-square", (1 / 32, 1 / 64), {}),
+            # (theorem, set, h-levels)
+            ("T11", "segment-1d-in-2d", (1 / 128, 1 / 256)),
+            ("T11", "cantor-1d", (1 / 512, 1 / 1024)),
+            ("T14i", "segment-1d-in-2d", (1 / 128, 1 / 256)),
+            ("T14ii", "segment-1d-in-2d", (1 / 64, 1 / 128)),
+            ("T12", "segment-1d-in-2d", (1 / 64, 1 / 128)),
+            ("T24", "segment-1d-in-2d", (1 / 64, 1 / 128)),
+            ("T25", "segment-1d-in-2d", (1 / 64, 1 / 128)),
+            ("T26", "segment-1d-in-2d", (1 / 64, 1 / 128)),
+            ("T72", "segment-1d-in-2d", (1 / 64, 1 / 128)),
+            ("T715", "segment-1d-in-2d", (1 / 64, 1 / 128)),
+            ("T723", "segment-1d-in-2d", (1 / 64, 1 / 128)),
+            ("T723", "cantor-1d", (1 / 256, 1 / 512)),
+            ("decomposed", "solid-square", (1 / 32, 1 / 64)),
         ]
     )
 
@@ -45,12 +45,9 @@ class SweepConfig:
 def run(cfg: SweepConfig) -> list[dict]:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for theorem, set_name, levels, extra in cfg.jobs:
+    for theorem, set_name, levels in cfg.jobs:
         t0 = time.perf_counter()
-        rep = verify_equivalence(
-            theorem, set_name, cfg.family, levels,
-            p=cfg.p, seed=cfg.seed, **extra,
-        )
+        rep = verify_equivalence(theorem, set_name, cfg.family, levels, p=cfg.p, seed=cfg.seed)
         dt = time.perf_counter() - t0
         rep.save(cfg.out_dir / f"{theorem}_{set_name}.json")
         spreads = [s["spread"] for s in rep.ratio_stats.values() if s["spread"]]

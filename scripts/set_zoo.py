@@ -16,7 +16,9 @@ from sobtrace.canonical import (
     check_canonical,
     generate_canonical,
 )
+from sobtrace.cli import _parse_level
 from sobtrace.measures import measure_diagnostics
+from sobtrace.util import ConfigError
 
 
 def main(h: float, seed: int) -> None:
@@ -31,7 +33,7 @@ def main(h: float, seed: int) -> None:
         diag = measure_diagnostics(mu, seed=seed)
         try:
             ball = "yes" if S.ball_condition_estimate(seed=seed).satisfied else "no"
-        except Exception:
+        except ConfigError:
             ball = "-"
         verdict = "ok" if check_canonical(S, mu, name, seed=seed)["pass"] else "FAIL"
         print(
@@ -43,7 +45,7 @@ def main(h: float, seed: int) -> None:
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--h", type=float, default=1 / 128)
+    ap.add_argument("--h", type=_parse_level, default=1 / 128, help="resolution, e.g. 1/128")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     main(args.h, args.seed)

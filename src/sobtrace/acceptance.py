@@ -29,7 +29,6 @@ from .canonical import (
 from .canonical import test_function_family as function_family
 from .cubes import (
     GROWTH,
-    Cube,
     covering_multiplicity,
     packing_color_bound,
     partition_into_packings,
@@ -114,13 +113,11 @@ def _criterion_2(seed, out):
         m = int(rng.integers(10, 201))
         centers = rng.uniform(0, 1, (m, dim))
         radii = rng.uniform(0.005, 0.08, m)
-        cubes = [Cube(tuple(c), float(r)) for c, r in zip(centers, radii)]
-        mult = covering_multiplicity(cubes)
+        mult = covering_multiplicity(centers, radii)
         while mult > 6:
             radii = radii * 0.6
-            cubes = [Cube(tuple(c), float(r)) for c, r in zip(centers, radii)]
-            mult = covering_multiplicity(cubes)
-        colors = partition_into_packings(cubes)
+            mult = covering_multiplicity(centers, radii)
+        colors = partition_into_packings(centers, radii)
         bound = packing_color_bound(mult, dim)
         n_colors = len(np.unique(colors))
         if n_colors > bound:

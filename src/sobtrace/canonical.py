@@ -187,16 +187,12 @@ def comb_mass_law(x, r):
     return np.where(nx <= r, r * r, np.where(nx * nx <= r, nx * nx, r))
 
 
-def regularity_estimate(
-    S: ClosedSet, mu: DiscreteMeasure, n_centers: int = 60, seed: int = 0
-) -> float:
-    """Worst cube-volume to occupied-volume ratio over sampled cubes centered
-    in the set; near 1 on fat sets, unbounded on thin ones."""
+def regularity_estimate(S: ClosedSet, mu: DiscreteMeasure, seed: int = 0) -> float:
+    """Worst cube-volume to occupied-volume ratio over 60 sampled cubes
+    centered in the set; near 1 on fat sets, unbounded on thin ones."""
     rng = np.random.default_rng(seed)
     m = len(S.points)
-    idx = np.arange(m) if m <= n_centers else np.sort(
-        rng.choice(m, size=n_centers, replace=False)
-    )
+    idx = np.arange(m) if m <= 60 else np.sort(rng.choice(m, size=60, replace=False))
     extent = S.extent
     radii = [r for r in 2.0 ** -np.arange(1, 10) if 4 * S.h <= r <= extent / 2]
     worst = 0.0

@@ -104,16 +104,19 @@ def _seed(text: str) -> int:
 
 
 def _parse_level(token: str) -> float:
-    token = token.strip()
-    if "/" in token:
-        num, den = token.split("/", 1)
-        return float(num) / float(den)
-    return float(token)
+    """A resolution such as 0.25 or 1/64; a zero denominator or a non-finite
+    value raises ValueError."""
+    num, slash, den = token.strip().partition("/")
+    den = float(den) if slash else 1.0
+    if den == 0:
+        raise ValueError(f"zero denominator in {token!r}")
+    value = float(num) / den
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite resolution {token!r}")
+    return value
 
 
-def _parse_levels(text: str | None):
-    if not text:
-        return None
+def _parse_levels(text: str) -> list:
     return [_parse_level(tok) for tok in text.split(",") if tok.strip()]
 
 
@@ -191,13 +194,21 @@ def cmd_whitney(args) -> int:
         "report": report,
         "pass_count": int(per_cube_ok.sum()),
         "cube_count": len(W),
-        "cubes": [c.to_json() for c in W.cubes()],
+        "cubes": [
+            {"center": c, "radius": r} for c, r in zip(W.centers.tolist(), W.radii.tolist())
+        ],
     }
     _emit(payload, args.out, "whitney.json")
     return 0
 
 
 def cmd_extend(args) -> int:
+    if not args.p > 0:
+        raise ConfigError(f"extend needs p > 0, got {args.p}")
+    if args.delta is not None and not (np.isfinite(args.delta) and args.delta > 0):
+        raise ConfigError(f"extend needs a finite delta > 0, got {args.delta}")
+    if not np.isfinite(args.cbar):
+        raise ConfigError(f"extend needs a finite cbar, got {args.cbar}")
     S, _ = _load_set(args)
     vals = _load_values(args, S)
     W = whitney_decomposition(S)
@@ -281,7 +292,6 @@ def _functional_call(kind: str, cfg: dict, S, mu, vals):
             alpha=_param(cfg, "alpha", 1 / 15),
             pair_budget=_param(cfg, "pair_budget", 4000, int),
             seed=_param(cfg, "seed", 0, int),
-            details=True,
         )
     if kind == "besov-dset":
         return partial(dset_besov_norm, mu, vals, _param(cfg, "s"), p, _param(cfg, "d", 1.0))
@@ -369,7 +379,7 @@ def cmd_verify(args) -> int:
     family = _param(raw, "family", args.family or "restrictions-of-smooth", str)
     if not theorem or not set_name:
         raise ConfigError("verify needs a theorem id and a canonical set name")
-    levels = _parse_levels(args.h_levels) or _param(
+    levels = args.h_levels or _param(
         raw, "h_levels", None, lambda v: [float(h) for h in v]
     )
     report = verify_equivalence(theorem, set_name, family, levels, **cfg)
@@ -439,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--theorem", help="theorem id, e.g. T11")
     s.add_argument("--canonical", choices=CANONICAL_NAMES)
     s.add_argument("--family", help="test family name")
-    s.add_argument("--h-levels", help="comma list, e.g. 1/64,1/128")
+    s.add_argument("--h-levels", type=_parse_levels, help="comma list, e.g. 1/64,1/128")
     s.add_argument("--pair-budget", type=int, default=4000)
     s.set_defaults(func=cmd_verify)
 

@@ -1,9 +1,11 @@
 """Axis-parallel closed cubes in the uniform norm, and packing combinatorics.
 
 A cube is determined by its center and radius (half side length); its diameter
-in the max norm equals the side length 2r.  Families of cubes support exact
+in the max norm equals the side length 2r.  A family of cubes is a pair of
+arrays (centers (m, n), radii (m,)); families support exact
 covering-multiplicity computation and partitioning into packings (subfamilies
-with pairwise disjoint interiors).
+with pairwise disjoint interiors).  A single Cube is the witness the
+quasidistance scan returns and the argument of ClosedSet.is_porous.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ __all__ = [
     "covering_multiplicity",
     "packing_color_bound",
     "partition_into_packings",
-    "cubes_to_arrays",
     "conflict_masks",
 ]
 
 GROWTH = 9.0 / 8.0  # dilation factor used for Whitney support cubes
+_BACKTRACK_BUDGET = 400_000  # search nodes the exact coloring may visit
 
 
 @dataclass(frozen=True)
@@ -40,56 +42,12 @@ class Cube:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "radius", float(self.radius))
 
-    @property
-    def dim(self) -> int:
-        return len(self.center)
-
-    @property
-    def diam(self) -> float:
-        return 2.0 * self.radius
-
-    @property
-    def volume(self) -> float:
-        return self.diam ** self.dim
-
-    @property
-    def lo(self) -> np.ndarray:
-        return np.array(self.center) - self.radius
-
-    @property
-    def hi(self) -> np.ndarray:
-        return np.array(self.center) + self.radius
-
-    def dilate(self, factor: float) -> "Cube":
-        """Concentric dilation: factor * Q(c, r) = Q(c, factor * r)."""
-        return Cube(self.center, factor * self.radius)
-
-    def grown(self) -> "Cube":
-        """The 9/8-dilated support cube."""
-        return self.dilate(GROWTH)
-
-    def contains(self, x, tol: float = 0.0) -> bool:
-        x = np.asarray(x, float)
-        return bool(np.all(np.abs(x - np.array(self.center)) <= self.radius + tol))
-
-    def to_json(self) -> dict:
-        return {"center": list(self.center), "radius": self.radius}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Cube":
-        return Cube(tuple(obj["center"]), float(obj["radius"]))
-
-
-def cubes_to_arrays(cubes) -> tuple:
-    """(centers (m,n), radii (m,)) arrays for a cube family."""
-    centers = np.array([c.center for c in cubes], float)
-    radii = np.array([c.radius for c in cubes], float)
-    return centers, radii
-
 
 def interiors_disjoint(a: Cube, b: Cube) -> bool:
     """True when the open interiors do not meet (shared faces allowed)."""
-    return bool(np.any(np.minimum(a.hi, b.hi) <= np.maximum(a.lo, b.lo)))
+    ca, cb = np.array(a.center), np.array(b.center)
+    return bool(np.any(np.minimum(ca + a.radius, cb + b.radius)
+                       <= np.maximum(ca - a.radius, cb - b.radius)))
 
 
 def _interval_max_overlap(los: np.ndarray, his: np.ndarray) -> int:
@@ -116,11 +74,12 @@ def _multiplicity_rec(los: np.ndarray, his: np.ndarray, best: int) -> int:
     return best
 
 
-def covering_multiplicity(cubes) -> int:
-    """Exact maximum number of cubes covering a single point."""
-    if len(cubes) == 0:
+def covering_multiplicity(centers, radii) -> int:
+    """Exact maximum number of the cubes Q(centers[i], radii[i]) covering a
+    single point."""
+    centers, radii = np.asarray(centers, float), np.asarray(radii, float)
+    if len(radii) == 0:
         return 0
-    centers, radii = cubes_to_arrays(cubes)
     los = centers - radii[:, None]
     his = centers + radii[:, None]
     return _multiplicity_rec(los, his, 0)
@@ -193,7 +152,7 @@ def _dsatur(conflicts) -> np.ndarray:
     return labels
 
 
-def _backtrack_coloring(conflicts, target: int, budget: int = 400_000):
+def _backtrack_coloring(conflicts, target: int):
     """Search for a coloring with at most `target` colors; None if not found."""
     m = len(conflicts)
     order = sorted(range(m), key=lambda i: (-bin(conflicts[i]).count("1"), i))
@@ -204,7 +163,7 @@ def _backtrack_coloring(conflicts, target: int, budget: int = 400_000):
     def rec(pos: int) -> bool:
         nonlocal nodes
         nodes += 1
-        if nodes > budget:
+        if nodes > _BACKTRACK_BUDGET:
             return False
         if pos == m:
             return True
@@ -226,21 +185,19 @@ def _backtrack_coloring(conflicts, target: int, budget: int = 400_000):
     return None
 
 
-def partition_into_packings(cubes, target: int | None = None) -> np.ndarray:
-    """Color labels splitting the family into packings (disjoint interiors).
+def partition_into_packings(centers, radii) -> np.ndarray:
+    """Color labels splitting the family Q(centers[i], radii[i]) into
+    packings (disjoint interiors).
 
     Tries greedy first-fit in decreasing-diameter order, then in
     lexicographic sweep order, then DSATUR, and finally a bounded exact
     search against the multiplicity-based color bound.  Returns the best
     labeling found; every class is guaranteed internally disjoint.
     """
-    m = len(cubes)
-    if m == 0:
+    centers, radii = np.asarray(centers, float), np.asarray(radii, float)
+    if len(radii) == 0:
         return np.zeros(0, int)
-    dim = cubes[0].dim
-    if target is None:
-        target = packing_color_bound(covering_multiplicity(cubes), dim)
-    centers, radii = cubes_to_arrays(cubes)
+    target = packing_color_bound(covering_multiplicity(centers, radii), centers.shape[1])
     conflicts = conflict_masks(centers, radii)
 
     by_diam = np.lexsort(tuple(centers.T[::-1]) + (-radii,))

@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cubes import Cube
 from .oscillation import packing_functional_details
 from .sets import ClosedSet
 from .util import ConfigError, OutOfDomainError, chebyshev, read_json
@@ -86,8 +85,9 @@ class DiscreteMeasure:
             out[i] = self.weights[g].sum()
         return out
 
-    def restrict(self, cube: Cube) -> np.ndarray:
-        idx = self.tree.query_ball_point(np.array(cube.center), cube.radius, p=np.inf)
+    def restrict(self, center, radius: float) -> np.ndarray:
+        """Sorted indices of the atoms in the closed cube Q(center, radius)."""
+        idx = self.tree.query_ball_point(np.asarray(center, float), radius, p=np.inf)
         return np.sort(np.array(idx, int))
 
     def lp_norm(self, f_vals, p: float) -> float:
@@ -164,16 +164,13 @@ class MeasureDiagnostics:
 
 
 def measure_diagnostics(
-    mu: DiscreteMeasure,
-    n_centers: int = 40,
-    r_levels=None,
-    ks=(2, 4, 8),
-    seed: int = 0,
+    mu: DiscreteMeasure, n_centers: int = 40, seed: int = 0
 ) -> MeasureDiagnostics:
     """Empirical doubling / growth constants and a d-set power-law fit.
 
-    Centers are drawn from the support; radii default to a dyadic ladder in
-    [4h-ish, 1] where h is the smallest positive pairwise gap observed.
+    Centers are drawn from the support; radii form a dyadic ladder in
+    [4h-ish, 1] where h is the largest nearest-atom gap among the centers;
+    growth is read at the factors 2, 4 and 8.
     """
     if seed < 0:
         raise ConfigError(f"need seed >= 0, got {seed}")
@@ -183,19 +180,16 @@ def measure_diagnostics(
     centers = mu.points[pick]
     d, _ = mu.tree.query(centers, k=2, p=np.inf)
     gap = float(np.max(d[:, 1])) if m > 1 else 0.25
-    if r_levels is None:
-        # cap below the support extent so boundary clipping does not
-        # flatten the power-law fit
-        extent = float(np.max(mu.points.max(0) - mu.points.min(0)))
-        top = min(1.0, max(extent / 4, 8 * gap))
-        r_levels = []
-        r = top
-        while r >= 4 * gap and len(r_levels) < 10:
-            r_levels.append(r)
-            r *= 0.5
-        if not r_levels:
-            r_levels = [top, top / 2]
-    r_levels = np.asarray(sorted(r_levels))
+    # cap below the support extent so boundary clipping does not flatten
+    # the power-law fit
+    extent = float(np.max(mu.points.max(0) - mu.points.min(0)))
+    top = min(1.0, max(extent / 4, 8 * gap))
+    r_levels = []
+    r = top
+    while r >= 4 * gap and len(r_levels) < 10:
+        r_levels.append(r)
+        r *= 0.5
+    r_levels = np.asarray(sorted(r_levels or [top, top / 2]))
     doubling = 0.0
     dn = 0.0
     n = mu.dim
@@ -208,7 +202,7 @@ def measure_diagnostics(
         if 2 * r <= 1.0:
             grown = mu.ball_mass(centers, 2 * r)
             doubling = max(doubling, float(np.max(grown[ok] / base[ok])))
-        for k in ks:
+        for k in (2, 4, 8):
             if k * r <= 1.0:
                 grown = mu.ball_mass(centers, k * r)
                 dn = max(dn, float(np.max(grown[ok] / (k ** n * base[ok]))))
@@ -253,11 +247,11 @@ def measure_diagnostics(
 # -- local oscillations ------------------------------------------------
 
 
-def mu_oscillation(mu: DiscreteMeasure, f_vals, cube: Cube, q: float) -> float:
-    """L_q oscillation of f over a cube against the measure:
+def mu_oscillation(mu: DiscreteMeasure, f_vals, center, radius: float, q: float) -> float:
+    """L_q oscillation of f over the cube Q(center, radius) against the measure:
     ((1/mass^2) sum_{x,y in Q} w_x w_y |f(x)-f(y)|^q)^(1/q); q = inf is the
     plain oscillation. Mass-zero cubes return 0 (counted on the measure)."""
-    idx = mu.restrict(cube)
+    idx = mu.restrict(center, radius)
     w = mu.weights[idx]
     mass = w.sum()
     if mass <= 0:
@@ -271,17 +265,17 @@ def mu_oscillation(mu: DiscreteMeasure, f_vals, cube: Cube, q: float) -> float:
     return float((np.einsum("i,j,ij->", w, w, diff) / mass ** 2) ** (1.0 / q))
 
 
-def tilde_osc(mu: DiscreteMeasure, f_vals, cube: Cube, center_tol: float) -> float:
-    """Mean absolute deviation from the value at the cube center:
-    (1/mass) sum w |f - f(center)|, the center value read from the nearest
-    support point within center_tol."""
-    center = np.array(cube.center)
+def tilde_osc(mu: DiscreteMeasure, f_vals, center, radius: float, center_tol: float) -> float:
+    """Mean absolute deviation over the cube Q(center, radius) from the
+    value at its center: (1/mass) sum w |f - f(center)|, the center value
+    read from the nearest support point within center_tol."""
+    center = np.asarray(center, float)
     d, j = mu.tree.query(center, k=1, p=np.inf)
     if d > center_tol:
         raise OutOfDomainError(
-            f"cube center {cube.center} is {d:.3g} from the support, tol {center_tol:.3g}"
+            f"cube center {center} is {d:.3g} from the support, tol {center_tol:.3g}"
         )
-    idx = mu.restrict(cube)
+    idx = mu.restrict(center, radius)
     w = mu.weights[idx]
     mass = w.sum()
     if mass <= 0:
@@ -326,12 +320,12 @@ def ap_mu_options(
         centers = "set" if alpha is None else "boundary"
     f_vals = np.asarray(f_vals, float)
 
-    def score(cube: Cube, _idx) -> float:
+    def score(center, radius: float) -> float:
         if variant == "center":
-            val = tilde_osc(mu, f_vals, cube, S.h / 2)
+            val = tilde_osc(mu, f_vals, center, radius, S.h / 2)
         else:
-            val = mu_oscillation(mu, f_vals, cube, q)
-        return cube.diam ** S.dim * val ** p
+            val = mu_oscillation(mu, f_vals, center, radius, q)
+        return (2.0 * radius) ** S.dim * val ** p
 
     return {"centers": centers, "alpha": alpha, "strong": strong, "score_fn": score}
 
@@ -443,14 +437,15 @@ def quasidistance_pair_energy(
     alpha: float = 1 / 15,
     pair_budget: int = 4000,
     seed: int = 0,
-    details: bool = False,
-):
+) -> dict:
     """Double sum over pairs with quasidistance below eps of
     w_x w_y |f(x)-f(y)|^p * rho^(n-p) / mass(Q(x, rho))^2. Power form.
 
     Since rho >= ||x-y||, only pairs closer than eps are candidates. The
     per-pair clearance scans are costly, so above pair_budget the sum is a
-    stratified-by-distance estimate (scaled per stratum, exactness noted).
+    stratified-by-distance estimate (scaled per stratum).  Returns the sum
+    ("value"), whether it is exact, and the candidate, evaluated and
+    admitted pair counts.
     """
     if pair_budget < 0 or seed < 0:
         raise ConfigError(f"need pair_budget >= 0 and seed >= 0, got {pair_budget} and {seed}")
@@ -499,15 +494,13 @@ def quasidistance_pair_energy(
         if mass_j > 0:
             term += w[j] * w[i] * contrib / mass_j ** 2
         total += float(scale) * term
-    if details:
-        return {
-            "value": total,
-            "exact": exact,
-            "candidate_pairs": int(len(pairs)),
-            "evaluated_pairs": int(len(admitted)),
-            "admitted_pairs": int(admitted.sum()),
-        }
-    return total
+    return {
+        "value": total,
+        "exact": exact,
+        "candidate_pairs": int(len(pairs)),
+        "evaluated_pairs": int(len(admitted)),
+        "admitted_pairs": int(admitted.sum()),
+    }
 
 
 # -- Besov-scale functionals -------------------------------------------
@@ -540,19 +533,17 @@ def besov_trace_functional_jonsson(
     return base + acc ** (1.0 / q)
 
 
-def dset_besov_norm(
-    mu: DiscreteMeasure, f_vals, s: float, p: float, d: float, max_sep: float = 1.0
-) -> float:
+def dset_besov_norm(mu: DiscreteMeasure, f_vals, s: float, p: float, d: float) -> float:
     """Direct intrinsic Besov norm on a d-dimensional support:
     L_p(mu) norm plus the classical double sum with kernel
-    |f(x)-f(y)|^p / ||x-y||^(d + s p) over pairs closer than max_sep."""
+    |f(x)-f(y)|^p / ||x-y||^(d + s p) over pairs closer than 1."""
     _require_finite_p(p)
     f_vals = np.asarray(f_vals, float)
     pts, w = mu.points, mu.weights
     total = 0.0
     for i in range(len(pts)):
         dist = chebyshev(pts, pts[i])
-        sel = np.nonzero((dist > 0) & (dist < max_sep))[0]
+        sel = np.nonzero((dist > 0) & (dist < 1.0))[0]
         if len(sel) == 0:
             continue
         num = w[i] * w[sel] * np.abs(f_vals[i] - f_vals[sel]) ** p

@@ -364,7 +364,7 @@ def _estimate_t715(S, f, cfg, mu, sigma, W):
     )
     j2 = quasidistance_pair_energy(
         S, mu, f, cfg.eps, cfg.p,
-        alpha=cfg.alpha, pair_budget=cfg.pair_budget, seed=cfg.seed, details=True,
+        alpha=cfg.alpha, pair_budget=cfg.pair_budget, seed=cfg.seed,
     )
     notes = () if j2["exact"] else (
         f"quasidistance term sampled: {j2['evaluated_pairs']}/{j2['candidate_pairs']} pairs",

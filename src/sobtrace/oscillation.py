@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .cubes import Cube, conflict_masks
+from .cubes import conflict_masks
 from .grid import GridField
 from .sets import ClosedSet
 from .util import ConfigError, chebyshev, lex_order
@@ -196,8 +196,8 @@ def _packing_table(S: ClosedSet, f_vals, ts, p: float, *, centers: str = "set",
         if len(cand) == 0:
             table[tau] = (0.0, 0)
             continue
-        groups = center_set.tree.query_ball_point(cand, radius + 1e-12, p=np.inf)
         if score_fn is None:
+            groups = center_set.tree.query_ball_point(cand, radius + 1e-12, p=np.inf)
             scores = np.array(
                 [
                     tau ** S.dim * oscillation(score_vals[np.array(g, int)]) ** p
@@ -205,12 +205,7 @@ def _packing_table(S: ClosedSet, f_vals, ts, p: float, *, centers: str = "set",
                 ]
             )
         else:
-            scores = np.array(
-                [
-                    score_fn(Cube(tuple(c), radius), np.array(g, int))
-                    for c, g in zip(cand, groups)
-                ]
-            )
+            scores = np.array([score_fn(c, radius) for c in cand])
         result = solve_packing(
             PackingProblem(cand, np.full(len(cand), radius), scores), mode=mode
         )
@@ -225,11 +220,11 @@ def packing_functional_details(S: ClosedSet, f_vals, t: float, p: float, **optio
     Options: cubes are centered on the set's samples (centers "set", the
     default) or on its boundary samples ("boundary"); with alpha they must
     be alpha-porous (strongly so with strong=True); mode is the packing
-    solver's ("greedy" or "exact"). score_fn(cube, sample_indices) can
-    replace the default volume-scaled oscillation score |Q| * osc^p;
-    sample_indices index the center set's samples (the boundary samples for
-    boundary-centered packings, which also carry the default oscillation so
-    that boundary variants score osc over Q cap dS).
+    solver's ("greedy" or "exact"). score_fn(center, radius) can replace
+    the default volume-scaled oscillation score |Q| * osc^p, the oscillation
+    taken over the center set's samples in Q (the boundary samples for
+    boundary-centered packings, so that boundary variants score osc over
+    Q cap dS).
     """
     table = _packing_table(S, f_vals, [t], p, **options)
     per_tau = [(tau, *table[tau]) for tau in _default_taus(t)]

@@ -235,6 +235,32 @@ _FILE_CASES["function-file-not-a-list"] = (
 )
 
 
+@dataclasses.dataclass(frozen=True)
+class Flags:
+    """A run with command-line flags and no config file. argparse rejects a
+    bad flag value itself (exit 2 with a usage message); the command rejects
+    a bad combination (exit 2 with a config error)."""
+
+    argv: tuple
+    error: str = "config error:"
+
+
+_EXTEND = ("--canonical", "two-points", "--family", "linear")
+_FLAG_CASES = {
+    "extend-zero-p": ("extend", Flags(_EXTEND + ("--p", "0"))),
+    "extend-nan-p": ("extend", Flags(_EXTEND + ("--p", "nan"))),
+    "extend-nan-cbar": ("extend", Flags(_EXTEND + ("--cbar", "nan"))),
+    "extend-nan-delta": ("extend", Flags(_EXTEND + ("--delta", "nan"))),
+    "extend-zero-delta": ("extend", Flags(_EXTEND + ("--delta", "0"))),
+    "whitney-h-zero-denominator": (
+        "whitney", Flags(("--canonical", "two-points", "--h", "1/0"), "usage:")
+    ),
+    "verify-h-levels-zero-denominator": ("verify", Flags(
+        ("--theorem", "T11", "--canonical", "two-points", "--h-levels", "1/0"), "usage:"
+    )),
+}
+
+
 @pytest.mark.parametrize(
     "command, config",
     [
@@ -272,7 +298,7 @@ _FILE_CASES["function-file-not-a-list"] = (
                         "pair_budget": float("inf")}),
         ("functional", {"functional": "local-pair-energy", "t": "inf"}),
         ("functional", {"functional": "averaged-modulus", "t": "inf"}),
-    ] + list(_FILE_CASES.values()),
+    ] + list(_FILE_CASES.values()) + list(_FLAG_CASES.values()),
     ids=[
         "unknown-key", "p-as-string", "no-p", "bad-eps", "no-file", "not-json",
         "no-t", "bad-t", "bad-alpha", "functional-no-file", "bad-centers",
@@ -282,10 +308,15 @@ _FILE_CASES["function-file-not-a-list"] = (
         "verify-zero-p", "verify-zero-q", "verify-negative-pair-budget",
         "infinite-p-averaged-modulus", "infinite-p-besov-dset", "infinite-q-t26",
         "infinite-pair-budget", "infinite-t-local-pair-energy", "infinite-t-averaged-modulus",
-    ] + list(_FILE_CASES),
+    ] + list(_FILE_CASES) + list(_FLAG_CASES),
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     path = tmp_path / "cfg.json"
+    argv = [command, "--canonical", "two-points", "--family", "linear", "--config", str(path)]
+    error = "config error:"
+    if isinstance(config, Flags):
+        argv = ["--out", str(tmp_path / "out"), command, *config.argv]
+        error, config = config.error, None
     files = []
     if isinstance(config, InputFiles):
         for flag, text in config.files:
@@ -297,13 +328,13 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, config):
         config = config.config
     if config is not None:
         path.write_text(config if isinstance(config, str) else json.dumps(config))
-    code = main(
-        [command, "--canonical", "two-points", "--family", "linear", "--config", str(path)]
-        + files
-    )
+    try:
+        code = main(argv + files)
+    except SystemExit as exc:  # argparse rejecting a flag value
+        code = exc.code
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("config error:")
+    assert err.startswith(error)
     assert "Traceback" not in err
 
 

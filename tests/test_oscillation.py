@@ -179,9 +179,11 @@ class TestPackingFunctional:
     def test_custom_score_fn(self):
         S = thin_set(np.array([[0.0], [1.0]]), h=0.25)
         f = np.array([0.0, 1.0])
-        out = packing_functional_details(
-            S, f, t=2.0, p=2, score_fn=lambda cube, idx: float(len(idx))
-        )
+
+        def samples_held(center, radius):
+            return float(np.sum(np.abs(S.points - center).max(axis=1) <= radius))
+
+        out = packing_functional_details(S, f, t=2.0, p=2, score_fn=samples_held)
         assert out["value"] == pytest.approx(np.sqrt(2.0))  # one cube, two samples
 
     def test_porosity_filter_prunes(self):

@@ -16,7 +16,9 @@ from sobtrace.canonical import CANONICAL_NAMES, CanonicalSpec, generate_canonica
 from sobtrace.cubes import GROWTH, covering_multiplicity
 from sobtrace.grid import GridField
 from sobtrace.sets import solid_set, thin_set
+from sobtrace.util import lex_order
 from sobtrace.whitney import (
+    _FACE_TOL,
     collar_profile,
     extend_grid,
     extend_points,
@@ -96,7 +98,7 @@ def test_neighbor_diameters_comparable(fix, request):
 
 def test_grown_multiplicity_small(segment2d):
     S, W = segment2d
-    assert covering_multiplicity([c.grown() for c in W.cubes()]) <= 4 ** S.dim
+    assert covering_multiplicity(W.centers, GROWTH * W.radii) <= 4 ** S.dim
 
 
 def test_anchor_is_nearest_sample(two_points):
@@ -117,6 +119,69 @@ def test_locate_matches_brute_force(segment2d):
             assert k == -1
         else:
             assert k in hits
+
+
+def per_point_locator(W):
+    """The per-point locate the batched one replaced: per level, look up the
+    dyadic cells around x (both neighbours where x is within _FACE_TOL of a
+    face) in a cell -> cube map, keep the containing cubes, and return the
+    one with the lexicographically smallest center (-1 when none)."""
+    levels = []
+    for level in np.unique(W.levels):
+        side = W.root_side / 2 ** int(level)
+        sel = np.nonzero(W.levels == level)[0]
+        cells = np.rint((W.centers[sel] - W.root_lo) / side - 0.5).astype(int)
+        levels.append((side, {tuple(c): int(k) for c, k in zip(cells.tolist(), sel)}))
+
+    def locate(x):
+        hits = []
+        for side, cube_at in levels:
+            frac = (x - W.root_lo) / side
+            axes = []
+            for a in range(W.S.dim):
+                cand = {int(np.floor(frac[a]))}
+                if abs(frac[a] - round(frac[a])) < _FACE_TOL * max(1.0, abs(frac[a])):
+                    cand.update({int(round(frac[a])) - 1, int(round(frac[a]))})
+                axes.append(sorted(cand))
+            for combo in itertools.product(*axes):
+                k = cube_at.get(combo)
+                if k is not None and np.all(
+                    np.abs(x - W.centers[k]) <= W.radii[k] + _FACE_TOL * W.root_side
+                ):
+                    hits.append(k)
+        if not hits:
+            return -1
+        hits = np.array(sorted(set(hits)), int)
+        return int(hits[lex_order(W.centers[hits])[0]])
+
+    return locate
+
+
+@pytest.mark.parametrize("name", CANONICAL_NAMES)
+def test_batched_locate_matches_per_point_reference(name):
+    S, _ = generate_canonical(CanonicalSpec(name, 1 / 32))
+    W = whitney_decomposition(S)
+    reference = per_point_locator(W)
+    rng = np.random.default_rng(37)
+    probes = rng.uniform(S.bbox[:, 0], S.bbox[:, 1], size=(300, S.dim))
+    # cube corners sit on faces shared by up to 2^n cubes: the tie rule decides
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=S.dim)))
+    corners = np.unique(
+        (W.centers[:, None, :] + signs[None] * W.radii[:, None, None]).reshape(-1, S.dim), axis=0
+    )
+    for X in (probes, corners, W._grid().nodes()):
+        want = np.array([reference(x) for x in X])
+        assert np.array_equal(W.locate(X), want)
+    single = W.locate(corners[0])
+    assert isinstance(single, int) and single == reference(corners[0])
+    assert W.locate(np.zeros((0, S.dim))).shape == (0,)
+
+
+@pytest.mark.parametrize("name", CANONICAL_NAMES)
+def test_locate_agrees_with_projection_map(name):
+    S, _ = generate_canonical(CanonicalSpec(name, 1 / 32))
+    W = whitney_decomposition(S)
+    assert np.array_equal(W.locate(W._grid().nodes()), W.projection_map().ravel())
 
 
 def test_collar_profile_support_exact():
