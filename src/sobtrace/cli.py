@@ -5,7 +5,8 @@ extension on a grid), functional (evaluate one functional from a JSON
 config), tracenorm (trace-norm estimate with breakdown), verify
 (equivalence experiment), demo (acceptance suite / deterministic report
 pipeline).  Exit codes: 0 ok, 2 config error (non-finite function values
-included), 3 numerical failure (a non-finite result or a float overflow).
+and a measure whose support misses the set included), 3 numerical failure
+(a non-finite result or a float overflow).
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ from .oscillation import (
     sharp_maximal,
 )
 from .sets import ClosedSet
-from .util import ConfigError, NumericalFailure, check_finite, json_default, read_json
+from .util import (
+    ConfigError, NumericalFailure, OutOfDomainError, check_finite, json_default, read_json,
+)
 from .verify import boundary_measure, verify_equivalence, whitney_contract_report
 from .whitney import extend_grid, whitney_decomposition
 
@@ -464,7 +467,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    # OutOfDomainError: the --measure support misses points of the --set
+    except (ConfigError, OutOfDomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NumericalFailure, OverflowError) as exc:

@@ -4,9 +4,12 @@ A set is carried by finitely many sample points at resolution h.  Thin sets
 stand for lower-dimensional objects (each sample represents set points within
 h/2); solid sets carry an occupancy mask of h-cells whose centers are the
 samples.  Distances, porosity tests, the empty-core quasi-distance and the
-ball-condition estimate all reduce to nearest-sample queries, which a
-Chebyshev KD-tree answers exactly:  the uniform distance from a point to the
-cell around a sample is max(0, ||x - sample|| - h/2).
+ball-condition estimate all reduce to nearest-sample queries:  the uniform
+distance from a point to the cell around a sample is
+max(0, ||x - sample|| - h/2).  A Chebyshev KD-tree answers them exactly.  On
+a solid set whose samples sit one per cell center, most rows are answered
+instead by one lookup in the cell lattice (`ClosedSet.nearest_distance`),
+which returns the same float.
 
 The empty-cube searches (clearance, porosity, quasi-distance, empty
 subcubes) scan a capped h/2 lattice of each box and are batched: callers
@@ -56,6 +59,7 @@ class ClosedSet:
     _tree: cKDTree | None = field(default=None, repr=False)
     _boundary: "ClosedSet | None" = field(default=None, repr=False)
     _interior_mask: np.ndarray | None = field(default=None, repr=False)
+    _tables: tuple | None = field(default=None, repr=False)
     _ball_conditions: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -110,11 +114,71 @@ class ClosedSet:
     def nearest_distance(self, x, bound: float = np.inf) -> np.ndarray:
         """Uniform distance from each row of x to its nearest sample.  A row
         whose nearest sample is at distance >= bound reads inf; the others
-        are exact, equal to the unbounded query."""
-        d, _ = self.tree.query(
-            np.atleast_2d(np.asarray(x, float)), p=np.inf, distance_upper_bound=bound
-        )
+        are exact, equal to the unbounded query.
+
+        On a solid set whose samples sit one per cell center (`_cell_tables`)
+        a row first takes, per axis, the sampled column whose coordinate is
+        nearest to it (the nearer of the two that bracket it, or the outermost
+        one).  No sample is closer on any axis, so when the cell at those
+        columns holds a sample, that sample is a nearest one, and its
+        distance max_a |x_a - v_a| is the float the KD-tree returns (rounding
+        is monotone).  The other rows, and any batch with a non-finite row
+        (the KD-tree rejects it), go to the KD-tree.
+        """
+        x = np.atleast_2d(np.asarray(x, float))
+        tables = self._cell_tables()
+        if tables is None or x.shape[1:] != (self.dim,) or not np.isfinite(x).all():
+            return self.tree.query(x, p=np.inf, distance_upper_bound=bound)[0]
+        lowers, uppers, holds = tables
+        d = np.zeros(len(x))
+        cell = np.zeros(len(x), np.intp)
+        for a, (lower, upper) in enumerate(zip(lowers, uppers)):
+            xa = x[:, a]
+            j = upper.searchsorted(xa)  # lower[j] < xa <= upper[j]
+            below = xa - lower.take(j)
+            above = upper.take(j) - xa
+            cell *= holds.shape[a]
+            cell += j
+            cell += above < below
+            np.maximum(d, np.minimum(below, above, out=below), out=d)
+        d[d >= bound] = np.inf
+        miss = np.flatnonzero(~holds.ravel().take(cell))
+        if len(miss):
+            d[miss] = self.tree.query(x[miss], p=np.inf, distance_upper_bound=bound)[0]
         return d
+
+    def _cell_tables(self) -> tuple | None:
+        """The tables of nearest_distance's cell-lattice path, built once
+        per set; None unless this is a solid set whose samples all sit on
+        their columns' coordinates, strictly increasing with the column.
+
+        Per axis, with v the coordinates of the sampled columns in order,
+        lower = [-inf, v] and upper = [v, inf], so that column j - 1 lies
+        below a coordinate in (lower[j], upper[j]] and column j above it.
+        holds marks the cells that hold a sample, indexed by column + 1 on
+        every axis; it is read off the samples, since a loaded set may mark
+        a cell occupied that has none.
+        """
+        if self._tables is None:
+            self._tables = self._build_cell_tables() or ()
+        return self._tables or None
+
+    def _build_cell_tables(self) -> tuple | None:
+        if self.kind != "solid":
+            return None
+        cells = self._cell_index()
+        lowers, uppers, slots = [], [], []
+        for a in range(self.dim):
+            _, first, slot = np.unique(cells[:, a], return_index=True, return_inverse=True)
+            v = self.points[first, a]
+            if np.any(self.points[:, a] != v[slot]) or np.any(np.diff(v) <= 0):
+                return None
+            lowers.append(np.concatenate([[-np.inf], v]))
+            uppers.append(np.concatenate([v, [np.inf]]))
+            slots.append(slot + 1)
+        holds = np.zeros([len(v) for v in lowers], bool)
+        holds[tuple(slots)] = True
+        return lowers, uppers, holds
 
     def dist(self, x):
         """Uniform-norm distance from point(s) to the represented set."""

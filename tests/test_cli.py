@@ -230,6 +230,14 @@ _FILE_CASES["function-file-infinite-value"] = ("functional", InputFiles(
     {"functional": "local-pair-energy", "t": 0.5},
     (("--function", json.dumps([float("inf"), 1.0])),),
 ))
+# a measure shifted off its set: a cube center on the set is farther than
+# h/2 from the measure's support
+_SEGMENT, _ARC = generate_canonical(CanonicalSpec("segment-1d-in-2d", 1 / 32))
+_FILE_CASES["measure-file-off-the-set"] = ("functional", InputFiles(
+    {"functional": "ap-mu", "t": 0.25, "variant": "center", "alpha": 0.1},
+    (("--set", json.dumps(_SEGMENT.to_json())),
+     ("--measure", json.dumps({**_ARC.to_json(), "points": (_ARC.points + 0.05).tolist()}))),
+))
 _FILE_CASES["function-file-not-a-list"] = (
     "tracenorm", InputFiles(_T11, (("--function", json.dumps([[0.0], [1.0]])),))
 )

@@ -56,6 +56,89 @@ def test_bounded_nearest_distance_is_strict():
     assert S.nearest_distance(x, 0.5).tolist() == [0.25, 0.25, 0.25, np.inf]
 
 
+# -- the cell-lattice path of nearest_distance on solid sets ---------------
+#
+# Every answer must carry the bits of the KD-tree's, bounded or not.
+
+
+def _assert_same_bits(S, x, bounds):
+    for bound in bounds:
+        got = S.nearest_distance(x) if bound == np.inf else S.nearest_distance(x, bound)
+        want = S.tree.query(x, p=np.inf, distance_upper_bound=bound)[0]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _oracle_probes(S, seed=6):
+    """Random points in and around the bbox, h/2 scan-lattice nodes over the
+    samples' hull, points midway between neighbouring cell centers and at
+    cell corners, the samples themselves and, for solid sets, the centers of
+    unoccupied cells."""
+    rng = np.random.default_rng(seed)
+    h = S.h
+    lo, hi = S.bbox[:, 0], S.bbox[:, 1]
+    near_lo, near_hi = S.points.min(axis=0) - 2 * h, S.points.max(axis=0) + 2 * h
+    axes = [np.arange(l, u + h / 4, h / 2) for l, u in zip(near_lo, near_hi)]
+    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, S.dim)
+    probes = [
+        rng.uniform(lo - 0.5, hi + 0.5, (3000, S.dim)),
+        lattice,
+        S.points,
+        S.points + h / 2,
+        *(S.points + h / 2 * np.eye(S.dim)[a] for a in range(S.dim)),
+    ]
+    if S.kind == "solid":
+        empty = np.argwhere(~S.occupancy)
+        empty = empty[rng.choice(len(empty), min(len(empty), 3000), replace=False)]
+        probes.append(lo + (empty + 0.5) * h)
+    return np.vstack(probes)
+
+
+@pytest.mark.parametrize("h", [1 / 32, 1 / 64])
+@pytest.mark.parametrize("name", CANONICAL_NAMES)
+def test_nearest_distance_is_the_kd_answer_bitwise(name, h):
+    S = generate_canonical(CanonicalSpec(name, h))[0]
+    # the solid catalog sets take the lattice path, the thin ones cannot
+    assert (S._cell_tables() is not None) == (S.kind == "solid")
+    _assert_same_bits(S, _oracle_probes(S), (np.inf, h, 0.1, 2 * S.on_set_reach))
+
+
+def test_off_center_sample_falls_back_to_kd_tree():
+    obj = solid_set(square_mask(6), h=1 / 8, origin=(0.0, 0.0)).to_json()
+    obj["points"][7] = [obj["points"][7][0] + 1 / 32, obj["points"][7][1]]
+    S = ClosedSet.from_json(obj)
+    _assert_same_bits(S, _oracle_probes(S), (np.inf, S.h, 2 * S.on_set_reach))
+    assert S._cell_tables() is None
+
+
+def test_occupied_cell_without_sample_is_not_a_hit():
+    obj = solid_set(square_mask(6), h=1 / 8, origin=(0.0, 0.0)).to_json()
+    gone = obj["points"].pop(14)  # an interior sample; its cell stays occupied
+    S = ClosedSet.from_json(obj)
+    assert S._cell_tables() is not None
+    assert S.nearest_distance(np.array([gone]))[0] == S.h
+    _assert_same_bits(S, _oracle_probes(S), (np.inf, S.h, 2 * S.on_set_reach))
+
+
+@pytest.mark.parametrize("mask", [
+    np.ones((1, 1), bool), np.ones(1, bool), np.ones((1, 9), bool), np.ones((9, 1), bool),
+    np.ones((1, 1, 3), bool),
+], ids=["one-cell", "one-cell-1d", "row-strip", "column-strip", "3d-rod"])
+def test_single_column_axes(mask):
+    S = solid_set(mask, h=1 / 16, origin=np.full(mask.ndim, 0.25))
+    assert S._cell_tables() is not None
+    _assert_same_bits(S, _oracle_probes(S), (np.inf, S.h, 0.1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["solid-square", "segment-1d-in-2d"])
+def test_nearest_distance_rejects_non_finite_rows(name, bad):
+    S = _CATALOG[name]
+    x = np.array([[0.5, 0.5], [bad, 0.5]])
+    for bound in (np.inf, S.h):
+        with pytest.raises(ValueError):
+            S.nearest_distance(x, bound)
+
+
 def test_dist_solid_is_zero_inside_cells():
     S = solid_set(square_mask(8), h=1 / 8, origin=(0.0, 0.0))
     assert S.dist(np.array([0.5, 0.5])) == 0.0
