@@ -16,11 +16,14 @@ subcubes) scan a capped h/2 lattice of each box and are batched: callers
 pass many boxes at once, and boxes with the same lattice shape share one KD
 query.  A box's clearance is the distance at the lexicographically first
 lattice node within 1e-15 of the box's maximum, not the maximum itself;
-porosity verdicts near their threshold depend on this tie rule.  The
-empty-subcube search (the ball condition) needs only the maximum of
-min(dist, room) per box, so it bounds its KD queries at the cube radius
-and skips the nodes whose room cannot raise the maximum; the result is the
-all-node maximum exactly.
+porosity verdicts near their threshold depend on this tie rule.  Porosity
+keeps one bit per box, so it certifies first: a box corner is a lattice
+node, and a corner whose distance minus 1e-15 exceeds the threshold
+guarantees that the tie rule's clearance does too; only the boxes no corner
+certifies are scanned.  The empty-subcube search (the ball condition)
+needs only the maximum of min(dist, room) per box, so it bounds its KD
+queries at the cube radius and skips the nodes whose room cannot raise the
+maximum; the result is the all-node maximum exactly.
 """
 
 from __future__ import annotations
@@ -351,11 +354,27 @@ class ClosedSet:
         the (1-alpha)-shrunken box; strict clearance > alpha * r certifies
         the closed subcube misses the set.  With strong=True, every
         concentric dilation eta*cube down to the grid scale must pass the
-        same test; each rung scans only the cubes that passed so far.
+        same test; each rung tests only the cubes that passed so far.  The
+        radius must be finite and > 0 and the centers finite.
+
+        Each rung first reads the distance at the 2^dim corners of every
+        shrunken box, one batched query.  The corners are nodes of the box's
+        lattice (its first and last node per axis are lo and hi exactly), so
+        a corner with d - 1e-15 > alpha * r bounds the lattice maximum
+        M >= d, and the clearance the tie rule picks is at least
+        M - 1e-15 >= d - 1e-15 (rounding is monotone): the cube passes
+        without a scan.  The plain d > alpha * r would not do, as the tie
+        rule may pick a node up to 1e-15 below M.  Only the boxes no corner
+        certifies take the full `clearances` scan, with the same strict
+        test; the verdicts are those of scanning every box.
         """
         if not (0 < alpha <= 1):
             raise ConfigError(f"porosity parameter must be in (0, 1], got {alpha}")
+        if not (np.isfinite(radius) and radius > 0):
+            raise ConfigError(f"porosity needs a finite cube radius > 0, got {radius}")
         centers = np.asarray(centers, float).reshape(-1, self.dim)
+        if not np.isfinite(centers).all():
+            raise ConfigError("porosity needs finite cube centers")
         etas = [1.0]
         if strong:
             etas = []
@@ -363,13 +382,18 @@ class ClosedSet:
             while eta * radius >= self.h / 2 - 1e-15:
                 etas.append(eta)
                 eta *= 0.5
+        upper = np.array(list(itertools.product((False, True), repeat=self.dim)))
         ok = np.ones(len(centers), bool)
         for eta in etas:
             rows = np.nonzero(ok)[0]
             r = eta * radius
             slack = (1.0 - alpha) * r
-            clear, _ = self.clearances(centers[rows] - slack, centers[rows] + slack)
-            ok[rows] = clear > alpha * r
+            lo, hi = centers[rows] - slack, centers[rows] + slack
+            corners = np.where(upper, hi[:, None], lo[:, None]).reshape(-1, self.dim)
+            d = self.dist(corners).reshape(len(rows), len(upper))
+            scan = ~(d - 1e-15 > alpha * r).any(axis=1)
+            clear, _ = self.clearances(lo[scan], hi[scan])
+            ok[rows[scan]] = clear > alpha * r
         return ok
 
     def is_porous(self, cube: Cube, alpha: float, strong: bool = False) -> bool:

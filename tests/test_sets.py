@@ -5,6 +5,8 @@ random point clouds; porosity and quasi-distance are pinned on hand-built
 configurations with known answers.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -498,3 +500,101 @@ class TestBatchedScans:
         for i in range(len(lo)):
             want, want_at = _ref_max_clearance_in(S, lo[i], hi[i])
             assert clear[i] == want and np.array_equal(at[i], want_at)
+
+
+def _corner_dists(S, center, r, alpha):
+    """Set distances at the corners of the (1 - alpha)-shrunken box of the
+    cube Q(center, r)."""
+    slack = (1.0 - alpha) * r
+    c = np.asarray(center, float)
+    corners = [np.where(up, c + slack, c - slack) for up in itertools.product((0, 1), repeat=S.dim)]
+    return S.dist(np.array(corners))
+
+
+class TestPorosityCertificate:
+    """`porous` passes a cube at a corner of its shrunken box whose distance
+    clears alpha * r by more than the 1e-15 tie margin, and scans the rest;
+    every verdict must equal the per-cube reference."""
+
+    def test_corner_over_threshold_within_tie_margin(self):
+        # a corner lies one rounding above alpha * r, but the tie rule picks
+        # the lex-first corner, at exactly alpha * r: not porous
+        S = _CATALOG["segment-1d-in-2d"]
+        center, r, alpha = (1 / 32, 0.0), S.h / 3, 0.5
+        d = _corner_dists(S, center, r, alpha)
+        assert d.max() - 1e-15 <= alpha * r < d.max()
+        assert S.porous([center], r, alpha).tolist() == [False]
+        assert not _ref_is_porous(S, Cube(center, r), alpha)
+
+    def test_corner_exactly_at_tie_margin(self):
+        # the box [-r, 0] has two lattice nodes: the lo corner at exactly
+        # alpha * r from one sample, the hi corner at d from the other,
+        # with d - 1e-15 == alpha * r in float, so the tie rule picks lo
+        r, alpha = 1 / 128, 0.5
+        d = alpha * r + 1e-15
+        assert d > alpha * r and d - 1e-15 == alpha * r
+        S = thin_set([[-1.5 * r], [d]], h=1 / 32)
+        center = (-r / 2,)
+        assert _corner_dists(S, center, r, alpha).tolist() == [alpha * r, d]
+        assert S.porous([center], r, alpha).tolist() == [False]
+        assert not _ref_is_porous(S, Cube(center, r), alpha)
+
+    def test_hole_behind_set_corners_is_found_by_the_scan(self):
+        # samples sit at the four corners of the shrunken box, whose middle
+        # is empty: no corner certifies, the scan finds the hole
+        r, alpha = 1 / 4, 1 / 4
+        slack = (1 - alpha) * r
+        S = thin_set(list(itertools.product((-slack, slack), repeat=2)), h=1 / 32)
+        assert _corner_dists(S, (0.0, 0.0), r, alpha).tolist() == [0.0] * 4
+        scanned = []
+
+        def clearances(lo, hi):
+            scanned.append(len(lo))
+            return ClosedSet.clearances(S, lo, hi)
+
+        S.clearances = clearances
+        assert S.porous([[0.0, 0.0]], r, alpha).tolist() == [True]
+        assert _ref_is_porous(S, Cube((0.0, 0.0), r), alpha)
+        assert scanned == [1]
+
+    def test_strong_ladder_fails_below_a_certified_rung(self):
+        # the whole cube clears the small square at a corner; the rungs
+        # around radius 1/4 and below sit on or inside it
+        S = solid_set(square_mask(4), h=1 / 16, origin=(0.0, 0.0))
+        center, r, alpha = (1 / 8, 1 / 8), 1 / 2, 1 / 4
+        assert (_corner_dists(S, center, r, alpha) - 1e-15 > alpha * r).any()
+        assert S.porous([center], r, alpha).tolist() == [True]
+        assert S.porous([center], r, alpha, strong=True).tolist() == [False]
+        assert not _ref_is_porous(S, Cube(center, r), alpha, strong=True)
+
+    @pytest.mark.parametrize("strong", [False, True])
+    @pytest.mark.parametrize("alpha", [1 / 15, 1 / 4, 1 / 2])
+    def test_solid_set_rows(self, alpha, strong):
+        S = solid_set(square_mask(32), h=1 / 16, origin=(0.0, 0.0))
+        deep = [(1.0, 1.0), (0.75, 1.2), (1.3, 0.6)]
+        edge = [(1.0, 2.0), (0.0, 0.0), (2.1, 1.0)]
+        for radius in (S.h, 0.25):
+            got = S.porous(deep + edge, radius, alpha, strong=strong).tolist()
+            want = [_ref_is_porous(S, Cube(c, radius), alpha, strong) for c in deep + edge]
+            assert got == want
+            assert got[:3] == [False] * 3 and any(got[3:])
+
+
+@pytest.mark.parametrize(
+    "radius, center, strong",
+    [
+        pytest.param(-0.1, (0.5, 0.2), False, id="negative-radius"),
+        pytest.param(-0.1, (0.5, 0.2), True, id="negative-radius-strong"),
+        pytest.param(0.0, (0.5, 0.2), False, id="zero-radius"),
+        pytest.param(0.0, (0.5, 0.2), True, id="zero-radius-strong"),
+        pytest.param(np.nan, (0.5, 0.2), False, id="nan-radius"),
+        pytest.param(np.nan, (0.5, 0.2), True, id="nan-radius-strong"),
+        pytest.param(np.inf, (0.5, 0.2), False, id="inf-radius"),
+        pytest.param(0.1, (np.nan, 0.2), False, id="nan-center"),
+        pytest.param(0.1, (0.5, np.inf), True, id="inf-center-strong"),
+    ],
+)
+def test_porous_rejects_bad_cubes(radius, center, strong):
+    S = _CATALOG["segment-1d-in-2d"]
+    with pytest.raises(ConfigError):
+        S.porous([(0.3, -0.4), center], radius, 0.5, strong=strong)
