@@ -55,7 +55,7 @@ class CriterionResult:
 
 def _raw_bumps(W, X) -> np.ndarray:
     """Dense (points x cubes) matrix of raw bump values, the independent
-    route around pou_at."""
+    route around WhitneyDecomposition.bumps."""
     out = np.ones((len(X), len(W)))
     for a in range(W.S.dim):
         u = (X[:, a, None] - W.centers[None, :, a]) / W.radii[None, :]
@@ -182,9 +182,11 @@ def _criterion_4(seed, out):
             u = np.abs(pts[:, a, None] - W.centers[None, :, a]) / W.radii[None, :]
             if np.any((B > 0) & (u >= GROWTH * (1 + 1e-12))):
                 return False, f"{name}: a bump is positive outside its grown cube"
-        # spot-check the production path against the dense route
-        for k in rng.choice(len(pts), size=50, replace=False):
-            cand, phi = W.pou_at(pts[k])
+        # spot-check the production bump rows against the dense route
+        spot = rng.choice(len(pts), size=50, replace=False)
+        rows, _ = W.bumps(pts[spot])
+        for k, lo, hi in zip(spot, rows.indptr[:-1], rows.indptr[1:]):
+            cand, phi = rows.indices[lo:hi], rows.data[lo:hi] / rows.data[lo:hi].sum()
             dense = B[k] / total[k]
             if np.abs(dense[cand] - phi).max(initial=0.0) > 1e-12:
                 return False, f"{name}: pou_at disagrees with the dense bump route"

@@ -18,7 +18,6 @@ from .util import ConfigError, lex_order
 
 __all__ = [
     "Cube",
-    "interiors_disjoint",
     "covering_multiplicity",
     "packing_color_bound",
     "partition_into_packings",
@@ -41,13 +40,6 @@ class Cube:
             raise ConfigError(f"cube radius must be positive, got {self.radius}")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "radius", float(self.radius))
-
-
-def interiors_disjoint(a: Cube, b: Cube) -> bool:
-    """True when the open interiors do not meet (shared faces allowed)."""
-    ca, cb = np.array(a.center), np.array(b.center)
-    return bool(np.any(np.minimum(ca + a.radius, cb + b.radius)
-                       <= np.maximum(ca - a.radius, cb - b.radius)))
 
 
 def _interval_max_overlap(los: np.ndarray, his: np.ndarray) -> int:

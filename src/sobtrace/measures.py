@@ -48,7 +48,7 @@ class DiscreteMeasure:
     points: np.ndarray
     weights: np.ndarray
     name: str = ""
-    zero_mass_events: int = 0
+    zero_mass_events: int = field(default=0, init=False)  # mass-zero cubes scored so far
     _tree: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -84,11 +84,6 @@ class DiscreteMeasure:
         for i, g in enumerate(groups):
             out[i] = self.weights[g].sum()
         return out
-
-    def restrict(self, center, radius: float) -> np.ndarray:
-        """Sorted indices of the atoms in the closed cube Q(center, radius)."""
-        idx = self.tree.query_ball_point(np.asarray(center, float), radius, p=np.inf)
-        return np.sort(np.array(idx, int))
 
     def lp_norm(self, f_vals, p: float) -> float:
         f_vals = np.asarray(f_vals, float)
@@ -247,43 +242,54 @@ def measure_diagnostics(
 # -- local oscillations ------------------------------------------------
 
 
-def mu_oscillation(mu: DiscreteMeasure, f_vals, center, radius: float, q: float) -> float:
+def _per_cube(mu: DiscreteMeasure, centers, radius: float, score):
+    """score(k, idx, w, mass) of each cube Q(centers[k], radius): the sorted
+    indices of its atoms, their weights and its mass, from one ball query.
+    A mass-zero cube scores 0 and is counted on the measure. One center
+    gives a float, an (m, n) batch an array."""
+    rows = np.atleast_2d(centers)
+    out = np.zeros(len(rows))
+    for k, idx in enumerate(mu.tree.query_ball_point(rows, radius, p=np.inf)):
+        w = mu.weights[idx]
+        mass = w.sum()
+        if mass <= 0:
+            mu.zero_mass_events += 1
+        else:
+            out[k] = score(k, idx, w, mass)
+    return float(out[0]) if np.ndim(centers) == 1 else out
+
+
+def mu_oscillation(mu: DiscreteMeasure, f_vals, center, radius: float, q: float):
     """L_q oscillation of f over the cube Q(center, radius) against the measure:
     ((1/mass^2) sum_{x,y in Q} w_x w_y |f(x)-f(y)|^q)^(1/q); q = inf is the
-    plain oscillation. Mass-zero cubes return 0 (counted on the measure)."""
-    idx = mu.restrict(center, radius)
-    w = mu.weights[idx]
-    mass = w.sum()
-    if mass <= 0:
-        mu.zero_mass_events += 1
-        return 0.0
-    v = np.asarray(f_vals, float)[idx]
-    if np.isinf(q):
-        live = v[w > 0]
-        return float(live.max() - live.min()) if live.size else 0.0
-    diff = np.abs(v[:, None] - v[None, :]) ** q
-    return float((np.einsum("i,j,ij->", w, w, diff) / mass ** 2) ** (1.0 / q))
+    plain oscillation. Mass-zero cubes return 0 (counted on the measure).
+    center may be an (m, n) batch, giving an array."""
+    f_vals = np.asarray(f_vals, float)
+
+    def score(k, idx, w, mass):
+        v = f_vals[idx]
+        if np.isinf(q):
+            return np.ptp(v[w > 0])
+        diff = np.abs(v[:, None] - v[None, :]) ** q
+        return (np.einsum("i,j,ij->", w, w, diff) / mass ** 2) ** (1.0 / q)
+
+    return _per_cube(mu, np.asarray(center, float), radius, score)
 
 
-def tilde_osc(mu: DiscreteMeasure, f_vals, center, radius: float, center_tol: float) -> float:
+def tilde_osc(mu: DiscreteMeasure, f_vals, center, radius: float, center_tol: float):
     """Mean absolute deviation over the cube Q(center, radius) from the
     value at its center: (1/mass) sum w |f - f(center)|, the center value
-    read from the nearest support point within center_tol."""
-    center = np.asarray(center, float)
-    d, j = mu.tree.query(center, k=1, p=np.inf)
-    if d > center_tol:
-        raise OutOfDomainError(
-            f"cube center {center} is {d:.3g} from the support, tol {center_tol:.3g}"
-        )
-    idx = mu.restrict(center, radius)
-    w = mu.weights[idx]
-    mass = w.sum()
-    if mass <= 0:
-        mu.zero_mass_events += 1
-        return 0.0
-    v = np.asarray(f_vals, float)[idx]
-    f_center = float(np.asarray(f_vals, float)[j])
-    return float(np.sum(w * np.abs(v - f_center)) / mass)
+    read from the nearest support point within center_tol. center may be an
+    (m, n) batch, giving an array; every center is checked against
+    center_tol before any cube is scored."""
+    center, f_vals = np.asarray(center, float), np.asarray(f_vals, float)
+    d, j = mu.tree.query(np.atleast_2d(center), k=1, p=np.inf)
+    if np.any(d > center_tol):
+        k = np.argmax(d > center_tol)
+        raise OutOfDomainError(f"cube center {np.atleast_2d(center)[k]} is {d[k]:.3g} from "
+                               f"the support, tol {center_tol:.3g}")
+    return _per_cube(mu, center, radius,
+                     lambda k, idx, w, mass: np.sum(w * np.abs(f_vals[idx] - f_vals[j[k]])) / mass)
 
 
 def ap_mu_options(
@@ -300,7 +306,7 @@ def ap_mu_options(
 ) -> dict:
     """The packing options (centers, alpha, strong, score_fn) of the
     measure-scored packing functional, for packing_functional_details and
-    packing_profile alike.
+    packing_profile alike; score_fn scores a batch of cubes at once.
 
     variant "pair" scores each cube by |Q| * mu_oscillation^p; variant
     "center" uses the center-deviation score (and forces strong porosity).
@@ -320,12 +326,12 @@ def ap_mu_options(
         centers = "set" if alpha is None else "boundary"
     f_vals = np.asarray(f_vals, float)
 
-    def score(center, radius: float) -> float:
+    def score(centers, radius: float) -> list:
         if variant == "center":
-            val = tilde_osc(mu, f_vals, center, radius, S.h / 2)
+            vals = tilde_osc(mu, f_vals, centers, radius, S.h / 2)
         else:
-            val = mu_oscillation(mu, f_vals, center, radius, q)
-        return (2.0 * radius) ** S.dim * val ** p
+            vals = mu_oscillation(mu, f_vals, centers, radius, q)
+        return [(2.0 * radius) ** S.dim * v ** p for v in vals.tolist()]
 
     return {"centers": centers, "alpha": alpha, "strong": strong, "score_fn": score}
 

@@ -35,8 +35,8 @@ from .measures import (
 from .oscillation import (
     PackingProblem,
     _thin_candidates,
+    cube_oscillations,
     modulus_profile,
-    oscillation,
     packing_profile,
     sharp_maximal_field,
     solve_packing,
@@ -212,29 +212,22 @@ def lambda_packing(
     centers, radii, scores = [], [], []
     n = S.dim
     for tau in taus:
-        idx = _thin_candidates(S.points, tau)
-        cand = S.points[idx]
-        groups = S.tree.query_ball_point(cand, gamma * tau / 2 + 1e-12, p=np.inf)
-        for c, g in zip(cand, groups):
-            osc = oscillation(f_vals[np.array(g, int)])
-            if osc > 0:
-                centers.append(c)
-                radii.append(tau / 2)
-                # numpy power overflows to inf instead of raising, so huge
-                # inputs surface as NumericalFailure downstream
-                with np.errstate(over="ignore"):
-                    scores.append(np.float64(osc) ** p * tau ** (n - p))
-    if not centers:
-        value = 0.0
-        result = None
-    else:
-        problem = PackingProblem(
-            np.array(centers), np.array(radii), np.array(scores)
-        )
+        cand = S.points[_thin_candidates(S.points, tau)]
+        osc = cube_oscillations(S.tree, f_vals, cand, gamma * tau / 2 + 1e-12)
+        live = osc > 0
+        centers.append(cand[live])
+        radii.append(np.full(live.sum(), tau / 2))
+        # numpy power overflows to inf instead of raising, so huge inputs
+        # surface as NumericalFailure downstream; one scalar power per cube
+        with np.errstate(over="ignore"):
+            scores += [o ** p * tau ** (n - p) for o in osc[live]]
+    result = None
+    if scores:
+        problem = PackingProblem(np.concatenate(centers), np.concatenate(radii), np.array(scores))
         result = solve_packing(problem, mode=mode)
-        value = result.value ** (1.0 / p)
+    value = 0.0 if result is None else result.value ** (1.0 / p)
     if details:
-        return value, {"candidates": len(centers), "result": result, "taus": taus}
+        return value, {"candidates": len(scores), "result": result, "taus": taus}
     return value
 
 

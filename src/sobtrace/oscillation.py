@@ -10,8 +10,9 @@ greedy disjoint selection (exact branch-and-bound on small candidate sets).
 The estimators read it along a scale ladder through packing_profile, which
 packs each distinct trial diameter of the ladder once.
 Variants restrict centers to boundary samples, require the cubes to be
-porous, or replace the oscillation score by measure-based local deviations
-supplied as a callable.
+porous, or replace the score of cube_oscillations by a callable
+score_fn(centers, radius) -> scores, called once per trial diameter with all
+its candidate cubes (the measure-based local deviations of measures.py).
 
 The grid modulus of smoothness, omega_p(f, t), is the sup over lattice
 shifts shorter than t of the L_p difference norm. The Besov ladder reads it
@@ -32,7 +33,7 @@ from .sets import ClosedSet
 from .util import ConfigError, chebyshev, lex_order
 
 __all__ = [
-    "oscillation",
+    "cube_oscillations",
     "PackingProblem",
     "PackingResult",
     "solve_packing",
@@ -46,12 +47,16 @@ __all__ = [
 ]
 
 
-def oscillation(values) -> float:
-    """max - min over a value set; empty sets oscillate by 0."""
-    values = np.asarray(values, float)
-    if values.size == 0:
-        return 0.0
-    return float(values.max() - values.min())
+def cube_oscillations(tree, values, centers, reach) -> np.ndarray:
+    """max - min of values over the points of tree within uniform distance
+    reach of each of the centers, from one ball query; an empty cube reads 0."""
+    groups = tree.query_ball_point(centers, reach, p=np.inf)
+    sizes = np.fromiter(map(len, groups), int, len(groups))
+    vals = values[np.fromiter(itertools.chain.from_iterable(groups), int, int(sizes.sum()))]
+    starts = (np.cumsum(sizes) - sizes)[sizes > 0]
+    osc = np.zeros(len(groups))
+    osc[sizes > 0] = np.maximum.reduceat(vals, starts) - np.minimum.reduceat(vals, starts)
+    return osc
 
 
 # -- packing solver ----------------------------------------------------
@@ -184,6 +189,10 @@ def _packing_table(S: ClosedSet, f_vals, ts, p: float, *, centers: str = "set",
     else:
         _, parent = S.tree.query(center_set.points, k=1, p=np.inf)
         score_vals = f_vals[parent]
+    if score_fn is None:
+        def score_fn(cand, radius):
+            osc = cube_oscillations(center_set.tree, score_vals, cand, radius + 1e-12)
+            return [(2 * radius) ** S.dim * o ** p for o in osc.tolist()]
     table = {}
     for tau in (tau for t in ts for tau in _default_taus(t)):
         if tau in table:
@@ -196,16 +205,7 @@ def _packing_table(S: ClosedSet, f_vals, ts, p: float, *, centers: str = "set",
         if len(cand) == 0:
             table[tau] = (0.0, 0)
             continue
-        if score_fn is None:
-            groups = center_set.tree.query_ball_point(cand, radius + 1e-12, p=np.inf)
-            scores = np.array(
-                [
-                    tau ** S.dim * oscillation(score_vals[np.array(g, int)]) ** p
-                    for g in groups
-                ]
-            )
-        else:
-            scores = np.array([score_fn(c, radius) for c in cand])
+        scores = np.array(score_fn(cand, radius), float)
         result = solve_packing(
             PackingProblem(cand, np.full(len(cand), radius), scores), mode=mode
         )
@@ -220,11 +220,11 @@ def packing_functional_details(S: ClosedSet, f_vals, t: float, p: float, **optio
     Options: cubes are centered on the set's samples (centers "set", the
     default) or on its boundary samples ("boundary"); with alpha they must
     be alpha-porous (strongly so with strong=True); mode is the packing
-    solver's ("greedy" or "exact"). score_fn(center, radius) can replace
-    the default volume-scaled oscillation score |Q| * osc^p, the oscillation
-    taken over the center set's samples in Q (the boundary samples for
-    boundary-centered packings, so that boundary variants score osc over
-    Q cap dS).
+    solver's ("greedy" or "exact"). score_fn(centers, radius) -> scores,
+    called once per trial diameter with all its (m, n) candidate centers,
+    can replace the default score |Q| * osc^p, osc taken over the center
+    set's samples in Q (the boundary samples for boundary-centered packings,
+    so that boundary variants score osc over Q cap dS).
     """
     table = _packing_table(S, f_vals, [t], p, **options)
     per_tau = [(tau, *table[tau]) for tau in _default_taus(t)]

@@ -59,11 +59,11 @@ class ClosedSet:
     kind: str  # "thin" | "solid"
     occupancy: np.ndarray | None = None  # solid only, bool over bbox h-cells
     name: str = ""
-    _tree: cKDTree | None = field(default=None, repr=False)
-    _boundary: "ClosedSet | None" = field(default=None, repr=False)
-    _interior_mask: np.ndarray | None = field(default=None, repr=False)
-    _tables: tuple | None = field(default=None, repr=False)
-    _ball_conditions: dict = field(default_factory=dict, repr=False)
+    _tree: cKDTree | None = field(default=None, init=False, repr=False)
+    _boundary: "ClosedSet | None" = field(default=None, init=False, repr=False)
+    _interior_mask: np.ndarray | None = field(default=None, init=False, repr=False)
+    _tables: tuple | None = field(default=None, init=False, repr=False)
+    _ball_conditions: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, float))
@@ -352,9 +352,10 @@ class ClosedSet:
 
         The subcube must sit inside the cube, so its center is searched over
         the (1-alpha)-shrunken box; strict clearance > alpha * r certifies
-        the closed subcube misses the set.  With strong=True, every
-        concentric dilation eta*cube down to the grid scale must pass the
-        same test; each rung tests only the cubes that passed so far.  The
+        the closed subcube misses the set.  With strong=True, the cube and
+        every concentric dilation eta*cube, eta = 1/2, 1/4, ... down to the
+        grid scale, must pass the same test (so a strongly porous cube is
+        porous); each rung tests only the cubes that passed so far.  The
         radius must be finite and > 0 and the centers finite.
 
         Each rung first reads the distance at the 2^dim corners of every
@@ -376,12 +377,8 @@ class ClosedSet:
         if not np.isfinite(centers).all():
             raise ConfigError("porosity needs finite cube centers")
         etas = [1.0]
-        if strong:
-            etas = []
-            eta = 1.0
-            while eta * radius >= self.h / 2 - 1e-15:
-                etas.append(eta)
-                eta *= 0.5
+        while strong and etas[-1] / 2 * radius >= self.h / 2 - 1e-15:
+            etas.append(etas[-1] / 2)
         upper = np.array(list(itertools.product((False, True), repeat=self.dim)))
         ok = np.ones(len(centers), bool)
         for eta in etas:

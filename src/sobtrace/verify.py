@@ -55,18 +55,6 @@ class EquivalenceReport:
     runtime: float
     report_version: int = 1
 
-    def validate(self) -> bool:
-        """Stored summaries must reproduce exactly from the stored pairs."""
-        stats, deltas = _summarize(self.entries, self.h_levels)
-        return stats == self.ratio_stats and deltas == self.refinement_deltas
-
-    def ratios(self, h) -> dict:
-        return {
-            e["name"]: e["intrinsic"] / e["comparison"]
-            for e in self.entries
-            if e["h"] == h
-        }
-
     def divergence_flags(self, threshold: float = 0.08) -> dict:
         """Per function and per side: does the value grow like a power of 1/h?
 

@@ -95,10 +95,10 @@ class WhitneyDecomposition:
     levels: np.ndarray  # (m,)
     anchor_idx: np.ndarray  # (m,)
     n_dropped: int
-    _pou: tuple | None = field(default=None, repr=False)
-    _set_info: dict | None = field(default=None, repr=False)
-    _dist: np.ndarray | None = field(default=None, repr=False)
-    _cube_of: np.ndarray | None = field(default=None, repr=False)
+    _pou: tuple | None = field(default=None, init=False, repr=False)
+    _set_info: dict | None = field(default=None, init=False, repr=False)
+    _dist: np.ndarray | None = field(default=None, init=False, repr=False)
+    _cube_of: np.ndarray | None = field(default=None, init=False, repr=False)
 
     # -- bookkeeping ----------------------------------------------------
 

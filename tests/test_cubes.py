@@ -14,10 +14,17 @@ from hypothesis import strategies as st
 from sobtrace.cubes import (
     Cube,
     covering_multiplicity,
-    interiors_disjoint,
     packing_color_bound,
     partition_into_packings,
 )
+
+
+def interiors_disjoint(a: Cube, b: Cube) -> bool:
+    """True when the open interiors do not meet (shared faces allowed);
+    the packing oracle of these tests and of test_oscillation."""
+    ca, cb = np.array(a.center), np.array(b.center)
+    return bool(np.any(np.minimum(ca + a.radius, cb + b.radius)
+                       <= np.maximum(ca - a.radius, cb - b.radius)))
 
 
 def brute_multiplicity(centers, radii):

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sobtrace.canonical import CANONICAL_NAMES, CanonicalSpec, generate_canonical
+from sobtrace.canonical import test_function_family as function_family
 from sobtrace.grid import GridField
 from sobtrace.measures import (
     A_p_mu,
     _close_pairs,
     DiscreteMeasure,
+    ap_mu_options,
     arc_length_measure,
     averaged_modulus_w1,
     besov_trace_functional_jonsson,
@@ -25,6 +28,7 @@ from sobtrace.measures import (
 from sobtrace.oscillation import modulus_of_smoothness, packing_functional_details
 from sobtrace.sets import solid_set, thin_set
 from sobtrace.util import ConfigError, OutOfDomainError, chebyshev
+from test_oscillation import reference_packing_table
 
 
 def two_point_measure():
@@ -148,6 +152,153 @@ class TestTildeOsc:
         mu = two_point_measure()
         with pytest.raises(OutOfDomainError):
             tilde_osc(mu, [0.0, 1.0], (0.4,), 1.0, 0.05)
+
+
+def reference_restrict(mu, center, radius):
+    """Sorted indices of the atoms in the closed cube Q(center, radius), one
+    ball query per cube."""
+    idx = mu.tree.query_ball_point(np.asarray(center, float), radius, p=np.inf)
+    return np.sort(np.array(idx, int))
+
+
+def reference_mu_oscillation(mu, f_vals, center, radius, q):
+    """mu_oscillation of one cube, as it was before it took batches."""
+    idx = reference_restrict(mu, center, radius)
+    w = mu.weights[idx]
+    mass = w.sum()
+    if mass <= 0:
+        mu.zero_mass_events += 1
+        return 0.0
+    v = np.asarray(f_vals, float)[idx]
+    if np.isinf(q):
+        live = v[w > 0]
+        return float(live.max() - live.min()) if live.size else 0.0
+    diff = np.abs(v[:, None] - v[None, :]) ** q
+    return float((np.einsum("i,j,ij->", w, w, diff) / mass ** 2) ** (1.0 / q))
+
+
+def reference_tilde_osc(mu, f_vals, center, radius, center_tol):
+    """tilde_osc of one cube, as it was before it took batches."""
+    center = np.asarray(center, float)
+    d, j = mu.tree.query(center, k=1, p=np.inf)
+    if d > center_tol:
+        raise OutOfDomainError(
+            f"cube center {center} is {d:.3g} from the support, tol {center_tol:.3g}"
+        )
+    idx = reference_restrict(mu, center, radius)
+    w = mu.weights[idx]
+    mass = w.sum()
+    if mass <= 0:
+        mu.zero_mass_events += 1
+        return 0.0
+    v = np.asarray(f_vals, float)[idx]
+    f_center = float(np.asarray(f_vals, float)[j])
+    return float(np.sum(w * np.abs(v - f_center)) / mass)
+
+
+def reference_ap_mu_score(S, mu, f_vals, p, q, variant):
+    """The per-cube score_fn(center, radius) of ap_mu_options."""
+    def score(center, radius):
+        if variant == "center":
+            val = reference_tilde_osc(mu, f_vals, center, radius, S.h / 2)
+        else:
+            val = reference_mu_oscillation(mu, f_vals, center, radius, q)
+        return (2.0 * radius) ** S.dim * val ** p
+    return score
+
+
+_CATALOG = {
+    name: generate_canonical(CanonicalSpec(name, 1 / 32)) for name in CANONICAL_NAMES
+}
+
+
+def _holed(mu, seed=3):
+    """mu with about a third of its atoms at weight 0, so that some cubes
+    hold atoms but no mass."""
+    rng = np.random.default_rng(seed)
+    return DiscreteMeasure(mu.points, np.where(rng.random(len(mu.points)) < 0.35, 0.0, mu.weights))
+
+
+def _zero_mass_delta(mu, fn):
+    before = mu.zero_mass_events
+    out = fn()
+    return out, mu.zero_mass_events - before
+
+
+class TestBatchedCubeScores:
+    """mu_oscillation and tilde_osc over a batch of cubes, one ball query,
+    against the one-cube references: the same floats and the same count of
+    mass-zero cubes."""
+
+    @pytest.mark.parametrize("name", CANONICAL_NAMES)
+    @pytest.mark.parametrize("q", [1, 2, 3.0, np.inf])
+    def test_mu_oscillation_matches_per_cube(self, name, q):
+        S, base = _CATALOG[name]
+        f = function_family("restrictions-of-smooth", S)[5].values
+        # set and boundary samples, and three cubes far from the support
+        centers = np.concatenate([S.points[::len(S.points) // 100 + 1], S.boundary().points,
+                                  np.full((3, S.dim), 9.0)])
+        for mu in (base, _holed(base)):
+            for radius in (S.h / 4, S.h, 0.1, 0.3):
+                want, n_want = _zero_mass_delta(
+                    mu, lambda: [reference_mu_oscillation(mu, f, c, radius, q) for c in centers])
+                got, n_got = _zero_mass_delta(mu, lambda: mu_oscillation(mu, f, centers, radius, q))
+                assert got.tolist() == want
+                assert n_got == n_want >= 3
+                one = mu_oscillation(mu, f, centers[1], radius, q)
+                assert type(one) is float and one == want[1]
+
+    @pytest.mark.parametrize("name", CANONICAL_NAMES)
+    def test_tilde_osc_matches_per_cube(self, name):
+        S, base = _CATALOG[name]
+        f = function_family("restrictions-of-smooth", S)[5].values
+        centers = np.concatenate([S.points[::len(S.points) // 100 + 1], S.boundary().points])
+        zero_mass = 0
+        for mu in (base, _holed(base)):
+            for radius in (S.h / 4, S.h, 0.1, 0.3):
+                want, n_want = _zero_mass_delta(
+                    mu, lambda: [reference_tilde_osc(mu, f, c, radius, S.h / 2) for c in centers])
+                got, n_got = _zero_mass_delta(mu, lambda: tilde_osc(mu, f, centers, radius, S.h / 2))
+                assert got.tolist() == want
+                assert n_got == n_want
+                zero_mass += n_got
+                one = tilde_osc(mu, f, centers[1], radius, S.h / 2)
+                assert type(one) is float and one == want[1]
+        assert zero_mass > 0  # the holed measure has mass-zero cubes
+
+    def test_tilde_osc_checks_every_center_first(self):
+        S, base = _CATALOG["segment-1d-in-2d"]
+        mu = DiscreteMeasure(base.points, np.zeros(len(base.points)))
+        f = function_family("restrictions-of-smooth", S)[5].values
+        centers = mu.points[:6].copy()
+        centers[2] += 0.3
+        centers[4] += 0.5
+        with pytest.raises(OutOfDomainError) as want:
+            reference_tilde_osc(mu, f, centers[2], 0.1, S.h / 2)
+        with pytest.raises(OutOfDomainError) as got:
+            tilde_osc(mu, f, centers, 0.1, S.h / 2)
+        # the third center is named, and no cube was scored before the check
+        assert str(got.value) == str(want.value)
+        assert mu.zero_mass_events == 0
+
+    @pytest.mark.parametrize("name", CANONICAL_NAMES)
+    def test_ap_mu_packings_match_per_candidate_loop(self, name):
+        S, mu = _CATALOG[name]
+        f = function_family("restrictions-of-smooth", S)[5].values
+        p = 3.0
+        for kw in (dict(q=2.0), dict(q=3.0, alpha=1 / 15),
+                   dict(q=2.0, alpha=0.1, variant="center"), dict(q=np.inf)):
+            opts = ap_mu_options(S, mu, f, p, **kw)
+            ref = dict(opts, score_fn=reference_ap_mu_score(S, mu, f, p, kw["q"],
+                                                            kw.get("variant", "pair")))
+            for t in (0.25, 4 * S.h):
+                taus = (t, t / 2, t / 4, t / 8)
+                table, n_want = _zero_mass_delta(
+                    mu, lambda: reference_packing_table(S, f, [t], p, **ref))
+                got, n_got = _zero_mass_delta(
+                    mu, lambda: packing_functional_details(S, f, t, p, **opts)["per_tau"])
+                assert got == [(tau, *table[tau]) for tau in taus]
+                assert n_got == n_want
 
 
 class TestAPMu:

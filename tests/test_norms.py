@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from sobtrace.canonical import CANONICAL_NAMES, CanonicalSpec, generate_canonical
+from sobtrace.canonical import test_function_family as function_family
 from sobtrace.grid import GridField
 from sobtrace.measures import (
     arc_length_measure,
@@ -10,6 +12,7 @@ from sobtrace.measures import (
     counting_measure,
     dset_besov_norm,
 )
+from sobtrace import norms
 from sobtrace.norms import (
     THEOREM_IDS,
     THEOREMS,
@@ -20,8 +23,10 @@ from sobtrace.norms import (
     lambda_packing,
     trace_estimate,
 )
+from sobtrace.oscillation import PackingProblem, _thin_candidates, solve_packing
 from sobtrace.sets import solid_set, thin_set
-from sobtrace.util import ConfigError
+from sobtrace.util import ConfigError, dyadic_ladder
+from test_oscillation import reference_oscillation
 
 
 def segment2d(m=33):
@@ -274,6 +279,53 @@ class TestTraceEstimate:
     def test_report_invariant(self):
         with pytest.raises(ConfigError):
             NormReport(5.0, {"a": 1.0, "b": 2.0}, 0.1)
+
+
+def reference_lambda_packing(S, f_vals, p, gamma, max_diam=None):
+    """lambda_packing's per-candidate loop, one oscillation per ball group:
+    (value, candidate count, problem, result)."""
+    f_vals = np.asarray(f_vals, float)
+    span = S.extent or 1.0
+    top = span if max_diam is None else min(max_diam, 2 * span)
+    centers, radii, scores = [], [], []
+    for tau in dyadic_ladder(max(2 * S.h, top / 512), top):
+        cand = S.points[_thin_candidates(S.points, tau)]
+        groups = S.tree.query_ball_point(cand, gamma * tau / 2 + 1e-12, p=np.inf)
+        for c, g in zip(cand, groups):
+            osc = reference_oscillation(f_vals[np.array(g, int)])
+            if osc > 0:
+                centers.append(c)
+                radii.append(tau / 2)
+                with np.errstate(over="ignore"):
+                    scores.append(np.float64(osc) ** p * tau ** (S.dim - p))
+    if not centers:
+        return 0.0, 0, None, None
+    problem = PackingProblem(np.array(centers), np.array(radii), np.array(scores))
+    result = solve_packing(problem)
+    return result.value ** (1.0 / p), len(centers), problem, result
+
+
+@pytest.mark.parametrize("name", CANONICAL_NAMES)
+def test_lambda_packing_matches_per_candidate_loop(name, monkeypatch):
+    S, _ = generate_canonical(CanonicalSpec(name, 1 / 32))
+    fam = function_family("restrictions-of-smooth", S)
+    problems = []
+    monkeypatch.setattr(norms, "solve_packing",
+                        lambda problem, mode: problems.append(problem) or solve_packing(problem, mode))
+    for f, gamma, max_diam in ((fam[0].values, 11.0, None), (fam[5].values, 21.0, None),
+                               (fam[5].values, 11.0, 0.25), (np.ones(len(S.points)), 11.0, None)):
+        problems.clear()
+        value, info = lambda_packing(S, f, 3.0, gamma, max_diam=max_diam, details=True)
+        want, count, problem, result = reference_lambda_packing(S, f, 3.0, gamma, max_diam)
+        assert value == want and info["candidates"] == count
+        if result is None:
+            assert info["result"] is None and not problems
+            continue
+        chosen = info["result"].chosen
+        assert np.array_equal(chosen, result.chosen) and info["result"].value == result.value
+        assert np.array_equal(problems[0].centers[chosen], problem.centers[chosen])
+        assert np.array_equal(problems[0].radii[chosen], problem.radii[chosen])
+        assert np.array_equal(problems[0].scores, problem.scores)
 
 
 class TestLambdaPacking:

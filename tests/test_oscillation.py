@@ -7,7 +7,7 @@ from scipy import ndimage
 
 from sobtrace.canonical import CANONICAL_NAMES, CanonicalSpec, generate_canonical
 from sobtrace.canonical import test_function_family as function_family
-from sobtrace.cubes import Cube, interiors_disjoint
+from sobtrace.cubes import Cube
 from sobtrace.grid import GridField
 from sobtrace.norms import grid_besov_norm
 from sobtrace.measures import ap_mu_options
@@ -16,6 +16,7 @@ from sobtrace.oscillation import (
     _greedy_order,
     _solve_greedy,
     _thin_candidates,
+    cube_oscillations,
     grid_packing_functional,
     modulus_of_smoothness,
     modulus_profile,
@@ -27,6 +28,7 @@ from sobtrace.oscillation import (
 )
 from sobtrace.sets import solid_set, thin_set
 from sobtrace.util import ConfigError, dyadic_ladder, lex_order
+from test_cubes import interiors_disjoint
 
 
 def brute_force_packing(problem):
@@ -180,8 +182,9 @@ class TestPackingFunctional:
         S = thin_set(np.array([[0.0], [1.0]]), h=0.25)
         f = np.array([0.0, 1.0])
 
-        def samples_held(center, radius):
-            return float(np.sum(np.abs(S.points - center).max(axis=1) <= radius))
+        def samples_held(centers, radius):
+            # one call per trial diameter, one score per candidate cube
+            return [float(np.sum(np.abs(S.points - c).max(axis=1) <= radius)) for c in centers]
 
         out = packing_functional_details(S, f, t=2.0, p=2, score_fn=samples_held)
         assert out["value"] == pytest.approx(np.sqrt(2.0))  # one cube, two samples
@@ -230,6 +233,79 @@ def test_profile_matches_per_scale_loop(name):
         for ts in ladders:
             want = [packing_functional_details(S, f, t, p, **opts)["value"] for t in ts]
             assert packing_profile(S, f, ts, p, **opts).tolist() == want
+
+
+def reference_oscillation(values) -> float:
+    """max - min over a value set; empty sets oscillate by 0. The per-cube
+    oscillation that cube_oscillations batches."""
+    values = np.asarray(values, float)
+    if values.size == 0:
+        return 0.0
+    return float(values.max() - values.min())
+
+
+def reference_packing_table(S, f_vals, ts, p, *, centers="set", alpha=None, strong=False,
+                            mode="greedy", score_fn=None):
+    """_packing_table as it scored one candidate at a time: the default
+    score takes one oscillation per ball group, and score_fn(center, radius)
+    is called once per candidate cube."""
+    f_vals = np.asarray(f_vals, float)
+    center_set = S if centers == "set" else S.boundary()
+    if center_set is S:
+        score_vals = f_vals
+    else:
+        _, parent = S.tree.query(center_set.points, k=1, p=np.inf)
+        score_vals = f_vals[parent]
+    table = {}
+    for tau in (tau for t in ts for tau in (t, t / 2, t / 4, t / 8)):
+        if tau in table:
+            continue
+        cand = center_set.points[_thin_candidates(center_set.points, tau)]
+        radius = tau / 2.0
+        if alpha is not None:
+            cand = cand[S.porous(cand, radius, alpha, strong=strong)]
+        if len(cand) == 0:
+            table[tau] = (0.0, 0)
+            continue
+        if score_fn is None:
+            groups = center_set.tree.query_ball_point(cand, radius + 1e-12, p=np.inf)
+            scores = np.array(
+                [tau ** S.dim * reference_oscillation(score_vals[np.array(g, int)]) ** p
+                 for g in groups]
+            )
+        else:
+            scores = np.array([score_fn(c, radius) for c in cand])
+        result = solve_packing(PackingProblem(cand, np.full(len(cand), radius), scores), mode=mode)
+        table[tau] = (result.value, len(result.chosen))
+    return table
+
+
+@pytest.mark.parametrize("name", CANONICAL_NAMES)
+def test_cube_oscillations_match_per_group(name):
+    S, _ = generate_canonical(CanonicalSpec(name, 1 / 32))
+    f = function_family("restrictions-of-smooth", S)[5].values
+    rng = np.random.default_rng(4)
+    # sample points, points nudged off the set, and three cubes far from it
+    nudged = S.points + rng.choice([-0.3, 0.0, 0.7], size=S.points.shape) * S.h
+    centers = np.concatenate([S.points, nudged, np.full((3, S.dim), 9.0)])
+    for reach in (S.h / 4, S.h / 2 + 1e-12, S.h, 0.1, 0.5):
+        got = cube_oscillations(S.tree, f, centers, reach)
+        groups = S.tree.query_ball_point(centers, reach, p=np.inf)
+        assert got.tolist() == [reference_oscillation(f[np.array(g, int)]) for g in groups]
+        assert got[-3:].tolist() == [0.0] * 3
+    assert cube_oscillations(S.tree, f, np.zeros((0, S.dim)), 0.1).shape == (0,)
+
+
+@pytest.mark.parametrize("name", CANONICAL_NAMES)
+def test_packing_table_matches_per_candidate_loop(name):
+    S, _ = generate_canonical(CanonicalSpec(name, 1 / 32))
+    for member in (0, 5):
+        f = function_family("restrictions-of-smooth", S)[member].values
+        for opts in ({}, {"centers": "boundary", "alpha": 1 / 15}):
+            for t in (0.5, 0.25, 4 * S.h):
+                table = reference_packing_table(S, f, [t], 3.0, **opts)
+                got = packing_functional_details(S, f, t, 3.0, **opts)["per_tau"]
+                assert got == [(tau, *table[tau]) for tau in (t, t / 2, t / 4, t / 8)]
 
 
 def reference_thin_candidates(points, tau):

@@ -358,7 +358,10 @@ def _ref_max_clearance_in(S, lo, hi):
 
 def _ref_is_porous(S, cube, alpha, strong=False):
     if strong:
-        eta = 1.0
+        # the cube itself, then each halving down to the grid scale
+        if not _ref_is_porous(S, cube, alpha):
+            return False
+        eta = 0.5
         while eta * cube.radius >= S.h / 2 - 1e-15:
             if not _ref_is_porous(S, Cube(cube.center, eta * cube.radius), alpha):
                 return False
@@ -573,11 +576,23 @@ class TestPorosityCertificate:
         S = solid_set(square_mask(32), h=1 / 16, origin=(0.0, 0.0))
         deep = [(1.0, 1.0), (0.75, 1.2), (1.3, 0.6)]
         edge = [(1.0, 2.0), (0.0, 0.0), (2.1, 1.0)]
-        for radius in (S.h, 0.25):
+        # a cube below the grid scale has no halvings but is still tested
+        for radius in (S.h / 4, S.h, 0.25):
             got = S.porous(deep + edge, radius, alpha, strong=strong).tolist()
             want = [_ref_is_porous(S, Cube(c, radius), alpha, strong) for c in deep + edge]
             assert got == want
             assert got[:3] == [False] * 3 and any(got[3:])
+
+
+@pytest.mark.parametrize("name", CANONICAL_NAMES)
+def test_strong_porosity_implies_porosity(name):
+    # below h/2 the ladder has no halvings, but the cube itself is tested
+    S = _CATALOG[name]
+    c = _probe_centers(S, 24)
+    for radius in (S.h / 4, S.h / 3, 1 / 12):
+        for alpha in (1 / 15, 1 / 4, 1 / 2):
+            plain = S.porous(c, radius, alpha)
+            assert not np.any(S.porous(c, radius, alpha, strong=True) & ~plain)
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ and coverage outside a 2h collar are asserted directly on small hand-built
 sets where the structure is fully checkable.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -15,6 +16,7 @@ from scipy.spatial import cKDTree
 from sobtrace.canonical import CANONICAL_NAMES, CanonicalSpec, generate_canonical
 from sobtrace.cubes import GROWTH, covering_multiplicity
 from sobtrace.grid import GridField
+from sobtrace.measures import counting_measure
 from sobtrace.sets import solid_set, thin_set
 from sobtrace.util import lex_order
 from sobtrace.whitney import (
@@ -44,6 +46,23 @@ def segment2d():
 def solid_square():
     S = solid_set(np.ones((16, 16), bool), h=1 / 16, origin=(0.0, 0.0))
     return S, whitney_decomposition(S)
+
+
+@pytest.mark.parametrize("cache", [
+    "_tree", "_boundary", "_interior_mask", "_tables", "_ball_conditions",
+    "W._pou", "W._set_info", "W._dist", "W._cube_of", "mu.zero_mass_events",
+])
+def test_caches_are_not_constructor_arguments(cache, solid_square):
+    # each is built or counted by the object itself; only public fields
+    # are passed in
+    S, W = solid_square
+    owner, _, name = cache.rpartition(".")
+    obj = {"": S, "W": W, "mu": counting_measure(S)}[owner]
+    kwargs = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+              if f.init and f.name != name}
+    type(obj)(**kwargs)
+    with pytest.raises(TypeError):
+        type(obj)(**kwargs, **{name: getattr(obj, name)})
 
 
 def brute_containing(W, x):
