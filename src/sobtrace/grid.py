@@ -102,4 +102,6 @@ class GridField:
             box, h = np.array(header["box"], float), float(header["h"])
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot read grid {path}: {exc}") from None
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError(f"grid {path} holds a non-finite value")
         return GridField(box, h, vals)

@@ -16,7 +16,14 @@ its candidate cubes (the measure-based local deviations of measures.py).
 
 The grid modulus of smoothness, omega_p(f, t), is the sup over lattice
 shifts shorter than t of the L_p difference norm. The Besov ladder reads it
-through modulus_profile, which differences each shift of the ladder once.
+through modulus_profile, which differences each shift of the ladder at most
+once, and only the shifts that could hold the sup: a shift s moves the field
+by at most sum_a |s_a| L_a (L_a the largest one-node step along axis a), so
+its norm is bounded by that times (pairs(s) cell)^(1/p), and shifts are
+differenced in decreasing bound order until the bound, widened by a slack
+that covers every rounding of the norm, falls below the running maximum.
+The moduli keep their bits; a field with a non-finite node, or p outside
+the range where the slack is derived, is walked in full.
 """
 
 from __future__ import annotations
@@ -169,17 +176,21 @@ def _default_taus(t: float) -> list:
     return [t, t / 2, t / 4, t / 8]
 
 
+def _check_packing_args(p: float, ts):
+    if not 0 < p < np.inf:
+        raise ConfigError(f"packing functional needs finite p > 0, got {p}")
+    for t in ts:
+        if not 0 < t < np.inf:
+            raise ConfigError(f"packing functional needs finite t > 0, got {t}")
+
+
 def _packing_table(S: ClosedSet, f_vals, ts, p: float, *, centers: str = "set",
                    alpha: float | None = None, strong: bool = False,
                    mode: str = "greedy", score_fn=None) -> dict:
     """{tau: (power sum, cubes chosen)} for every distinct trial diameter of
     the scales ts, each packed once, in the order the scales first reach it;
     the options are those of packing_functional_details."""
-    if p <= 0 or np.isinf(p):
-        raise ConfigError("packing functional needs finite p > 0")
-    for t in ts:
-        if not t > 0:
-            raise ConfigError(f"packing functional needs t > 0, got {t}")
+    _check_packing_args(p, ts)
     if centers not in ("set", "boundary"):
         raise ConfigError(f"unknown packing centers {centers!r}")
     f_vals = np.asarray(f_vals, float)
@@ -282,8 +293,7 @@ def grid_packing_functional(
     admission. The survivors' scores are read once per chunk, as Python
     floats, and summed in admission order.
     """
-    if p <= 0 or np.isinf(p):
-        raise ConfigError("packing functional needs finite p > 0")
+    _check_packing_args(p, [t])
     taus = _default_taus(t) if taus is None else list(taus)
     shape = F.values.shape
     best, best_tau, per_tau = 0.0, None, []
@@ -413,6 +423,13 @@ def sharp_maximal_field(S: ClosedSet, f_vals) -> GridField:
 
 
 _MAX_SHIFTS_PER_AXIS = 33
+# error allowances of the shift certificate (see modulus_profile): the unit
+# roundoff of one float operation, a relative allowance for one float power
+# (2^13 units in the last place; libm's pow and numpy's power loops stay
+# within a few), and the floor above which no certified quantity underflows
+_UNIT = 2.0 ** -53
+_POW_EPS = 2.0 ** -40
+_TINY = 2.0 ** -1000
 
 
 def _shift_norm(vals: np.ndarray, shift: tuple, p: float, cell: float,
@@ -436,10 +453,86 @@ def _shift_norm(vals: np.ndarray, shift: tuple, p: float, cell: float,
     return float((np.sum(diff) * cell) ** (1.0 / p))
 
 
+def _certificate(vals: np.ndarray, p: float, buf: np.ndarray):
+    """(steps, slack) of the shift certificate: the largest one-node
+    difference along each axis (the sup norm of its unit shift, 0 on an
+    axis of one node), and the factor that covers the rounding of
+    _shift_norm; None where the certificate does not hold (a non-finite
+    step, p above 2^16, or a slack above 1 + 2^-19)."""
+    units = np.eye(vals.ndim, dtype=int).tolist()
+    steps = np.array([_shift_norm(vals, unit, np.inf, 1.0, buf) for unit in units])
+    x = (3 * vals.size * _UNIT + 4 * _POW_EPS) / p + (2 * vals.ndim + 8) * _POW_EPS
+    if not np.all(np.isfinite(steps)) or 2.0 ** 16 < p < np.inf or x > 2.0 ** -20:
+        return None
+    return steps, 1 + 2 * x
+
+
+def _shift_bounds(shifts: np.ndarray, shape: tuple, p: float, cell: float,
+                  certificate) -> np.ndarray:
+    """B(s) * slack for each shift (rows of shifts), where B(s) = (sum_a
+    |s_a| L_a) (pairs(s) cell)^(1/p) bounds its L_p difference norm, formed
+    as ((sum_a |s_a| L_a)^p pairs(s) cell)^(1/p). B = 0 for a shift without
+    node pairs; inf where an intermediate leaves [_TINY, inf), and for
+    every shift when there is no certificate."""
+    if certificate is None:
+        return np.full(len(shifts), np.inf)
+    steps, slack = certificate
+    reach = np.abs(shifts)
+    pairs = np.prod(np.maximum(np.array(shape) - reach, 0), axis=1)
+    step_sum = (reach * steps).sum(axis=1)
+    if np.isinf(p):
+        bound = step_sum
+    else:
+        with np.errstate(over="ignore", under="ignore"):
+            power = step_sum ** p
+            energy = power * pairs * cell
+            bound = energy ** (1.0 / p)
+        certified = (step_sum == 0) | (
+            (power >= _TINY) & (energy >= _TINY) & (energy < np.inf) & (bound >= _TINY)
+        )
+        bound = np.where(certified, bound, np.inf)
+    with np.errstate(over="ignore"):
+        return np.where(pairs > 0, bound * slack, 0.0)
+
+
 def modulus_profile(F: GridField, ts, p: float) -> np.ndarray:
-    """modulus_of_smoothness at every scale of ts, each scale walking its
-    shifts in the same order. A shift that several scales walk (on a dyadic
-    ladder many shifts of one scale recur at the next) is differenced once."""
+    """modulus_of_smoothness at every scale of ts. A shift that several
+    scales walk (on a dyadic ladder many shifts of one scale recur at the
+    next) is differenced once, and a shift that cannot be the maximum is
+    not differenced at all.
+
+    The certificate. In a box grid the path from a node x to x + s through
+    single-node steps stays on the grid, so every node pair of a shift s
+    differs by at most K(s) = sum_a |s_a| L_a, where L_a is the largest
+    one-node difference along axis a, and ||Delta_s f||_p <= B(s) = K(s)
+    (pairs(s) cell)^(1/p), pairs(s) = prod_a max(0, n_a - |s_a|) (p = inf:
+    B = K). Each scale sets its running maximum from the shifts already
+    differenced, then differences the others in decreasing order of B and
+    stops at the first with B * slack below the maximum. A maximum of
+    floats is exact and does not depend on the order it is taken in (a NaN
+    norm never wins it), so the moduli keep their bits.
+
+    The slack covers the rounding of both sides. With u = 2^-53, eps =
+    2^-40 for a float power, n nodes and dimension d: the steps and K lose
+    at most a factor (1 - u)^-(2d+1) (sums and integer multiples of
+    non-negative floats round relatively, also below the normal range);
+    each |a - b| a factor (1 + u); its p-th power (1 + eps); a sum of at
+    most n terms (1 + 2nu) whatever its order; the cell product (1 + u).
+    Requiring K^p, (K^p pairs) cell and B to be at least 2^-1000 (else B =
+    inf) makes every underflow of a term, of the product or of the root at
+    most 2^-73 of the bound. Through the 1/p-th root the relative errors of
+    the sum and the powers grow by 1/p, while the p-fold K and |a - b|
+    factors shrink back to their own size, so
+
+        ||Delta_s f||_p (computed) <= B (computed) * exp(x),
+        x = (3nu + 4 eps)/p + (2d + 8) eps,
+
+    and slack = 1 + 2x covers exp(x) and the rounding of B * slack. Where
+    the argument cannot be made every shift is differenced, as without the
+    certificate: a non-finite step (a NaN or infinite node), p above 2^16,
+    or x above 2^-20 (p below about 2^-15 on a 257^2 grid); a single shift
+    whose bound overflows or underflows is always differenced.
+    """
     if not p > 0:
         raise ConfigError(f"modulus of smoothness needs p > 0, got {p}")
     for t in ts:
@@ -448,6 +541,7 @@ def modulus_profile(F: GridField, ts, p: float) -> np.ndarray:
     h, vals = F.h, F.values
     cell = h ** F.dim
     buf = np.empty(vals.size)
+    certificate = _certificate(vals, p, buf)
     shift_norms: dict = {}
     out = np.zeros(len(ts))
     for j, t in enumerate(ts):
@@ -457,13 +551,23 @@ def modulus_profile(F: GridField, ts, p: float) -> np.ndarray:
         stride = max(1, int(np.ceil((2 * k_max + 1) / _MAX_SHIFTS_PER_AXIS)))
         axis_vals = sorted(set(range(-k_max, k_max + 1, stride)) | {-k_max, 0, k_max})
         best = 0.0
+        fresh = []
         for shift in itertools.product(axis_vals, repeat=F.dim):
             # skip the zero shift and mirror shifts (first nonzero entry < 0)
             if next((s for s in shift if s), 0) <= 0:
                 continue
             norm = shift_norms.get(shift)
             if norm is None:
-                norm = shift_norms[shift] = _shift_norm(vals, shift, p, cell, buf)
+                fresh.append(shift)
+            else:
+                best = max(best, norm)
+        bounds = _shift_bounds(np.array(fresh, int).reshape(-1, F.dim), vals.shape,
+                               p, cell, certificate)
+        for i in np.argsort(-bounds, kind="stable").tolist():
+            if bounds[i] < best:
+                break
+            shift = fresh[i]
+            norm = shift_norms[shift] = _shift_norm(vals, shift, p, cell, buf)
             best = max(best, norm)
         out[j] = best
     return out
@@ -475,6 +579,7 @@ def modulus_of_smoothness(F: GridField, t: float, p: float) -> float:
 
     Shifts are thinned to _MAX_SHIFTS_PER_AXIS per axis at coarse t (extreme
     shifts kept); opposite shifts cover the same pairs, so only half are
-    walked.
+    walked, and of those only the ones whose bound (see modulus_profile)
+    could reach the maximum are differenced.
     """
     return float(modulus_profile(F, [t], p)[0])

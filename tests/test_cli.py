@@ -244,6 +244,33 @@ _FILE_CASES["function-file-not-a-list"] = (
 
 
 @dataclasses.dataclass(frozen=True)
+class GridFile:
+    """A valid config whose "field" is a 33^2 grid saved in the test's
+    directory in `fmt`, with `value` at one node."""
+
+    config: dict
+    value: float
+    fmt: str
+
+    def save(self, path) -> str:
+        values = np.linspace(0.0, 1.0, 33 * 33).reshape(33, 33)
+        values[16, 16] = self.value
+        GridField(np.array([[0.0, 1.0], [0.0, 1.0]]), 1 / 32, values).save(path, self.fmt)
+        return str(path)
+
+
+# unchecked, a NaN node would read as modulus 0.0: max(0.0, nan) is 0.0
+_GRID_CASES = {
+    f"{functional}-grid-{fmt}-{name}": ("functional", GridFile(
+        {"functional": functional, "t": 0.25}, value, fmt
+    ))
+    for functional in ("modulus", "grid-packing")
+    for fmt in ("binary", "csv")
+    for name, value in (("nan", float("nan")), ("inf", float("inf")))
+}
+
+
+@dataclasses.dataclass(frozen=True)
 class Flags:
     """A run with command-line flags and no config file. argparse rejects a
     bad flag value itself (exit 2 with a usage message); the command rejects
@@ -306,7 +333,7 @@ _FLAG_CASES = {
                         "pair_budget": float("inf")}),
         ("functional", {"functional": "local-pair-energy", "t": "inf"}),
         ("functional", {"functional": "averaged-modulus", "t": "inf"}),
-    ] + list(_FILE_CASES.values()) + list(_FLAG_CASES.values()),
+    ] + list(_FILE_CASES.values()) + list(_GRID_CASES.values()) + list(_FLAG_CASES.values()),
     ids=[
         "unknown-key", "p-as-string", "no-p", "bad-eps", "no-file", "not-json",
         "no-t", "bad-t", "bad-alpha", "functional-no-file", "bad-centers",
@@ -316,7 +343,7 @@ _FLAG_CASES = {
         "verify-zero-p", "verify-zero-q", "verify-negative-pair-budget",
         "infinite-p-averaged-modulus", "infinite-p-besov-dset", "infinite-q-t26",
         "infinite-pair-budget", "infinite-t-local-pair-energy", "infinite-t-averaged-modulus",
-    ] + list(_FILE_CASES) + list(_FLAG_CASES),
+    ] + list(_FILE_CASES) + list(_GRID_CASES) + list(_FLAG_CASES),
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     path = tmp_path / "cfg.json"
@@ -334,6 +361,8 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, config):
             elif text is not None:
                 (tmp_path / flag[2:]).write_text(text)
         config = config.config
+    if isinstance(config, GridFile):
+        config = {**config.config, "field": config.save(tmp_path / "grid")}
     if config is not None:
         path.write_text(config if isinstance(config, str) else json.dumps(config))
     try:

@@ -1,5 +1,7 @@
 """Oscillation, packing solver, packing functionals, sharp maximal."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from sobtrace.cubes import Cube
 from sobtrace.grid import GridField
 from sobtrace.norms import grid_besov_norm
 from sobtrace.measures import ap_mu_options
+from sobtrace import oscillation
 from sobtrace.oscillation import (
     PackingProblem,
     _greedy_order,
@@ -209,6 +212,34 @@ class TestPackingFunctional:
         S = thin_set(np.array([[0.0], [1.0]]), h=0.25)
         with pytest.raises(ConfigError):
             packing_functional_details(S, [0.0, 1.0], t=1.0, p=np.inf)
+
+    @pytest.mark.parametrize("p", [0, -1.0, np.nan, np.inf, -np.inf])
+    def test_rejects_bad_p(self, p):
+        S = thin_set(np.linspace(0, 1, 9)[:, None], h=1 / 8)
+        f = S.points[:, 0]
+        F = GridField(np.array([[0.0, 1.0]]), 1 / 8, f)
+        with pytest.raises(ConfigError):
+            packing_profile(S, f, [0.25, 0.5], p)
+        with pytest.raises(ConfigError):
+            packing_profile(S, f, [], p)
+        with pytest.raises(ConfigError):
+            packing_functional_details(S, f, 0.5, p)
+        with pytest.raises(ConfigError):
+            grid_packing_functional(F, 0.5, p)
+
+    @pytest.mark.parametrize("t", [0.0, -0.25, np.inf, -np.inf, np.nan])
+    def test_rejects_bad_t(self, t):
+        S = thin_set(np.linspace(0, 1, 9)[:, None], h=1 / 8)
+        f = S.points[:, 0]
+        F = GridField(np.array([[0.0, 1.0]]), 1 / 8, f)
+        with pytest.raises(ConfigError):
+            packing_profile(S, f, [0.25, t, 0.5], 2.0)
+        with pytest.raises(ConfigError):
+            packing_functional_details(S, f, t, 2.0)
+        with pytest.raises(ConfigError):
+            grid_packing_functional(F, t, 2.0)
+        with pytest.raises(ConfigError):
+            grid_packing_functional(F, t, 2.0, taus=[0.25])
 
 
 @pytest.mark.parametrize("name", CANONICAL_NAMES)
@@ -622,6 +653,44 @@ _MODULUS_FIELDS = {
     ),
 }
 _MODULUS_PS = [1, 2, 2.5, 3.0, np.inf]
+_SMOOTH_FIELDS = {
+    "linear": lambda x: x @ np.arange(1.0, x.shape[1] + 1),
+    "cos": lambda x: np.cos(x @ np.arange(1.0, x.shape[1] + 1)),
+    "quadratic": lambda x: np.sum(x ** 2, axis=1) - x[:, 0],
+}
+
+
+def _smooth_field(name, dim):
+    """A smooth field on the unit cube: 129, 65^2 or 17^3 nodes."""
+    h = {1: 1 / 128, 2: 1 / 64, 3: 1 / 16}[dim]
+    box = np.array([[0.0, 1.0]] * dim)
+    return GridField.from_function(box, h, _SMOOTH_FIELDS[name])
+
+
+def _walked_shifts(F, ts) -> set:
+    """The distinct shifts a ladder walks: per scale the thinned lattice,
+    mirror shifts skipped."""
+    shifts = set()
+    for t in ts:
+        k = int(np.ceil(t / F.h)) - 1
+        stride = max(1, int(np.ceil((2 * k + 1) / 33)))
+        axis = sorted(set(range(-k, k + 1, stride)) | {-k, 0, k}) if k >= 1 else []
+        shifts |= {s for s in itertools.product(axis, repeat=F.dim)
+                   if next((x for x in s if x), 0) > 0}
+    return shifts
+
+
+def _count_shift_norms(monkeypatch) -> list:
+    """Record the shifts modulus_profile differences."""
+    differenced = []
+    shift_norm = oscillation._shift_norm
+
+    def counting(vals, shift, *args):
+        differenced.append(shift)
+        return shift_norm(vals, shift, *args)
+
+    monkeypatch.setattr(oscillation, "_shift_norm", counting)
+    return differenced
 
 
 class TestModulusProfile:
@@ -670,6 +739,49 @@ class TestModulusProfile:
         )
         _, info = grid_besov_norm(G, 0.5, 2.0, 2.0, details=True)
         assert np.all(np.isfinite(info["gs"])) and info["gs"][-1] > 0
+
+    @pytest.mark.parametrize("name", sorted(_SMOOTH_FIELDS))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("p", _MODULUS_PS + [0.5])
+    def test_certified_profile_matches_reference(self, name, dim, p, monkeypatch):
+        # smooth fields, where the bound rules out most shifts
+        F = _smooth_field(name, dim)
+        ts = dyadic_ladder(2 * F.h, 0.5)
+        differenced = _count_shift_norms(monkeypatch)
+        want = [reference_modulus_of_smoothness(F, t, p) for t in ts]
+        assert modulus_profile(F, ts, p).tolist() == want
+        if dim > 1 or name == "linear":
+            # in 1-D the bound of a curved field rules out only shifts under
+            # half the largest, which the smaller scales differenced already
+            assert 0 < len(differenced) < len(_walked_shifts(F, ts))
+
+    @pytest.mark.parametrize("kind", ["nan", "inf", "huge"])
+    def test_certificate_falls_back_on_non_finite(self, kind):
+        F = _smooth_field("cos", 2)
+        if kind == "huge":
+            # (|s| L)^3 pairs cell overflows, and so does every difference
+            # norm: each modulus is inf
+            F.values *= 1e120
+        else:
+            F.values[10, 20] = float(kind)
+        ts = dyadic_ladder(2 * F.h, 0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = [reference_modulus_of_smoothness(F, t, 3.0) for t in ts]
+            got = modulus_profile(F, ts, 3.0).tolist()
+        assert got == want
+        if kind != "nan":
+            assert got == [np.inf] * len(ts)
+
+    def test_linear_profile_differences_few_shifts(self, monkeypatch):
+        # the 257^2 linear field of the grid-fields benchmark: 1,782 shifts
+        # to walk
+        F = GridField.from_function(_UNIT_SQUARE, 1 / 256, lambda x: x @ [1.0, 2.0])
+        differenced = _count_shift_norms(monkeypatch)
+        ts = dyadic_ladder(2 * F.h, 0.5)
+        gs = modulus_profile(F, ts, 3.0)
+        assert np.all(gs > 0)
+        assert len(_walked_shifts(F, ts)) > 1700
+        assert len(differenced) < 50
 
     @pytest.mark.parametrize("p", [0, -1.0, np.nan, -np.inf])
     def test_rejects_bad_p(self, p):
