@@ -140,7 +140,7 @@ def _criterion_3(seed, out):
         S, _ = generate_canonical(CanonicalSpec(name, 1 / 64))
         W = whitney_decomposition(S)
         pts = S.points
-        span = S.extent or 1.0
+        span = S.span
         probes = _off_set_points(S, 40, rng, 0.0)
         m = len(pts)
         for _ in range(20):
@@ -189,9 +189,9 @@ def _criterion_4(seed, out):
             cand, phi = rows.indices[lo:hi], rows.data[lo:hi] / rows.data[lo:hi].sum()
             dense = B[k] / total[k]
             if np.abs(dense[cand] - phi).max(initial=0.0) > 1e-12:
-                return False, f"{name}: pou_at disagrees with the dense bump route"
+                return False, f"{name}: a W.bumps row disagrees with the dense bump route"
             if abs(dense.sum() - phi.sum()) > 1e-12:
-                return False, f"{name}: pou_at misses a positive bump"
+                return False, f"{name}: a W.bumps row misses a positive bump"
         eta = S.h * 1e-3
         grads = np.zeros_like(B)
         for a in range(S.dim):

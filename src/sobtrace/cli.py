@@ -37,7 +37,7 @@ from .measures import (
     measure_diagnostics,
     quasidistance_pair_energy,
 )
-from .norms import THEOREMS, TraceEstimateConfig, grid_sobolev_norms, trace_estimate
+from .norms import TraceEstimateConfig, grid_sobolev_norms, trace_estimate
 from .oscillation import (
     grid_packing_functional,
     modulus_of_smoothness,
@@ -48,7 +48,7 @@ from .sets import ClosedSet
 from .util import (
     ConfigError, NumericalFailure, OutOfDomainError, check_finite, json_default, read_json,
 )
-from .verify import boundary_measure, verify_equivalence, whitney_contract_report
+from .verify import verify_equivalence, whitney_contract_report
 from .whitney import extend_grid, whitney_decomposition
 
 
@@ -215,7 +215,7 @@ def cmd_extend(args) -> int:
     S, _ = _load_set(args)
     vals = _load_values(args, S)
     W = whitney_decomposition(S)
-    delta = args.delta if args.delta is not None else max(S.extent, S.h)
+    delta = args.delta if args.delta is not None else S.span
     F = extend_grid(W, vals, delta, args.cbar)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -267,7 +267,6 @@ def _functional_call(kind: str, cfg: dict, S, mu, vals):
             centers=cfg.get("centers", "set"),
             alpha=_param(cfg, "alpha", None),
             strong=bool(cfg.get("strong", False)),
-            mode=cfg.get("mode", "greedy"),
         )
     if kind == "grid-packing":
         F = GridField.load(_param(cfg, "field", kind=str))
@@ -282,7 +281,6 @@ def _functional_call(kind: str, cfg: dict, S, mu, vals):
             alpha=_param(cfg, "alpha", None),
             strong=bool(cfg.get("strong", False)),
             variant=cfg.get("variant", "pair"),
-            mode=cfg.get("mode", "greedy"),
         )
     if kind == "local-pair-energy":
         return partial(local_pair_energy, mu, vals, scale(), p,
@@ -347,8 +345,7 @@ def cmd_tracenorm(args) -> int:
     ]))
     S, mu = _load_set(args)
     vals = _load_values(args, S)
-    sigma = boundary_measure(S) if THEOREMS[cfg.theorem].needs_sigma else None
-    report = trace_estimate(S, vals, cfg, mu=mu, sigma=sigma)
+    report = trace_estimate(S, vals, cfg, mu=mu)
     payload = {
         "theorem": cfg.theorem,
         "set": S.name,

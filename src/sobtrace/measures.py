@@ -336,15 +336,12 @@ def ap_mu_options(
     return {"centers": centers, "alpha": alpha, "strong": strong, "score_fn": score}
 
 
-def A_p_mu(
-    S: ClosedSet, mu: DiscreteMeasure, f_vals, t: float, p: float, *, mode: str = "greedy",
-    **options,
-) -> dict:
+def A_p_mu(S: ClosedSet, mu: DiscreteMeasure, f_vals, t: float, p: float, **options) -> dict:
     """Measure-scored packing functional at t, with the breakdown of
     packing_functional_details; the options (q, alpha, strong, variant,
     centers) are those of ap_mu_options."""
     opts = ap_mu_options(S, mu, f_vals, p, **options)
-    return packing_functional_details(S, f_vals, t, p, mode=mode, **opts)
+    return packing_functional_details(S, f_vals, t, p, **opts)
 
 
 # -- pair energies -----------------------------------------------------
@@ -357,6 +354,12 @@ def _require_finite_p(p: float) -> None:
     # and a final 1/p power turns NaN or 0 into 1
     if not np.isfinite(p):
         raise ConfigError(f"pair energy needs a finite p, got {p}")
+
+
+def _require_eps(eps: float) -> None:
+    # a NaN or non-positive eps admits no pair and reads 0
+    if not (np.isfinite(eps) and eps > 0):
+        raise ConfigError(f"pair energy needs a finite eps > 0, got {eps}")
 
 
 def local_pair_energy(
@@ -400,6 +403,7 @@ def distance_pair_energy(
     w_x w_y |f(x)-f(y)|^p * ||x-y||^(n-p) / mass(Q(x, ||x-y||))^2,
     the per-pair masses read off sorted-distance prefix sums. Power form."""
     _require_finite_p(p)
+    _require_eps(eps)
     f_vals = np.asarray(f_vals, float)
     pts, w = mu.points, mu.weights
     n = mu.dim
@@ -456,6 +460,7 @@ def quasidistance_pair_energy(
     if pair_budget < 0 or seed < 0:
         raise ConfigError(f"need pair_budget >= 0 and seed >= 0, got {pair_budget} and {seed}")
     _require_finite_p(p)
+    _require_eps(eps)
     f_vals = np.asarray(f_vals, float)
     pts, w = mu.points, mu.weights
     n = mu.dim
@@ -542,8 +547,12 @@ def besov_trace_functional_jonsson(
 def dset_besov_norm(mu: DiscreteMeasure, f_vals, s: float, p: float, d: float) -> float:
     """Direct intrinsic Besov norm on a d-dimensional support:
     L_p(mu) norm plus the classical double sum with kernel
-    |f(x)-f(y)|^p / ||x-y||^(d + s p) over pairs closer than 1."""
+    |f(x)-f(y)|^p / ||x-y||^(d + s p) over pairs closer than 1, for
+    0 < s < 1 and a finite d > 0."""
     _require_finite_p(p)
+    if not (0 < s < 1 and np.isfinite(d) and d > 0):
+        raise ConfigError(f"d-set Besov norm needs 0 < s < 1 and a finite d > 0, "
+                          f"got s={s}, d={d}")
     f_vals = np.asarray(f_vals, float)
     pts, w = mu.points, mu.weights
     total = 0.0

@@ -6,13 +6,17 @@ T14ii), measure-weighted forms (T72, T715, T723), and the interior-plus-
 boundary decomposition. Results come back as NormReports whose value is
 the sum of the named sub-terms.
 
+Each estimator fixes the ingredients its theorem fixes: every packing is
+greedy, T715's fixed-scale pair energy uses the product kernel, and the
+decomposed form builds its boundary measure from the set (boundary_measure).
 The THEOREMS table at the end is the one place that says, per theorem id,
 what an estimate needs and what it is compared against:
 
 - eps > 0: every theorem but T11, T14i and T24;
 - a measure mu on the set: T72, T715, T723;
 - s in (0, 1) and q: T26;
-- a boundary measure sigma (and a solid set): decomposed;
+- a solid set: decomposed;
+- theta >= 1: T12, T25; gamma > 0: T11, T12; alpha: T24, T25, T72, T715;
 - compared with the gradient seminorm of the extension: T11, T14i; with
   its Besov norm: T26; with its full Sobolev norm: all others.
 """
@@ -121,8 +125,6 @@ class TraceEstimateConfig:
     theta: float | None = None
     alpha: float | None = None
     gamma: float | None = None
-    kernel: str = "product"  # fixed-scale pair-energy kernel for T715
-    mode: str = "greedy"
     pair_budget: int = 4000
     seed: int = 0
 
@@ -135,10 +137,13 @@ class TraceEstimateConfig:
         if spec.theta is not None:
             if self.theta is None:
                 self.theta = spec.theta
-            if self.theta < 1:
-                raise ConfigError("theta must be >= 1")
-        if spec.gamma is not None and self.gamma is None:
-            self.gamma = _of_theta(spec.gamma, self.theta)
+            if not (np.isfinite(self.theta) and self.theta >= 1):
+                raise ConfigError(f"theta must be finite and >= 1, got {self.theta}")
+        if spec.gamma is not None:
+            if self.gamma is None:
+                self.gamma = _of_theta(spec.gamma, self.theta)
+            if not (np.isfinite(self.gamma) and self.gamma > 0):
+                raise ConfigError(f"gamma must be finite and positive, got {self.gamma}")
         if spec.needs_sq:
             if self.s is None or self.q is None:
                 raise ConfigError(f"{self.theorem} needs s and q")
@@ -156,8 +161,6 @@ class TraceEstimateConfig:
                 raise ConfigError(
                     f"{self.theorem} needs alpha in ({lo}, {hi}{bracket}, got {self.alpha}"
                 )
-        if self.kernel not in ("product", "square"):
-            raise ConfigError(f"unknown kernel {self.kernel!r}")
 
 
 @dataclass(frozen=True)
@@ -198,16 +201,14 @@ def lambda_packing(
     p: float,
     gamma: float,
     max_diam: float | None = None,
-    mode: str = "greedy",
     details: bool = False,
 ):
     """Best disjoint-cube family score sum for the pair-increment form:
     each cube scores osc(f over the gamma-dilated cube cap S)^p times
-    diam^(n-p), cubes of all dyadic sizes pooled into one packing.
+    diam^(n-p), cubes of all dyadic sizes pooled into one greedy packing.
     """
     f_vals = np.asarray(f_vals, float)
-    span = S.extent or 1.0
-    top = span if max_diam is None else min(max_diam, 2 * span)
+    top = S.span if max_diam is None else min(max_diam, 2 * S.span)
     taus = _scales(S, top)
     centers, radii, scores = [], [], []
     n = S.dim
@@ -224,7 +225,7 @@ def lambda_packing(
     result = None
     if scores:
         problem = PackingProblem(np.concatenate(centers), np.concatenate(radii), np.array(scores))
-        result = solve_packing(problem, mode=mode)
+        result = solve_packing(problem)
     value = 0.0 if result is None else result.value ** (1.0 / p)
     if details:
         return value, {"candidates": len(scores), "result": result, "taus": taus}
@@ -242,14 +243,14 @@ def _composition_norm(W: WhitneyDecomposition, f_vals, eps: float, p: float) -> 
     return FT.cell_lp(p, near), near
 
 
-def _packing_terms(S, f_vals, p, mode, sup_top, integral_top, plain, porous) -> tuple:
+def _packing_terms(S, f_vals, p, sup_top, integral_top, plain, porous) -> tuple:
     """sup of A(t)/t over the scales up to sup_top, A the packing profile
     with the options plain; (int (A(t)/t)^p dt/t)^(1/p) and its bracket over
     the scales up to integral_top, A the profile with the options porous."""
     ts = _scales(S, sup_top)
-    sup_term = np.max(packing_profile(S, f_vals, ts, p, mode=mode, **plain) / ts)
+    sup_term = np.max(packing_profile(S, f_vals, ts, p, **plain) / ts)
     ts = _scales(S, integral_top)
-    gs = packing_profile(S, f_vals, ts, p, mode=mode, **porous)
+    gs = packing_profile(S, f_vals, ts, p, **porous)
     bracket = besov_scale_integral(ts, gs, 1.0, p)
     return sup_term, bracket.value ** (1.0 / p), bracket
 
@@ -262,7 +263,6 @@ def trace_estimate(
     f_vals,
     cfg: TraceEstimateConfig,
     mu: DiscreteMeasure | None = None,
-    sigma: DiscreteMeasure | None = None,
     W: WhitneyDecomposition | None = None,
 ) -> NormReport:
     """Evaluate the intrinsic trace-norm surrogate chosen by the config."""
@@ -274,39 +274,37 @@ def trace_estimate(
         W = whitney_decomposition(S)
     if spec.needs_mu and mu is None:
         raise ConfigError(f"{cfg.theorem} needs a measure on the set")
-    if spec.needs_sigma and sigma is None:
-        raise ConfigError(f"{cfg.theorem} estimate needs a boundary measure")
-    return spec.estimate(S, f_vals, cfg, mu, sigma, W)
+    return spec.estimate(S, f_vals, cfg, mu, W)
 
 
-def _estimate_t11(S, f, cfg, mu, sigma, W):
-    val = lambda_packing(S, f, cfg.p, cfg.gamma, mode=cfg.mode)
+def _estimate_t11(S, f, cfg, mu, W):
+    val = lambda_packing(S, f, cfg.p, cfg.gamma)
     return _report({"packing": val}, S.h, ("mixed-size greedy packing",))
 
 
-def _estimate_t12(S, f, cfg, mu, sigma, W):
+def _estimate_t12(S, f, cfg, mu, W):
     comp, _ = _composition_norm(W, f, cfg.eps, cfg.p)
     # cubes centered on the set stay inside the neighborhood when their
     # radius is below eps
-    val = lambda_packing(S, f, cfg.p, cfg.gamma, max_diam=2 * cfg.eps, mode=cfg.mode)
+    val = lambda_packing(S, f, cfg.p, cfg.gamma, max_diam=2 * cfg.eps)
     return _report({"composition": comp, "packing": val}, S.h)
 
 
-def _estimate_t14i(S, f, cfg, mu, sigma, W):
+def _estimate_t14i(S, f, cfg, mu, W):
     return _report({"sharp_field": sharp_maximal_field(S, f).cell_lp(cfg.p)}, S.h)
 
 
-def _estimate_t14ii(S, f, cfg, mu, sigma, W):
+def _estimate_t14ii(S, f, cfg, mu, W):
     # both terms integrate over the same eps-neighborhood of the set's grid
     comp, near = _composition_norm(W, f, cfg.eps, cfg.p)
     sharp = sharp_maximal_field(S, f).cell_lp(cfg.p, near)
     return _report({"composition": comp, "sharp_field": sharp}, S.h)
 
 
-def _estimate_t24(S, f, cfg, mu, sigma, W):
+def _estimate_t24(S, f, cfg, mu, W):
     diam = S.extent
     sup_term, integral, bracket = _packing_terms(
-        S, f, cfg.p, cfg.mode, 2 * diam, diam, {}, {"centers": "boundary", "alpha": cfg.alpha}
+        S, f, cfg.p, 2 * diam, diam, {}, {"centers": "boundary", "alpha": cfg.alpha}
     )
     notes = (f"integral bracket [{bracket.lower:.4g}, {bracket.upper:.4g}]",)
     return _report(
@@ -314,10 +312,10 @@ def _estimate_t24(S, f, cfg, mu, sigma, W):
     )
 
 
-def _estimate_t25(S, f, cfg, mu, sigma, W):
+def _estimate_t25(S, f, cfg, mu, W):
     comp, _ = _composition_norm(W, f, cfg.eps, cfg.p)
     sup_term, integral, bracket = _packing_terms(
-        S, f, cfg.p, cfg.mode, cfg.eps, cfg.eps, {}, {"centers": "boundary", "alpha": cfg.alpha}
+        S, f, cfg.p, cfg.eps, cfg.eps, {}, {"centers": "boundary", "alpha": cfg.alpha}
     )
     notes = (f"integral bracket [{bracket.lower:.4g}, {bracket.upper:.4g}]",)
     return _report(
@@ -327,19 +325,19 @@ def _estimate_t25(S, f, cfg, mu, sigma, W):
     )
 
 
-def _estimate_t26(S, f, cfg, mu, sigma, W):
+def _estimate_t26(S, f, cfg, mu, W):
     comp, _ = _composition_norm(W, f, cfg.eps, cfg.p)
     ts = _scales(S, cfg.eps)
-    gs = packing_profile(S, f, ts, cfg.p, mode=cfg.mode)
+    gs = packing_profile(S, f, ts, cfg.p)
     bracket = besov_scale_integral(ts, gs, cfg.s, cfg.q)
     tail = bracket.value ** (1.0 / cfg.q)
     return _report({"composition": comp, "scale_integral": tail}, S.h)
 
 
-def _estimate_t72(S, f, cfg, mu, sigma, W):
+def _estimate_t72(S, f, cfg, mu, W):
     base = mu.lp_norm(f, cfg.p)
     sup_term, integral, _ = _packing_terms(
-        S, f, cfg.p, cfg.mode, cfg.eps, cfg.eps,
+        S, f, cfg.p, cfg.eps, cfg.eps,
         ap_mu_options(S, mu, f, cfg.p, q=cfg.p),
         ap_mu_options(S, mu, f, cfg.p, q=cfg.p, alpha=cfg.alpha),
     )
@@ -348,11 +346,11 @@ def _estimate_t72(S, f, cfg, mu, sigma, W):
     )
 
 
-def _estimate_t715(S, f, cfg, mu, sigma, W):
+def _estimate_t715(S, f, cfg, mu, W):
     base = mu.lp_norm(f, cfg.p)
     ts = _scales(S, cfg.eps)
     sup_term = max(
-        local_pair_energy(mu, f, t, cfg.p, kernel=cfg.kernel) ** (1.0 / cfg.p)
+        local_pair_energy(mu, f, t, cfg.p, kernel="product") ** (1.0 / cfg.p)
         for t in ts
     )
     j2 = quasidistance_pair_energy(
@@ -373,7 +371,7 @@ def _estimate_t715(S, f, cfg, mu, sigma, W):
     )
 
 
-def _estimate_t723(S, f, cfg, mu, sigma, W):
+def _estimate_t723(S, f, cfg, mu, W):
     if S.interior_mask().any():
         raise ConfigError("distance pair-energy form needs an empty interior")
     ball = S.ball_condition_estimate()
@@ -399,11 +397,19 @@ def _interior_field(S: ClosedSet, f_vals) -> tuple:
     return GridField(box, S.h, vals), interior
 
 
-def _estimate_decomposed(S, f, cfg, mu, sigma, W):
+def boundary_measure(S: ClosedSet) -> DiscreteMeasure:
+    """The decomposed form's boundary measure: h^(n-1) per boundary sample."""
+    b = S.boundary()
+    w = np.full(len(b.points), S.h ** max(S.dim - 1, 0))
+    return DiscreteMeasure(b.points, w, name="boundary-cells")
+
+
+def _estimate_decomposed(S, f, cfg, mu, W):
     if S.kind != "solid":
         raise ConfigError("decomposed estimate needs a solid set")
     field, interior = _interior_field(S, f)
     interior_norm = grid_sobolev_norms(field, cfg.p, interior).total
+    sigma = boundary_measure(S)
     _, parent = S.tree.query(sigma.points, k=1, p=np.inf)
     f_sigma = np.asarray(f, float)[parent]
     base = sigma.lp_norm(f_sigma, cfg.p)
@@ -434,7 +440,6 @@ class Theorem:
     needs_eps: bool = False
     needs_W: bool = False
     needs_mu: bool = False
-    needs_sigma: bool = False
     needs_sq: bool = False
     theta: float | None = None
     gamma: float | Callable | None = None
@@ -467,9 +472,8 @@ THEOREMS = {
     "T715": Theorem(
         _estimate_t715, needs_eps=True, needs_mu=True, alpha=1 / 15, alpha_max=1 / 14
     ),
-    # T723's alpha is a default only, with no range to check
-    "T723": Theorem(_estimate_t723, needs_eps=True, needs_mu=True, alpha=1 / 15),
-    "decomposed": Theorem(_estimate_decomposed, needs_eps=True, needs_sigma=True),
+    "T723": Theorem(_estimate_t723, needs_eps=True, needs_mu=True),
+    "decomposed": Theorem(_estimate_decomposed, needs_eps=True),
 }
 THEOREM_IDS = tuple(THEOREMS)
 

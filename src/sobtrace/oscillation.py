@@ -6,7 +6,8 @@ The central object is the packing functional
                  set) of  sum |Q| * osc(f over Q)^p,
 
 computed over candidate cubes at trial diameters t, t/2, t/4, t/8 with a
-greedy disjoint selection (exact branch-and-bound on small candidate sets).
+greedy disjoint selection. (solve_packing's exact branch and bound, limited
+to 24 candidates, serves only the greedy-versus-optimum check of C05.)
 The estimators read it along a scale ladder through packing_profile, which
 packs each distinct trial diameter of the ladder once.
 Variants restrict centers to boundary samples, require the cubes to be
@@ -186,7 +187,7 @@ def _check_packing_args(p: float, ts):
 
 def _packing_table(S: ClosedSet, f_vals, ts, p: float, *, centers: str = "set",
                    alpha: float | None = None, strong: bool = False,
-                   mode: str = "greedy", score_fn=None) -> dict:
+                   score_fn=None) -> dict:
     """{tau: (power sum, cubes chosen)} for every distinct trial diameter of
     the scales ts, each packed once, in the order the scales first reach it;
     the options are those of packing_functional_details."""
@@ -217,9 +218,7 @@ def _packing_table(S: ClosedSet, f_vals, ts, p: float, *, centers: str = "set",
             table[tau] = (0.0, 0)
             continue
         scores = np.array(score_fn(cand, radius), float)
-        result = solve_packing(
-            PackingProblem(cand, np.full(len(cand), radius), scores), mode=mode
-        )
+        result = solve_packing(PackingProblem(cand, np.full(len(cand), radius), scores))
         table[tau] = (result.value, len(result.chosen))
     return table
 
@@ -230,8 +229,8 @@ def packing_functional_details(S: ClosedSet, f_vals, t: float, p: float, **optio
 
     Options: cubes are centered on the set's samples (centers "set", the
     default) or on its boundary samples ("boundary"); with alpha they must
-    be alpha-porous (strongly so with strong=True); mode is the packing
-    solver's ("greedy" or "exact"). score_fn(centers, radius) -> scores,
+    be alpha-porous (strongly so with strong=True); the packing is
+    greedy. score_fn(centers, radius) -> scores,
     called once per trial diameter with all its (m, n) candidate centers,
     can replace the default score |Q| * osc^p, osc taken over the center
     set's samples in Q (the boundary samples for boundary-centered packings,

@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 _LATTICE_CAP = 41  # max candidate-lattice nodes per axis in empty-cube searches
+_BALL_CENTERS = 48  # samples drawn (by seed) as ball-condition cube centers
+_MARGIN = 1.25  # bbox margin around the samples of thin_set and solid_set
 _SCAN_CHUNK = 400_000  # lattice nodes per KD query in batched empty-cube searches
 
 
@@ -113,6 +115,11 @@ class ClosedSet:
         """Uniform-norm diameter of the sample cloud."""
         spread = self.points.max(axis=0) - self.points.min(axis=0)
         return float(spread.max())
+
+    @property
+    def span(self) -> float:
+        """The set's length scale: its extent, or 1 for a one-sample set."""
+        return self.extent or 1.0
 
     def nearest_distance(self, x, bound: float = np.inf) -> np.ndarray:
         """Uniform distance from each row of x to its nearest sample.  A row
@@ -408,8 +415,11 @@ class ClosedSet:
         bbox extent and stops at its first feasible level; a coarser ratio
         trades value precision for speed but never returns below ||x-y||.
         Candidate centers range over the box of points within d/2 of both
-        points.  All pairs still walking take one step together.
+        points.  All pairs still walking take one step together.  alpha must
+        lie in (0, 1], as for `porous`.
         """
+        if not (0 < alpha <= 1):
+            raise ConfigError(f"quasidistance core parameter must be in (0, 1], got {alpha}")
         X = np.asarray(X, float).reshape(-1, self.dim)
         Y = np.asarray(Y, float).reshape(-1, self.dim)
         upper, lower = np.maximum(X, Y), np.minimum(X, Y)
@@ -471,24 +481,21 @@ class ClosedSet:
             out[rows] = gain.max(axis=1)
         return out
 
-    def ball_condition_estimate(
-        self, seed: int = 0, n_centers: int = 48
-    ) -> "BallConditionEstimate":
+    def ball_condition_estimate(self, seed: int = 0) -> "BallConditionEstimate":
         """Empirical ball-condition check: every cube centered on the set should
         contain a set-free subcube of a fixed relative size.
 
         beta_hat is the largest observed ratio diam(cube)/diam(empty subcube);
         the condition counts as satisfied when every probed cube at scales
         >= 8h produced a nonempty gap.  The estimate depends only on the set,
-        so it is computed once per (seed, n_centers) and cached.
+        so it is computed once per seed and cached.
         """
-        key = (seed, n_centers)
-        if key in self._ball_conditions:
-            return self._ball_conditions[key]
+        if seed in self._ball_conditions:
+            return self._ball_conditions[seed]
         rng = np.random.default_rng(seed)
         m = len(self.points)
-        idx = np.arange(m) if m <= n_centers else np.sort(
-            rng.choice(m, size=n_centers, replace=False)
+        idx = np.arange(m) if m <= _BALL_CENTERS else np.sort(
+            rng.choice(m, size=_BALL_CENTERS, replace=False)
         )
         radii = [r for r in (2.0 ** -np.arange(1, 12)) if 8 * self.h <= 2 * r <= 1.0]
         gaps = [self.empty_subcubes(self.points[idx], float(r)) for r in radii]
@@ -504,7 +511,7 @@ class ClosedSet:
                 else:
                     worst = max(worst, r / gap)
         est = BallConditionEstimate(satisfied and worst > 0, worst, tuple(table))
-        self._ball_conditions[key] = est
+        self._ball_conditions[seed] = est
         return est
 
     # -- serialization ---------------------------------------------------
@@ -563,31 +570,24 @@ class BallConditionEstimate:
     table: tuple  # (cube radius, empty-subcube radius) per probe
 
 
-def _default_bbox(points: np.ndarray, margin: float) -> np.ndarray:
-    lo = points.min(axis=0) - margin
-    hi = points.max(axis=0) + margin
-    return np.stack([lo, hi], axis=1)
-
-
-def thin_set(points, h: float, margin: float = 1.25, name: str = "") -> ClosedSet:
-    """Thin set from explicit sample points."""
+def thin_set(points, h: float, name: str = "") -> ClosedSet:
+    """Thin set from explicit sample points, in a bbox with margin _MARGIN."""
     points = np.atleast_2d(np.asarray(points, float))
     return ClosedSet(
         dim=points.shape[1],
         h=h,
         points=points,
-        bbox=_default_bbox(points, margin),
+        bbox=np.stack([points.min(axis=0) - _MARGIN, points.max(axis=0) + _MARGIN], axis=1),
         kind="thin",
         name=name,
     )
 
 
-def solid_set(occupancy: np.ndarray, h: float, origin, margin: float = 1.25,
-              name: str = "") -> ClosedSet:
+def solid_set(occupancy: np.ndarray, h: float, origin, name: str = "") -> ClosedSet:
     """Solid set from an occupancy mask; samples sit at occupied cell centers.
 
     origin is the lower corner of cell (0, ..., 0).  The mask is embedded in a
-    bbox with the requested margin, so the distance oracle stays exact.
+    bbox with margin at least _MARGIN, so the distance oracle stays exact.
     """
     occupancy = np.asarray(occupancy, bool)
     origin = np.asarray(origin, float)
@@ -596,7 +596,7 @@ def solid_set(occupancy: np.ndarray, h: float, origin, margin: float = 1.25,
         raise ConfigError("solid set needs at least one occupied cell")
     centers = origin + (cells + 0.5) * h
     # pad in whole cells so the bbox stays aligned with the cell lattice
-    pad = int(np.ceil(margin / h))
+    pad = int(np.ceil(_MARGIN / h))
     lo = origin - pad * h
     hi = origin + (np.array(occupancy.shape) + pad) * h
     bbox = np.stack([lo, hi], axis=1)

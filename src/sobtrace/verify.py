@@ -11,13 +11,14 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .canonical import CanonicalSpec, generate_canonical, test_function_family
 from .cubes import GROWTH, covering_multiplicity
 from .grid import GridField
-from .measures import DiscreteMeasure, dset_besov_norm
+from .measures import dset_besov_norm
 from .norms import (
     THEOREMS,
     TraceEstimateConfig,
@@ -53,7 +54,7 @@ class EquivalenceReport:
     refinement_deltas: dict
     skipped_near_zero: int
     runtime: float
-    report_version: int = 1
+    report_version: ClassVar[int] = 1
 
     def divergence_flags(self, threshold: float = 0.08) -> dict:
         """Per function and per side: does the value grow like a power of 1/h?
@@ -141,11 +142,11 @@ def extension_field(W: WhitneyDecomposition, f_vals, cfg: TraceEstimateConfig) -
     background for inhomogeneous norms."""
     S = W.S
     if THEOREMS[cfg.theorem].comparison == "seminorm":
-        delta = S.extent or 1.0
+        delta = S.span
         x0 = int(np.lexsort(S.points.T[::-1])[0])
         cbar = float(np.asarray(f_vals, float)[x0])
     else:
-        base = cfg.eps if cfg.eps is not None else (S.extent or 1.0)
+        base = cfg.eps if cfg.eps is not None else S.span
         delta = max(0.001 * base, 2 * S.h)
         cbar = 0.0
     return extend_grid(W, f_vals, delta, cbar)
@@ -166,12 +167,6 @@ def _comparison_norm(F: GridField, cfg: TraceEstimateConfig) -> float:
     return getattr(grid_sobolev_norms(F, cfg.p), comparison)  # seminorm | total
 
 
-def boundary_measure(S: ClosedSet) -> DiscreteMeasure:
-    b = S.boundary()
-    w = np.full(len(b.points), S.h ** max(S.dim - 1, 0))
-    return DiscreteMeasure(b.points, w, name="boundary-cells")
-
-
 def verify_equivalence(
     theorem: str,
     set_name: str,
@@ -186,8 +181,6 @@ def verify_equivalence(
     theta: float | None = None,
     comparison: str = "extension",
     d_exponent: float = 1.0,
-    mode: str = "greedy",
-    kernel: str = "product",
     pair_budget: int = 4000,
     seed: int = 0,
 ) -> EquivalenceReport:
@@ -205,17 +198,13 @@ def verify_equivalence(
         S, mu = generate_canonical(CanonicalSpec(set_name, h))
         cfg = _make_config(
             theorem, p=p, q=q, s=s, eps=eps, alpha=alpha, theta=theta,
-            mode=mode, kernel=kernel, pair_budget=pair_budget, seed=seed,
+            pair_budget=pair_budget, seed=seed,
         )
         W = None
-        spec = THEOREMS[theorem]
-        if comparison == "extension" or spec.needs_W:
+        if comparison == "extension" or THEOREMS[theorem].needs_W:
             W = whitney_decomposition(S)
-        sigma = boundary_measure(S) if spec.needs_sigma else None
         for f in test_function_family(family, S):
-            intrinsic = trace_estimate(
-                S, f.values, cfg, mu=mu, sigma=sigma, W=W
-            ).value
+            intrinsic = trace_estimate(S, f.values, cfg, mu=mu, W=W).value
             comp = _comparison_value(W, S, mu, f, cfg, comparison, d_exponent)
             small_i, small_c = intrinsic < NEAR_ZERO, comp < NEAR_ZERO
             if small_i and small_c:

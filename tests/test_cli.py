@@ -333,6 +333,27 @@ _FLAG_CASES = {
                         "pair_budget": float("inf")}),
         ("functional", {"functional": "local-pair-energy", "t": "inf"}),
         ("functional", {"functional": "averaged-modulus", "t": "inf"}),
+        # pair-energy parameters outside their ranges used to read 0 or a
+        # meaningless number
+        ("functional", {"functional": "distance-pair-energy", "eps": -1}),
+        ("functional", {"functional": "distance-pair-energy", "eps": "nan"}),
+        ("functional", {"functional": "quasidistance-energy", "eps": -0.25}),
+        ("functional", {"functional": "quasidistance-energy", "eps": 0.25, "alpha": -1}),
+        ("functional", {"functional": "quasidistance-energy", "eps": 0.25, "alpha": "nan"}),
+        ("functional", {"functional": "besov-dset", "s": -3}),
+        ("functional", {"functional": "besov-dset", "s": 0.5, "d": 0}),
+        ("tracenorm", {"theorem": "T11", "p": 3.0, "gamma": -1}),
+        ("tracenorm", {"theorem": "T11", "p": 3.0, "gamma": 0}),
+        ("tracenorm", {"theorem": "T11", "p": 3.0, "gamma": "nan"}),
+        ("tracenorm", {"theorem": "T12", "p": 3.0, "eps": 0.25, "theta": "nan"}),
+        ("tracenorm", {"theorem": "T12", "p": 3.0, "eps": 0.25, "theta": "inf"}),
+        # retired options: every packing is greedy, T715 uses the product kernel
+        ("tracenorm", {"theorem": "T11", "p": 3.0, "mode": "greedy"}),
+        ("tracenorm", {"theorem": "T715", "p": 3.0, "eps": 0.25, "kernel": "product"}),
+        ("verify", {"theorem": "T11", "set": "two-points", "mode": "greedy"}),
+        ("verify", {"theorem": "T715", "set": "two-points", "kernel": "product"}),
+        ("functional", {"functional": "packing", "t": 0.25, "mode": "greedy"}),
+        ("functional", {"functional": "ap-mu", "t": 0.25, "mode": "greedy"}),
     ] + list(_FILE_CASES.values()) + list(_GRID_CASES.values()) + list(_FLAG_CASES.values()),
     ids=[
         "unknown-key", "p-as-string", "no-p", "bad-eps", "no-file", "not-json",
@@ -343,6 +364,11 @@ _FLAG_CASES = {
         "verify-zero-p", "verify-zero-q", "verify-negative-pair-budget",
         "infinite-p-averaged-modulus", "infinite-p-besov-dset", "infinite-q-t26",
         "infinite-pair-budget", "infinite-t-local-pair-energy", "infinite-t-averaged-modulus",
+        "negative-eps-distance-energy", "nan-eps-distance-energy", "negative-eps-quasi-energy",
+        "negative-alpha-quasi-energy", "nan-alpha-quasi-energy", "negative-s-besov-dset",
+        "zero-d-besov-dset", "negative-gamma-t11", "zero-gamma-t11", "nan-gamma-t11",
+        "nan-theta-t12", "infinite-theta-t12", "tracenorm-mode-key", "tracenorm-kernel-key",
+        "verify-mode-key", "verify-kernel-key", "packing-mode-key", "ap-mu-mode-key",
     ] + list(_FILE_CASES) + list(_GRID_CASES) + list(_FLAG_CASES),
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
@@ -380,7 +406,8 @@ FUNCTIONALS = (
     "distance-pair-energy", "quasidistance-energy", "besov-dset", "besov-jonsson",
     "averaged-modulus", "modulus", "measure-diagnostics",
 )
-# each command's config keys, plus junk
+# each command's config keys, plus junk ("bogus", and "mode", which no
+# functional reads)
 FUZZ_KEYS = {
     "functional": (
         "functional", "t", "p", "q", "s", "d", "eps", "alpha", "strong", "mode",

@@ -25,7 +25,14 @@ from sobtrace.measures import (
     quasidistance_pair_energy,
     tilde_osc,
 )
-from sobtrace.oscillation import modulus_of_smoothness, packing_functional_details
+from sobtrace.oscillation import (
+    PackingProblem,
+    _thin_candidates,
+    cube_oscillations,
+    modulus_of_smoothness,
+    packing_functional_details,
+    solve_packing,
+)
 from sobtrace.sets import solid_set, thin_set
 from sobtrace.util import ConfigError, OutOfDomainError, chebyshev
 from test_oscillation import reference_packing_table
@@ -308,23 +315,40 @@ class TestAPMu:
         assert A_p_mu(S, mu, [2.0, 2.0], t=2.0, p=2, q=2)["value"] == 0.0
 
     def test_majorized_by_plain_packing(self):
-        # score-wise domination carries to the exact packing optimum
+        # score-wise domination carries to the exact packing optimum over the
+        # same candidate cubes, solved by branch and bound
         pts = np.array([[0.0], [0.3], [0.7], [1.0]])
         S = thin_set(pts, h=0.1)
         mu = counting_measure(S, normalized=True)
         f = np.array([0.0, 1.0, 0.2, 0.8])
+
+        def plain(cand, radius):
+            return (2 * radius) * cube_oscillations(S.tree, f, cand, radius + 1e-12) ** 2
+
+        weighted = ap_mu_options(S, mu, f, 2, q=2)["score_fn"]
+
+        def exact_optimum(score_fn, t):
+            best = 0.0
+            for tau in (t, t / 2, t / 4, t / 8):
+                cand = S.points[_thin_candidates(S.points, tau)]
+                radii = np.full(len(cand), tau / 2)
+                scores = np.array(score_fn(cand, tau / 2), float)
+                best = max(best, solve_packing(PackingProblem(cand, radii, scores), "exact").value)
+            return best
+
         for t in (0.5, 1.0, 2.0):
-            plain = packing_functional_details(S, f, t, 2, mode="exact")["value"]
-            weighted = A_p_mu(S, mu, f, t, 2, q=2, mode="exact")["value"]
-            assert weighted <= plain + 1e-12
+            # plain is the default score of the production packing
+            assert (packing_functional_details(S, f, t, 2, score_fn=plain)
+                    == packing_functional_details(S, f, t, 2))
+            assert exact_optimum(weighted, t) <= exact_optimum(plain, t) + 1e-12
 
     def test_q_inf_matches_plain(self):
         pts = np.array([[0.0], [0.5], [1.0]])
         S = thin_set(pts, h=0.25)
         mu = counting_measure(S)
         f = np.array([0.0, 2.0, 1.0])
-        got = A_p_mu(S, mu, f, t=1.0, p=2, q=np.inf, mode="exact")["value"]
-        want = packing_functional_details(S, f, t=1.0, p=2, mode="exact")["value"]
+        got = A_p_mu(S, mu, f, t=1.0, p=2, q=np.inf)["value"]
+        want = packing_functional_details(S, f, t=1.0, p=2)["value"]
         assert got == pytest.approx(want)
 
     def test_mass_growth_bound(self):

@@ -257,8 +257,6 @@ def test_profile_matches_per_scale_loop(name):
         ap_mu_options(S, mu, f, p, q=p, alpha=1 / 8),
         ap_mu_options(S, mu, f, p, q=p, alpha=1 / 8, variant="center"),
     ]
-    if name == "two-points":
-        options.append({"mode": "exact"})
     ladders = [dyadic_ladder(max(2 * S.h, 0.25 / 512), 0.25), np.array([0.5])]
     for opts in options:
         for ts in ladders:
@@ -276,7 +274,7 @@ def reference_oscillation(values) -> float:
 
 
 def reference_packing_table(S, f_vals, ts, p, *, centers="set", alpha=None, strong=False,
-                            mode="greedy", score_fn=None):
+                            score_fn=None):
     """_packing_table as it scored one candidate at a time: the default
     score takes one oscillation per ball group, and score_fn(center, radius)
     is called once per candidate cube."""
@@ -306,7 +304,7 @@ def reference_packing_table(S, f_vals, ts, p, *, centers="set", alpha=None, stro
             )
         else:
             scores = np.array([score_fn(c, radius) for c in cand])
-        result = solve_packing(PackingProblem(cand, np.full(len(cand), radius), scores), mode=mode)
+        result = solve_packing(PackingProblem(cand, np.full(len(cand), radius), scores))
         table[tau] = (result.value, len(result.chosen))
     return table
 

@@ -8,12 +8,11 @@ import pytest
 import sobtrace.verify as verify_mod
 from sobtrace.canonical import CanonicalSpec, generate_canonical
 from sobtrace.canonical import test_function_family as make_family
-from sobtrace.norms import NormReport, TraceEstimateConfig, grid_besov_norm
+from sobtrace.norms import NormReport, TraceEstimateConfig, boundary_measure, grid_besov_norm
 from sobtrace.util import NumericalFailure
 from sobtrace.verify import (
     EquivalenceReport,
     _summarize,
-    boundary_measure,
     default_h_levels,
     extension_field,
     verify_equivalence,
@@ -129,7 +128,7 @@ def test_divergence_flags_synthetic():
 
 
 def test_one_sided_vanishing_raises(monkeypatch):
-    def zero_estimate(S, f_vals, cfg, mu=None, sigma=None, W=None):
+    def zero_estimate(S, f_vals, cfg, mu=None, W=None):
         return NormReport(0.0, {"term": 0.0}, S.h)
 
     monkeypatch.setattr(verify_mod, "trace_estimate", zero_estimate)
