@@ -85,7 +85,7 @@ def _param(cfg: dict, key: str, default=_REQUIRED, kind=float):
         raise ConfigError(f"config key {key!r} has a bad value {cfg[key]!r}") from None
 
 
-_KINDS = {"str": str, "float": float, "float | None": float, "int": int}
+_KINDS = {"str": str, "float": float, "float | None": float, "int": int, "int | None": int}
 
 
 def _declared(raw: dict, declared, known=()) -> dict:

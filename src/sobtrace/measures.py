@@ -54,8 +54,8 @@ class DiscreteMeasure:
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, float))
         self.weights = np.asarray(self.weights, float)
-        if len(self.weights) != len(self.points):
-            raise ConfigError("one weight per point required")
+        if self.points.ndim != 2 or self.weights.shape != self.points.shape[:1]:
+            raise ConfigError("measure needs an (m, n) array of points and one weight per point")
         if not (np.isfinite(self.points).all() and np.isfinite(self.weights).all()):
             raise ConfigError("measure points and weights must be finite")
         if np.any(self.weights < 0):
@@ -158,12 +158,13 @@ class MeasureDiagnostics:
     degenerate_cubes: int
 
 
-def measure_diagnostics(
-    mu: DiscreteMeasure, n_centers: int = 40, seed: int = 0
-) -> MeasureDiagnostics:
+_DIAGNOSTIC_CENTERS = 40
+
+
+def measure_diagnostics(mu: DiscreteMeasure, seed: int = 0) -> MeasureDiagnostics:
     """Empirical doubling / growth constants and a d-set power-law fit.
 
-    Centers are drawn from the support; radii form a dyadic ladder in
+    _DIAGNOSTIC_CENTERS centers are drawn from the support; radii form a dyadic ladder in
     [4h-ish, 1] where h is the largest nearest-atom gap among the centers;
     growth is read at the factors 2, 4 and 8.
     """
@@ -171,7 +172,7 @@ def measure_diagnostics(
         raise ConfigError(f"need seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     m = len(mu.points)
-    pick = np.sort(rng.choice(m, size=min(n_centers, m), replace=False))
+    pick = np.sort(rng.choice(m, size=min(_DIAGNOSTIC_CENTERS, m), replace=False))
     centers = mu.points[pick]
     d, _ = mu.tree.query(centers, k=2, p=np.inf)
     gap = float(np.max(d[:, 1])) if m > 1 else 0.25
@@ -302,7 +303,6 @@ def ap_mu_options(
     alpha: float | None = None,
     strong: bool = False,
     variant: str = "pair",
-    centers: str | None = None,
 ) -> dict:
     """The packing options (centers, alpha, strong, score_fn) of the
     measure-scored packing functional, for packing_functional_details and
@@ -310,8 +310,8 @@ def ap_mu_options(
 
     variant "pair" scores each cube by |Q| * mu_oscillation^p; variant
     "center" uses the center-deviation score (and forces strong porosity).
-    Plain centers-on-the-set packing has alpha None; porous variants center
-    cubes on the boundary.  The center value is read from a support point
+    The cubes are centered on the set when alpha is None and on its
+    boundary otherwise.  The center value is read from a support point
     within h/2 of the cube center.
     """
     if variant not in ("pair", "center"):
@@ -322,8 +322,6 @@ def ap_mu_options(
         if alpha is None:
             raise ConfigError("center-deviation variant requires a porosity level")
         strong = True
-    if centers is None:
-        centers = "set" if alpha is None else "boundary"
     f_vals = np.asarray(f_vals, float)
 
     def score(centers, radius: float) -> list:
@@ -333,13 +331,14 @@ def ap_mu_options(
             vals = mu_oscillation(mu, f_vals, centers, radius, q)
         return [(2.0 * radius) ** S.dim * v ** p for v in vals.tolist()]
 
+    centers = "set" if alpha is None else "boundary"
     return {"centers": centers, "alpha": alpha, "strong": strong, "score_fn": score}
 
 
 def A_p_mu(S: ClosedSet, mu: DiscreteMeasure, f_vals, t: float, p: float, **options) -> dict:
     """Measure-scored packing functional at t, with the breakdown of
-    packing_functional_details; the options (q, alpha, strong, variant,
-    centers) are those of ap_mu_options."""
+    packing_functional_details; the options (q, alpha, strong, variant)
+    are those of ap_mu_options."""
     opts = ap_mu_options(S, mu, f_vals, p, **options)
     return packing_functional_details(S, f_vals, t, p, **opts)
 

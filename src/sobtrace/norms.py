@@ -10,20 +10,13 @@ Each estimator fixes the ingredients its theorem fixes: every packing is
 greedy, T715's fixed-scale pair energy uses the product kernel, and the
 decomposed form builds its boundary measure from the set (boundary_measure).
 The THEOREMS table at the end is the one place that says, per theorem id,
-what an estimate needs and what it is compared against:
-
-- eps > 0: every theorem but T11, T14i and T24;
-- a measure mu on the set: T72, T715, T723;
-- s in (0, 1) and q: T26;
-- a solid set: decomposed;
-- theta >= 1: T12, T25; gamma > 0: T11, T12; alpha: T24, T25, T72, T715;
-- compared with the gradient seminorm of the extension: T11, T14i; with
-  its Besov norm: T26; with its full Sobolev norm: all others.
+which parameters an estimate reads, what else it needs and what it is
+compared against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -64,6 +57,7 @@ __all__ = [
     "trace_estimate",
     "THEOREMS",
     "THEOREM_IDS",
+    "REQUIRED",
     "theorem_spec",
 ]
 
@@ -113,9 +107,19 @@ def grid_besov_norm(
 # -- configuration -----------------------------------------------------
 
 
+# each parameter's range: (low end, high end, brackets); alpha's high end and
+# its bracket are the theorem's alpha_max and alpha_closed
+_RANGES = {
+    "eps": (0, np.inf, "()"), "gamma": (0, np.inf, "()"), "q": (0, np.inf, "()"),
+    "theta": (1, np.inf, "[)"), "pair_budget": (0, np.inf, "[)"), "seed": (0, np.inf, "[)"),
+    "s": (0, 1, "()"), "alpha": (0, None, None),
+}
+
+
 @dataclass
 class TraceEstimateConfig:
-    """Parameters of one trace-norm estimator; ranges follow the theorem."""
+    """Parameters of one trace-norm estimator. THEOREMS[theorem].params names
+    the ones it reads and their defaults; setting any other is an error."""
 
     theorem: str
     p: float
@@ -125,42 +129,31 @@ class TraceEstimateConfig:
     theta: float | None = None
     alpha: float | None = None
     gamma: float | None = None
-    pair_budget: int = 4000
-    seed: int = 0
+    pair_budget: int | None = None
+    seed: int | None = None
 
     def __post_init__(self):
         spec = theorem_spec(self.theorem)
         if not (0 < self.p < np.inf):
             raise ConfigError("p must be finite and positive")
-        if spec.needs_eps and (self.eps is None or self.eps <= 0):
-            raise ConfigError(f"{self.theorem} needs eps > 0")
-        if spec.theta is not None:
-            if self.theta is None:
-                self.theta = spec.theta
-            if not (np.isfinite(self.theta) and self.theta >= 1):
-                raise ConfigError(f"theta must be finite and >= 1, got {self.theta}")
-        if spec.gamma is not None:
-            if self.gamma is None:
-                self.gamma = _of_theta(spec.gamma, self.theta)
-            if not (np.isfinite(self.gamma) and self.gamma > 0):
-                raise ConfigError(f"gamma must be finite and positive, got {self.gamma}")
-        if spec.needs_sq:
-            if self.s is None or self.q is None:
-                raise ConfigError(f"{self.theorem} needs s and q")
-            if not (0 < self.s < 1):
-                raise ConfigError(f"{self.theorem} needs 0 < s < 1")
-            if not (0 < self.q < np.inf):
-                raise ConfigError(f"{self.theorem} needs a finite q > 0")
-        if spec.alpha is not None and self.alpha is None:
-            self.alpha = _of_theta(spec.alpha, self.theta)
-        if spec.alpha_max is not None:
-            lo, hi = 0.0, _of_theta(spec.alpha_max, self.theta)
-            ok = lo < self.alpha <= hi if spec.alpha_closed else lo < self.alpha < hi
-            if not ok:
-                bracket = "]" if spec.alpha_closed else ")"
-                raise ConfigError(
-                    f"{self.theorem} needs alpha in ({lo}, {hi}{bracket}, got {self.alpha}"
-                )
+        unread = [f.name for f in fields(self) if f.default is None
+                  and getattr(self, f.name) is not None and f.name not in spec.params]
+        if unread:
+            raise ConfigError(f"{self.theorem} does not read {', '.join(unread)}")
+        for name, default in spec.params.items():
+            if getattr(self, name) is None:
+                if default is REQUIRED:
+                    raise ConfigError(f"{self.theorem} needs {name}")
+                setattr(self, name, _of_theta(default, self.theta))
+            value = getattr(self, name)
+            lo, hi, ends = _RANGES[name]
+            if name == "alpha":
+                hi, ends = _of_theta(spec.alpha_max, self.theta), "(]" if spec.alpha_closed else "()"
+            above = lo <= value if ends[0] == "[" else lo < value
+            below = value <= hi if ends[1] == "]" else value < hi
+            if not (above and below):
+                raise ConfigError(f"{self.theorem} needs {name} in {ends[0]}{lo}, "
+                                  f"{hi}{ends[1]}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -244,15 +237,16 @@ def _composition_norm(W: WhitneyDecomposition, f_vals, eps: float, p: float) -> 
 
 
 def _packing_terms(S, f_vals, p, sup_top, integral_top, plain, porous) -> tuple:
-    """sup of A(t)/t over the scales up to sup_top, A the packing profile
-    with the options plain; (int (A(t)/t)^p dt/t)^(1/p) and its bracket over
-    the scales up to integral_top, A the profile with the options porous."""
+    """"sup_quotient", the sup of A(t)/t over the scales up to sup_top, A the
+    packing profile with the options plain, and "porous_integral",
+    (int (A(t)/t)^p dt/t)^(1/p) over the scales up to integral_top, A the
+    profile with the options porous; and a note with the integral's bracket."""
     ts = _scales(S, sup_top)
     sup_term = np.max(packing_profile(S, f_vals, ts, p, **plain) / ts)
     ts = _scales(S, integral_top)
-    gs = packing_profile(S, f_vals, ts, p, **porous)
-    bracket = besov_scale_integral(ts, gs, 1.0, p)
-    return sup_term, bracket.value ** (1.0 / p), bracket
+    bracket = besov_scale_integral(ts, packing_profile(S, f_vals, ts, p, **porous), 1.0, p)
+    note = f"integral bracket [{bracket.lower:.4g}, {bracket.upper:.4g}]"
+    return {"sup_quotient": sup_term, "porous_integral": bracket.value ** (1.0 / p)}, note
 
 
 # -- estimator dispatch ------------------------------------------------
@@ -302,27 +296,16 @@ def _estimate_t14ii(S, f, cfg, mu, W):
 
 
 def _estimate_t24(S, f, cfg, mu, W):
-    diam = S.extent
-    sup_term, integral, bracket = _packing_terms(
-        S, f, cfg.p, 2 * diam, diam, {}, {"centers": "boundary", "alpha": cfg.alpha}
-    )
-    notes = (f"integral bracket [{bracket.lower:.4g}, {bracket.upper:.4g}]",)
-    return _report(
-        {"sup_quotient": sup_term, "porous_integral": integral}, S.h, notes
-    )
+    porous = {"centers": "boundary", "alpha": cfg.alpha}
+    terms, note = _packing_terms(S, f, cfg.p, 2 * S.extent, S.extent, {}, porous)
+    return _report(terms, S.h, (note,))
 
 
 def _estimate_t25(S, f, cfg, mu, W):
     comp, _ = _composition_norm(W, f, cfg.eps, cfg.p)
-    sup_term, integral, bracket = _packing_terms(
-        S, f, cfg.p, cfg.eps, cfg.eps, {}, {"centers": "boundary", "alpha": cfg.alpha}
-    )
-    notes = (f"integral bracket [{bracket.lower:.4g}, {bracket.upper:.4g}]",)
-    return _report(
-        {"composition": comp, "sup_quotient": sup_term, "porous_integral": integral},
-        S.h,
-        notes,
-    )
+    porous = {"centers": "boundary", "alpha": cfg.alpha}
+    terms, note = _packing_terms(S, f, cfg.p, cfg.eps, cfg.eps, {}, porous)
+    return _report({"composition": comp, **terms}, S.h, (note,))
 
 
 def _estimate_t26(S, f, cfg, mu, W):
@@ -335,15 +318,12 @@ def _estimate_t26(S, f, cfg, mu, W):
 
 
 def _estimate_t72(S, f, cfg, mu, W):
-    base = mu.lp_norm(f, cfg.p)
-    sup_term, integral, _ = _packing_terms(
+    terms, _ = _packing_terms(
         S, f, cfg.p, cfg.eps, cfg.eps,
         ap_mu_options(S, mu, f, cfg.p, q=cfg.p),
         ap_mu_options(S, mu, f, cfg.p, q=cfg.p, alpha=cfg.alpha),
     )
-    return _report(
-        {"lp_mu": base, "sup_quotient": sup_term, "porous_integral": integral}, S.h
-    )
+    return _report({"lp_mu": mu.lp_norm(f, cfg.p), **terms}, S.h)
 
 
 def _estimate_t715(S, f, cfg, mu, W):
@@ -427,23 +407,23 @@ def _estimate_decomposed(S, f, cfg, mu, W):
 # -- the theorem table -------------------------------------------------
 
 
+REQUIRED = "required"
+
+
 @dataclass(frozen=True)
 class Theorem:
-    """One trace characterisation: its estimator, what it needs, and the grid
-    norm of the Whitney extension it is compared against ("seminorm",
-    "besov" or "total").  theta, gamma, alpha and alpha_max are defaults and
-    bounds, each a number or a function of the resolved theta; alpha must lie
-    in (0, alpha_max], or in (0, alpha_max) unless alpha_closed."""
+    """One trace characterisation: its estimator, the config parameters it
+    reads, what else it needs, and the grid norm of the Whitney extension it
+    is compared against ("seminorm", "besov" or "total").  params maps each
+    parameter to its default, a function of the resolved theta, or REQUIRED;
+    theta comes first.  alpha must lie in (0, alpha_max], or in
+    (0, alpha_max) unless alpha_closed; alpha_max may be a function of theta."""
 
     estimate: Callable
+    params: dict
     comparison: str = "total"
-    needs_eps: bool = False
     needs_W: bool = False
     needs_mu: bool = False
-    needs_sq: bool = False
-    theta: float | None = None
-    gamma: float | Callable | None = None
-    alpha: float | Callable | None = None
     alpha_max: float | Callable | None = None
     alpha_closed: bool = False
 
@@ -453,27 +433,34 @@ def _of_theta(value, theta):
 
 
 THEOREMS = {
-    "T11": Theorem(_estimate_t11, "seminorm", gamma=11.0),
+    "T11": Theorem(_estimate_t11, {"gamma": 11.0}, "seminorm"),
     # theta = 2.0 is the measured bound for the anchor projection
     "T12": Theorem(
-        _estimate_t12, needs_eps=True, needs_W=True,
-        theta=2.0, gamma=lambda theta: 10 * theta + 1,
+        _estimate_t12,
+        {"theta": 2.0, "eps": REQUIRED, "gamma": lambda theta: 10 * theta + 1},
+        needs_W=True,
     ),
-    "T14i": Theorem(_estimate_t14i, "seminorm"),
-    "T14ii": Theorem(_estimate_t14ii, needs_eps=True, needs_W=True),
-    "T24": Theorem(_estimate_t24, alpha=3 / 20, alpha_max=3 / 20, alpha_closed=True),
+    "T14i": Theorem(_estimate_t14i, {}, "seminorm"),
+    "T14ii": Theorem(_estimate_t14ii, {"eps": REQUIRED}, needs_W=True),
+    "T24": Theorem(_estimate_t24, {"alpha": 3 / 20}, alpha_max=3 / 20, alpha_closed=True),
     "T25": Theorem(
-        _estimate_t25, needs_eps=True, needs_W=True, theta=2.0,
-        alpha=lambda theta: 3 / (10 + 10 * theta),
-        alpha_max=lambda theta: 3 / (10 + 10 * theta), alpha_closed=True,
+        _estimate_t25,
+        {"theta": 2.0, "eps": REQUIRED, "alpha": lambda theta: 3 / (10 + 10 * theta)},
+        needs_W=True, alpha_max=lambda theta: 3 / (10 + 10 * theta), alpha_closed=True,
     ),
-    "T26": Theorem(_estimate_t26, "besov", needs_eps=True, needs_W=True, needs_sq=True),
-    "T72": Theorem(_estimate_t72, needs_eps=True, needs_mu=True, alpha=1 / 8, alpha_max=1 / 7),
+    "T26": Theorem(
+        _estimate_t26, {"eps": REQUIRED, "s": REQUIRED, "q": REQUIRED}, "besov", needs_W=True
+    ),
+    "T72": Theorem(
+        _estimate_t72, {"eps": REQUIRED, "alpha": 1 / 8}, needs_mu=True, alpha_max=1 / 7
+    ),
     "T715": Theorem(
-        _estimate_t715, needs_eps=True, needs_mu=True, alpha=1 / 15, alpha_max=1 / 14
+        _estimate_t715,
+        {"eps": REQUIRED, "alpha": 1 / 15, "pair_budget": 4000, "seed": 0},
+        needs_mu=True, alpha_max=1 / 14,
     ),
-    "T723": Theorem(_estimate_t723, needs_eps=True, needs_mu=True),
-    "decomposed": Theorem(_estimate_decomposed, needs_eps=True),
+    "T723": Theorem(_estimate_t723, {"eps": REQUIRED}, needs_mu=True),
+    "decomposed": Theorem(_estimate_decomposed, {"eps": REQUIRED}),
 }
 THEOREM_IDS = tuple(THEOREMS)
 

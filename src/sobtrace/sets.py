@@ -52,6 +52,14 @@ _MARGIN = 1.25  # bbox margin around the samples of thin_set and solid_set
 _SCAN_CHUNK = 400_000  # lattice nodes per KD query in batched empty-cube searches
 
 
+def _check_cells_shape(shape, bbox, h) -> None:
+    """A solid set's occupancy mask covers its bbox in h-cells."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cells = (bbox[:, 1] - bbox[:, 0]) / h
+    if len(shape) != len(cells) or not np.all(np.abs(cells - shape) <= 1e-6):
+        raise ConfigError(f"occupancy shape {tuple(shape)} does not match the bbox at step h")
+
+
 @dataclass(eq=False)
 class ClosedSet:
     dim: int
@@ -72,7 +80,8 @@ class ClosedSet:
         self.bbox = np.asarray(self.bbox, float)
         if self.points.shape[0] == 0:
             raise ConfigError("a closed set needs at least one sample point")
-        if self.points.shape[1] != self.dim or self.bbox.shape != (self.dim, 2):
+        shapes = (self.points.ndim, self.points.shape[1], self.bbox.shape)
+        if shapes != (2, self.dim, (self.dim, 2)):
             raise ConfigError("inconsistent dimensions in ClosedSet")
         if not (np.isfinite(self.points).all() and np.isfinite(self.bbox).all()):
             raise ConfigError("sample coordinates and bbox must be finite")
@@ -90,11 +99,8 @@ class ClosedSet:
             # the mask covers the bbox in h-cells and holds every sample's cell
             if self.occupancy is None:
                 raise ConfigError("solid sets need an occupancy mask")
-            cells = (self.bbox[:, 1] - self.bbox[:, 0]) / self.h
-            occ = self.occupancy
-            if occ.ndim != self.dim or np.any(np.abs(cells - occ.shape) > 1e-6):
-                raise ConfigError(f"occupancy shape {occ.shape} does not match the bbox at step h")
-            if not occ[tuple(self._cell_index().T)].all():
+            _check_cells_shape(self.occupancy.shape, self.bbox, self.h)
+            if not self.occupancy[tuple(self._cell_index().T)].all():
                 raise ConfigError("a sample of a solid set lies in an unoccupied cell")
 
     # -- basic geometry -------------------------------------------------
@@ -535,6 +541,8 @@ class ClosedSet:
         occupancy = None
         if obj["kind"] == "solid":
             shape = tuple(int(n) for n in obj["cells_shape"])
+            # before the mask is allocated, so a bad shape cannot ask for a huge one
+            _check_cells_shape(shape, np.array(obj["bbox"], float), float(obj["h"]))
             cells = np.array(obj["cells"], int).reshape(-1, len(shape))
             if np.any(cells < 0) or np.any(cells >= shape):
                 raise ConfigError(f"a cell index lies outside cells_shape {list(shape)}")

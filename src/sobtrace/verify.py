@@ -122,17 +122,19 @@ def _summarize(entries, h_levels):
     return stats, deltas
 
 
-def _make_config(theorem, **kw):
-    p = kw.pop("p")
-    eps = kw.pop("eps")
-    s, q = kw.pop("s"), kw.pop("q")
-    spec = theorem_spec(theorem)
-    if spec.needs_eps and eps is None:
+def _make_config(theorem, p, eps, s, q, pair_budget, seed, **kw):
+    """The theorem's config. The defaults eps = 1/4, s = 1 - 1/p, q = p and the
+    run-wide pair budget and seed reach only a theorem that reads them."""
+    params = theorem_spec(theorem).params
+    if "eps" in params and eps is None:
         eps = 0.25
-    if spec.needs_sq:
+    if "s" in params:
         # p <= 0 is left to TraceEstimateConfig to reject
         s = 1 - 1 / p if s is None and p > 0 else s
         q = p if q is None else q
+    for name, value in (("pair_budget", pair_budget), ("seed", seed)):
+        if name in params:
+            kw[name] = value
     return TraceEstimateConfig(theorem=theorem, p=p, eps=eps, s=s, q=q, **kw)
 
 
@@ -152,9 +154,9 @@ def extension_field(W: WhitneyDecomposition, f_vals, cfg: TraceEstimateConfig) -
     return extend_grid(W, f_vals, delta, cbar)
 
 
-def _comparison_value(W, S, mu, f, cfg, comparison, d_exponent):
+def _comparison_value(W, S, mu, f, cfg, comparison, d_exponent, s):
     if comparison == "besov-dset":
-        s = cfg.s if cfg.s is not None else 1 - 1 / cfg.p
+        s = s if s is not None else 1 - 1 / cfg.p
         return dset_besov_norm(mu, f.values, s=s, p=cfg.p, d=d_exponent)
     return _comparison_norm(extension_field(W, f.values, cfg), cfg)
 
@@ -187,9 +189,12 @@ def verify_equivalence(
     """Sweep the family over h-levels; pair intrinsic estimates with the
     comparison norm (Whitney extension by default, direct d-set Besov when
     comparison="besov-dset").  Functions where both sides are near zero are
-    skipped and counted."""
+    skipped and counted.  pair_budget and seed are run-wide: they reach only
+    a theorem that reads them."""
     if comparison not in ("extension", "besov-dset"):
         raise ConfigError(f"unknown comparison mode {comparison!r}")
+    # the d-set Besov norm's s reaches the config only for a theorem that reads s
+    s_dset_only = comparison == "besov-dset" and "s" not in theorem_spec(theorem).params
     t0 = time.perf_counter()
     h_levels = sorted(h_levels or default_h_levels(set_name), reverse=True)
     entries = []
@@ -197,15 +202,15 @@ def verify_equivalence(
     for h in h_levels:
         S, mu = generate_canonical(CanonicalSpec(set_name, h))
         cfg = _make_config(
-            theorem, p=p, q=q, s=s, eps=eps, alpha=alpha, theta=theta,
-            pair_budget=pair_budget, seed=seed,
+            theorem, p=p, q=q, s=None if s_dset_only else s, eps=eps, alpha=alpha,
+            theta=theta, pair_budget=pair_budget, seed=seed,
         )
         W = None
         if comparison == "extension" or THEOREMS[theorem].needs_W:
             W = whitney_decomposition(S)
         for f in test_function_family(family, S):
             intrinsic = trace_estimate(S, f.values, cfg, mu=mu, W=W).value
-            comp = _comparison_value(W, S, mu, f, cfg, comparison, d_exponent)
+            comp = _comparison_value(W, S, mu, f, cfg, comparison, d_exponent, s)
             small_i, small_c = intrinsic < NEAR_ZERO, comp < NEAR_ZERO
             if small_i and small_c:
                 skipped += 1

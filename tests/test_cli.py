@@ -7,6 +7,7 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from sobtrace.canonical import CanonicalSpec, generate_canonical
 from sobtrace.cli import main
 from sobtrace.grid import GridField
+from sobtrace.measures import counting_measure
 from sobtrace.norms import THEOREM_IDS, TraceEstimateConfig
 from sobtrace.sets import solid_set
 from sobtrace.util import ConfigError
@@ -354,6 +356,14 @@ _FLAG_CASES = {
         ("verify", {"theorem": "T715", "set": "two-points", "kernel": "product"}),
         ("functional", {"functional": "packing", "t": 0.25, "mode": "greedy"}),
         ("functional", {"functional": "ap-mu", "t": 0.25, "mode": "greedy"}),
+        # a parameter the theorem does not read used to be accepted and ignored
+        ("tracenorm", {"theorem": "T723", "p": 3.0, "eps": 0.25, "alpha": 5, "theta": -7,
+                       "gamma": float("nan"), "s": 9}),
+        ("verify", {"theorem": "T14i", "set": "two-points", "alpha": 0.1, "theta": 3}),
+        # a NaN or infinite eps used to read 0.0 or a number
+        ("tracenorm", {"theorem": "T14ii", "p": 3.0, "eps": float("nan")}),
+        ("tracenorm", {"theorem": "T14ii", "p": 3.0, "eps": float("inf")}),
+        ("tracenorm", {"theorem": "T12", "p": 3.0, "eps": float("inf")}),
     ] + list(_FILE_CASES.values()) + list(_GRID_CASES.values()) + list(_FLAG_CASES.values()),
     ids=[
         "unknown-key", "p-as-string", "no-p", "bad-eps", "no-file", "not-json",
@@ -369,6 +379,8 @@ _FLAG_CASES = {
         "zero-d-besov-dset", "negative-gamma-t11", "zero-gamma-t11", "nan-gamma-t11",
         "nan-theta-t12", "infinite-theta-t12", "tracenorm-mode-key", "tracenorm-kernel-key",
         "verify-mode-key", "verify-kernel-key", "packing-mode-key", "ap-mu-mode-key",
+        "t723-unread-parameters", "verify-t14i-unread-alpha", "nan-eps-t14ii",
+        "infinite-eps-t14ii", "infinite-eps-t12",
     ] + list(_FILE_CASES) + list(_GRID_CASES) + list(_FLAG_CASES),
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
@@ -485,3 +497,124 @@ def test_demo_quick_profile(tmp_path, capsys):
     assert "whitney_contract.json" in names
     assert "verify_t11.json" in names
     assert "verify_t723_besov.json" in names
+
+
+def test_verify_seed_reaches_only_the_theorems_that_read_it(capsys):
+    """The global --seed is run-wide: T11 does not read it, so verify must not
+    hand it to T11's config, and the report bytes do not depend on it."""
+    argv = ["verify", "--theorem", "T11", "--canonical", "two-points",
+            "--family", "linear", "--h-levels", "1/32"]
+    reports = [run_cli(capsys, "--seed", seed, *argv) for seed in ("0", "3")]
+    assert [code for code, _ in reports] == [0, 0]
+    assert reports[0][1] == reports[1][1]
+
+
+# -- input-file fuzz: --set, --measure and --function contents -----------
+
+_ALLOCATION_LIMIT = 1 << 28  # bytes
+
+
+def _bounded_zeros(zeros):
+    """np.zeros that raises MemoryError, as a memory limit would, for any
+    array above _ALLOCATION_LIMIT bytes, without allocating it."""
+    def guarded(shape, dtype=float, *args, **kwargs):
+        size = np.prod(np.atleast_1d(shape), dtype=float) * np.dtype(dtype).itemsize
+        if size > _ALLOCATION_LIMIT:
+            raise MemoryError(f"refused an array of shape {shape}")
+        return zeros(shape, dtype, *args, **kwargs)
+    return guarded
+
+
+def _input_files(S) -> dict:
+    return {
+        "--set": S.to_json(),
+        "--measure": counting_measure(S, normalized=True).to_json(),
+        "--function": {"values": S.points[:, 0].tolist()},
+    }
+
+
+_T72 = {"theorem": "T72", "p": 3.0, "eps": 0.25}  # reads the set, measure and function
+_FUZZ_FILES = {
+    "thin": _input_files(generate_canonical(CanonicalSpec("two-points", 1 / 32))[0]),
+    "solid": _input_files(solid_set(np.ones((4, 4), bool), 0.25, (0.0, 0.0))),
+}
+# wrong types, empty and mis-nested arrays, mixed types and huge values
+FILE_FUZZ_VALUES = (
+    None, True, "x", 0, -1, 0.5, 1e308, -1e308, float("inf"), float("nan"), 10 ** 30,
+    [], [[]], [[[]]], {}, [1, "x"], [None], [[0.0, "x"]], [0.0, [1.0]], [[[0.0]]],
+    [[[0.0, 0.0]]], [1e308, -1e308], [[1e308, 1e308]], [[-1e308, 1e308], [-1e308, 1e308]],
+    [10 ** 6, 10 ** 6], [[0, 0], [10 ** 6, 10 ** 6]],
+)
+
+
+@st.composite
+def input_file_case(draw):
+    """The thin or solid input files with one or two of them damaged: a key
+    dropped, its value replaced, wrapped in one more list or flattened by
+    one level, or the whole file replaced."""
+    files = json.loads(json.dumps(_FUZZ_FILES[draw(st.sampled_from(sorted(_FUZZ_FILES)))]))
+    damaged = st.lists(st.sampled_from(sorted(files)), min_size=1, max_size=2, unique=True)
+    for flag in draw(damaged):
+        obj = files[flag]
+        key = draw(st.sampled_from(sorted(obj) + [None]))
+        value = obj if key is None else obj[key]
+        how = draw(st.sampled_from(("drop", "replace", "nest", "flatten")))
+        if how == "nest":
+            value = [value]
+        elif how == "flatten" and isinstance(value, list):
+            value = [x for v in value for x in (v if isinstance(v, list) else [v])]
+        elif how in ("replace", "flatten") or key is None:
+            value = draw(st.sampled_from(FILE_FUZZ_VALUES))
+        if key is None:
+            files[flag] = value
+        elif how == "drop":
+            del obj[key]
+        else:
+            obj[key] = value
+    return files
+
+
+def _run_with_files(tmp, command, config, files) -> tuple:
+    argv = [command]
+    for flag, obj in files.items():
+        path = Path(tmp) / f"{flag[2:]}.json"
+        path.write_text(json.dumps(obj))
+        argv += [flag, str(path)]
+    if config is not None:
+        (Path(tmp) / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(Path(tmp) / "cfg.json")]
+    err = io.StringIO()
+    with mock.patch.object(np, "zeros", _bounded_zeros(np.zeros)), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(input_file_case())
+def test_input_file_fuzz_exit_codes(files):
+    """Damaged input files exit 0, 2 or 3, never with a traceback or a huge
+    allocation; T72 reads the set, the measure and the function."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _run_with_files(tmp, "tracenorm", _T72, files)
+    assert code in (0, 2, 3), (files, err)
+    assert "Traceback" not in err
+
+
+_ONE_CELL = solid_set(np.ones((1, 1), bool), 0.25, (0.0, 0.0)).to_json()
+
+
+@pytest.mark.parametrize("command, config, files, error", [
+    # refused before the occupancy mask is allocated: 10^6 x 10^6 cells is 931 GiB
+    ("whitney", None, {"--set": {**_ONE_CELL, "cells_shape": [10 ** 6, 10 ** 6]}},
+     "occupancy shape (1000000, 1000000) does not match the bbox"),
+    # one more level of nesting used to pass the shape checks
+    ("whitney", None, {"--set": {**_FUZZ_FILES["thin"]["--set"], "points": [[[0.0]], [[1.0]]]}},
+     "inconsistent dimensions"),
+    ("tracenorm", _T72, {**_FUZZ_FILES["thin"], "--measure": {
+        "points": [[0.0], [1.0]], "weights": [[0.5], [0.5]]}}, "one weight per point"),
+], ids=["set-oversized-cells-shape", "set-nested-points", "measure-nested-weights"])
+def test_damaged_input_file_exits_2(tmp_path, command, config, files, error):
+    code, err = _run_with_files(tmp_path, command, config, files)
+    assert code == 2
+    assert err.startswith("config error:") and error in err

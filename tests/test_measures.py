@@ -101,7 +101,7 @@ class TestDiagnostics:
         occ = np.ones((128, 128), bool)
         S = solid_set(occ, h=1 / 128, origin=np.zeros(2))
         mu = cell_area_measure(S)
-        diag = measure_diagnostics(mu, n_centers=30, seed=1)
+        diag = measure_diagnostics(mu, seed=1)
         # doubling of area in the plane is 4 up to cell-boundary effects
         assert 2.5 <= diag.doubling_constant <= 5.0
         assert diag.dn_constant <= 2.5
@@ -109,7 +109,7 @@ class TestDiagnostics:
 
     def test_segment_arc_length_d_fit(self):
         mu, _ = segment_measure(257)
-        diag = measure_diagnostics(mu, n_centers=30, seed=2)
+        diag = measure_diagnostics(mu, seed=2)
         assert diag.dset_exponent == pytest.approx(1.0, abs=0.2)
         assert diag.exponent_drift <= 0.4
         assert diag.degenerate_cubes == 0

@@ -1,6 +1,9 @@
 """Grid norms, estimator configs, and the trace-norm dispatch."""
 
+import dataclasses
 import functools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from sobtrace import norms
 from sobtrace.norms import (
     THEOREM_IDS,
     THEOREMS,
+    REQUIRED,
     NormReport,
     TraceEstimateConfig,
     boundary_measure,
@@ -120,6 +124,8 @@ THEOREM_TABLE = {
     "T723": ({"eps": 0.25}, ("mu",), (None, None, None), None, "total"),
     "decomposed": ({"eps": 0.25}, (), (None, None, None), None, "total"),
 }
+# the parameters every theorem may be given: the defaulted config fields
+PARAMETERS = [f.name for f in dataclasses.fields(TraceEstimateConfig) if f.default is None]
 
 
 class TestConfig:
@@ -128,18 +134,24 @@ class TestConfig:
         inputs, estimate_inputs, resolved, alpha_max, comparison = THEOREM_TABLE[tid]
         spec = THEOREMS[tid]
         assert spec.comparison == comparison
-        assert (spec.needs_eps, spec.needs_W, spec.needs_mu) == (
-            "eps" in inputs,
+        assert {k for k, v in spec.params.items() if v is REQUIRED} == set(inputs)
+        assert (spec.needs_W, spec.needs_mu) == (
             tid in ("T12", "T14ii", "T25", "T26"),
             "mu" in estimate_inputs,
         )
         cfg = TraceEstimateConfig(theorem=tid, p=3.0, **inputs)
         assert (cfg.alpha, cfg.gamma, cfg.theta) == resolved
+        assert (cfg.pair_budget, cfg.seed) == ((4000, 0) if tid == "T715" else (None, None))
+        # every parameter the theorem reads is resolved; the others stay unset
+        assert {k for k in PARAMETERS if getattr(cfg, k) is not None} == set(spec.params)
         for key in inputs:
             with pytest.raises(ConfigError):
                 TraceEstimateConfig(
                     theorem=tid, p=3.0, **{k: v for k, v in inputs.items() if k != key}
                 )
+        for key in set(PARAMETERS) - set(spec.params):
+            with pytest.raises(ConfigError, match=f"{tid} does not read {key}"):
+                TraceEstimateConfig(theorem=tid, p=3.0, **{**inputs, key: 1})
         if alpha_max is not None:
             hi, closed = alpha_max
             for bad in (0.0, hi * (1 + 1e-9)) + (() if closed else (hi,)):
@@ -151,6 +163,27 @@ class TestConfig:
         if estimate_inputs:
             with pytest.raises(ConfigError):
                 trace_estimate(S, x, cfg)
+
+    @pytest.mark.parametrize("tid", THEOREM_IDS)
+    def test_params_have_ranges(self, tid):
+        params = list(THEOREMS[tid].params)
+        assert set(params) <= set(PARAMETERS) == set(norms._RANGES)
+        # a default may be a function of theta, so theta is resolved first
+        if any(callable(v) for v in THEOREMS[tid].params.values()):
+            assert params[0] == "theta"
+
+    def test_unread_fields_named_together(self):
+        with pytest.raises(ConfigError, match="T723 does not read s, theta, alpha, gamma"):
+            TraceEstimateConfig(
+                theorem="T723", p=3.0, eps=0.25, alpha=5, theta=-7, gamma=np.nan, s=9
+            )
+
+    @pytest.mark.parametrize("tid", [t for t in THEOREM_IDS if "eps" in THEOREMS[t].params])
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, 0.0, -0.25])
+    def test_eps_must_be_finite_and_positive(self, tid, eps):
+        inputs = THEOREM_TABLE[tid][0]
+        with pytest.raises(ConfigError, match=f"{tid} needs eps in"):
+            TraceEstimateConfig(theorem=tid, p=3.0, **{**inputs, "eps": eps})
 
     def test_unknown_theorem(self):
         with pytest.raises(ConfigError):
@@ -181,6 +214,26 @@ class TestConfig:
             TraceEstimateConfig(theorem="T26", p=3, eps=0.5)  # s, q missing
         with pytest.raises(ConfigError):
             TraceEstimateConfig(theorem="T12", p=3, eps=0.5, theta=0.5)
+
+
+def _readme_parameter_bullets() -> list:
+    """The bullets of the README's per-theorem parameter list."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("Each theorem's `params`", 1)[1].split("\n\n")[1]
+    return block.split("\n- ")
+
+
+def test_readme_lists_each_theorems_parameters():
+    """Each README bullet that names a config parameter lists exactly the
+    theorems whose THEOREMS params hold it, and every parameter is listed."""
+    listed = set()
+    for bullet in _readme_parameter_bullets():
+        names = set(re.findall(r"`(\w+)`", bullet)) & set(PARAMETERS)
+        ids = set(re.findall(r"\b(T\d+i*|decomposed)\b", bullet))
+        for name in names:
+            assert ids == {t for t in THEOREM_IDS if name in THEOREMS[t].params}, name
+        listed |= names
+    assert listed == set(PARAMETERS)
 
 
 ALL_CONFIGS = [
@@ -370,28 +423,36 @@ def _catalog(name):
     return S, mu, whitney_decomposition(S), function_family("restrictions-of-smooth", S)
 
 
+# each parameter's draw, in the order they are drawn (theta before the
+# defaults that depend on it); alpha is drawn last, from the theorem's range
+# at the drawn theta
+_DRAWS = {
+    "pair_budget": st.integers(0, 300),
+    "seed": st.integers(0, 2 ** 16),
+    "eps": st.floats(1 / 256, 0.5),
+    "s": st.floats(0.01, 0.99),
+    "q": st.floats(0.5, 8.0),
+    "theta": st.floats(1.0, 8.0),
+    "gamma": st.none() | st.floats(0.5, 32.0),
+}
+
+
 @st.composite
 def estimate_parameters(draw, tid):
-    """Finite TraceEstimateConfig keywords from each field's declared range:
-    p, q > 0, eps > 0, 0 < s < 1, theta >= 1, gamma > 0 (or its default),
-    pair_budget, seed >= 0, and alpha in the theorem's range for the drawn
-    theta. Three bounds keep the run short or the roots in range: p and q
-    from 1/2 (a 1/p-th root of a sum above 1 overflows as p goes to 0, which
-    is a numerical failure, not a config error), eps up to 1/2 (the catalog
-    sets span about 1) and the pair budget up to 300."""
+    """Finite TraceEstimateConfig keywords for the parameters the theorem
+    reads (THEOREMS[tid].params), each from its declared range: p, q > 0,
+    eps > 0, 0 < s < 1, theta >= 1, gamma > 0 (or its default), pair_budget,
+    seed >= 0, and alpha in the theorem's range for the drawn theta. Three
+    bounds keep the run short or the roots in range: p and q from 1/2 (a
+    1/p-th root of a sum above 1 overflows as p goes to 0, which is a
+    numerical failure, not a config error), eps up to 1/2 (the catalog sets
+    span about 1) and the pair budget up to 300."""
     spec = THEOREMS[tid]
-    kw = {"p": draw(st.floats(0.5, 8.0)), "pair_budget": draw(st.integers(0, 300)),
-          "seed": draw(st.integers(0, 2 ** 16))}
-    if spec.needs_eps:
-        kw["eps"] = draw(st.floats(1 / 256, 0.5))
-    if spec.needs_sq:
-        kw["s"] = draw(st.floats(0.01, 0.99))
-        kw["q"] = draw(st.floats(0.5, 8.0))
-    if spec.theta is not None:
-        kw["theta"] = draw(st.floats(1.0, 8.0))
-    if spec.gamma is not None:
-        kw["gamma"] = draw(st.none() | st.floats(0.5, 32.0))
-    if spec.alpha_max is not None:
+    kw = {"p": draw(st.floats(0.5, 8.0))}
+    kw.update({
+        name: draw(strategy) for name, strategy in _DRAWS.items() if name in spec.params
+    })
+    if "alpha" in spec.params:
         hi = norms._of_theta(spec.alpha_max, kw.get("theta"))
         kw["alpha"] = draw(st.floats(hi / 64, hi, exclude_max=not spec.alpha_closed))
     return kw
