@@ -164,9 +164,9 @@ _DIAGNOSTIC_CENTERS = 40
 def measure_diagnostics(mu: DiscreteMeasure, seed: int = 0) -> MeasureDiagnostics:
     """Empirical doubling / growth constants and a d-set power-law fit.
 
-    _DIAGNOSTIC_CENTERS centers are drawn from the support; radii form a dyadic ladder in
-    [4h-ish, 1] where h is the largest nearest-atom gap among the centers;
-    growth is read at the factors 2, 4 and 8.
+    Up to _DIAGNOSTIC_CENTERS centers are drawn from the support; radii form
+    a dyadic ladder in [4h-ish, 1] where h is the largest nearest-atom gap
+    among the centers; growth is read at the factors 2, 4 and 8.
     """
     if seed < 0:
         raise ConfigError(f"need seed >= 0, got {seed}")
