@@ -116,6 +116,15 @@ _RANGES = {
 }
 
 
+def _check_range(owner: str, name: str, value, bounds: tuple) -> None:
+    """Refuse value unless it lies in bounds, (low end, high end, brackets)."""
+    lo, hi, ends = bounds
+    above = lo <= value if ends[0] == "[" else lo < value
+    below = value <= hi if ends[1] == "]" else value < hi
+    if not (above and below):
+        raise ConfigError(f"{owner} needs {name} in {ends[0]}{lo}, {hi}{ends[1]}, got {value}")
+
+
 @dataclass
 class TraceEstimateConfig:
     """Parameters of one trace-norm estimator. THEOREMS[theorem].params names
@@ -145,15 +154,11 @@ class TraceEstimateConfig:
                 if default is REQUIRED:
                     raise ConfigError(f"{self.theorem} needs {name}")
                 setattr(self, name, _of_theta(default, self.theta))
-            value = getattr(self, name)
-            lo, hi, ends = _RANGES[name]
+            bounds = _RANGES[name]
             if name == "alpha":
-                hi, ends = _of_theta(spec.alpha_max, self.theta), "(]" if spec.alpha_closed else "()"
-            above = lo <= value if ends[0] == "[" else lo < value
-            below = value <= hi if ends[1] == "]" else value < hi
-            if not (above and below):
-                raise ConfigError(f"{self.theorem} needs {name} in {ends[0]}{lo}, "
-                                  f"{hi}{ends[1]}, got {value}")
+                bounds = (0, _of_theta(spec.alpha_max, self.theta),
+                          "(]" if spec.alpha_closed else "()")
+            _check_range(self.theorem, name, getattr(self, name), bounds)
 
 
 @dataclass(frozen=True)

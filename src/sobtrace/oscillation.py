@@ -273,30 +273,33 @@ def _window_extrema(values: np.ndarray, k: int) -> tuple:
     return hi, lo
 
 
-_WALK_CHUNK = 4096  # nodes per step of the greedy grid walk
+_WALK_CHUNK = 512  # nodes per step of the greedy grid walk
 
 
-def grid_packing_functional(
-    F: GridField, t: float, p: float, taus=None, details: bool = False
-):
-    """Packing functional for a grid field: every node is a candidate center.
+def grid_packing_functional(F: GridField, t: float, p: float, details: bool = False):
+    """Packing functional for a grid field: every node is a candidate center,
+    at the trial diameters t, t/2, t/4, t/8.
 
     Per trial diameter the oscillation raster comes from running max/min
     filters. The greedy packing walks the nodes of positive score in
-    decreasing score order (ties by flat index). A node is rejected by one
-    lookup in a flat view of the `blocked` mask; only an admitted node is
-    turned into per-axis indices, and then the patch [i-k+1, i+k) around it,
-    the nodes whose cubes would overlap its cube, is blocked. The walk takes
-    the order in chunks and drops, in one vectorised lookup, the nodes a
-    chunk finds already blocked; blocking is monotone, so that changes no
-    admission. The survivors' scores are read once per chunk, as Python
-    floats, and summed in admission order.
+    decreasing score order (ties by flat index). An admitted node i blocks
+    the patch [i-k+1, i+k), the nodes whose cubes would overlap its cube.
+    The `blocked` raster is padded by k-1 nodes on every side, so that patch
+    is the (2k-1)^d window that starts at padded index i on every axis, and
+    one strided view of the padded buffer holds every such window, indexed
+    by the window's flat origin. The walk takes the order in chunks; each
+    chunk is mapped to window origins and drops, in one vectorised lookup,
+    the nodes it finds already blocked (blocking is monotone, so that
+    changes no admission). A surviving node then costs one check, the
+    padded raster at its origin plus the center offset, and, if admitted,
+    one store of its window, with no per-axis index arithmetic. The
+    survivors' scores are read once per chunk, as Python floats, and summed
+    in admission order.
     """
     _check_packing_args(p, [t])
-    taus = _default_taus(t) if taus is None else list(taus)
     shape = F.values.shape
     best, best_tau, per_tau = 0.0, None, []
-    for tau in taus:
+    for tau in _default_taus(t):
         k = int(round(tau / F.h))
         if k < 1 or 2 * k >= min(shape):
             per_tau.append((tau, 0.0, 0))
@@ -309,25 +312,29 @@ def grid_packing_functional(
         score = np.where(valid, score, 0.0)
         flat = score.ravel()
         cand = np.nonzero(flat > 0)[0]
-        order = cand[np.lexsort((cand, -flat[cand]))]
-        blocked = np.zeros(shape, bool)
-        bflat = blocked.reshape(-1)  # a view: patches written to blocked show here
+        # cand ascends, so a stable sort breaks score ties by flat index
+        order = cand[np.argsort(-flat[cand], kind="stable")]
+        padded = np.zeros(tuple(s + 2 * (k - 1) for s in shape), bool)
+        pflat = padded.reshape(-1)
         # bool items are one byte, so byte strides are index strides
-        axes = list(zip(blocked.strides, shape))
+        span = (2 * k - 2) * sum(padded.strides)  # window's last node - origin
+        patches = np.lib.stride_tricks.as_strided(
+            pflat,
+            shape=(padded.size - span,) + (2 * k - 1,) * F.dim,
+            strides=(1,) + padded.strides,
+        )
+        centers = pflat[span // 2:]  # centers[o]: the middle node of the window at o
         total, count = 0.0, 0
         for start in range(0, len(order), _WALK_CHUNK):
             chunk = order[start:start + _WALK_CHUNK]
-            live = chunk[~bflat[chunk]]
-            for pos, node_score in zip(live.tolist(), flat[live].tolist()):
-                if bflat[pos]:
+            origins = np.ravel_multi_index(np.unravel_index(chunk, shape), padded.shape)
+            keep = ~centers[origins]
+            for pos, node_score in zip(origins[keep].tolist(), flat[chunk[keep]].tolist()):
+                if centers[pos]:
                     continue
                 total += node_score
                 count += 1
-                patch = []
-                for stride, s in axes:
-                    i, pos = divmod(pos, stride)
-                    patch.append(slice(max(0, i - k + 1), min(s, i + k)))
-                blocked[tuple(patch)] = True
+                patches[pos] = True
         per_tau.append((tau, total, count))
         if total > best:
             best, best_tau = total, tau

@@ -546,7 +546,12 @@ class ClosedSet:
             cells = np.array(obj["cells"], int).reshape(-1, len(shape))
             if np.any(cells < 0) or np.any(cells >= shape):
                 raise ConfigError(f"a cell index lies outside cells_shape {list(shape)}")
-            occupancy = np.zeros(shape, bool)
+            try:
+                occupancy = np.zeros(shape, bool)
+            except MemoryError as exc:
+                raise ConfigError(
+                    f"cannot allocate an occupancy mask of cells_shape {list(shape)}: {exc}"
+                ) from None
             occupancy[tuple(cells.T)] = True
         return ClosedSet(
             dim=int(obj["dim"]),

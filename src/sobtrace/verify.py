@@ -22,6 +22,8 @@ from .measures import dset_besov_norm
 from .norms import (
     THEOREMS,
     TraceEstimateConfig,
+    _RANGES,
+    _check_range,
     grid_besov_norm,
     grid_sobolev_norms,
     theorem_spec,
@@ -189,10 +191,12 @@ def verify_equivalence(
     """Sweep the family over h-levels; pair intrinsic estimates with the
     comparison norm (Whitney extension by default, direct d-set Besov when
     comparison="besov-dset").  Functions where both sides are near zero are
-    skipped and counted.  pair_budget and seed are run-wide: they reach only
-    a theorem that reads them."""
+    skipped and counted.  pair_budget and seed are run-wide: they are checked
+    whatever the theorem, and reach only a theorem that reads them."""
     if comparison not in ("extension", "besov-dset"):
         raise ConfigError(f"unknown comparison mode {comparison!r}")
+    for name, value in (("pair_budget", pair_budget), ("seed", seed)):
+        _check_range("verify", name, value, _RANGES[name])
     # the d-set Besov norm's s reaches the config only for a theorem that reads s
     s_dset_only = comparison == "besov-dset" and "s" not in theorem_spec(theorem).params
     t0 = time.perf_counter()

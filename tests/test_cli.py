@@ -295,6 +295,12 @@ _FLAG_CASES = {
     "verify-h-levels-zero-denominator": ("verify", Flags(
         ("--theorem", "T11", "--canonical", "two-points", "--h-levels", "1/0"), "usage:"
     )),
+    # the run-wide pair budget is checked whether or not the theorem reads it
+    **{f"verify-negative-pair-budget-flag-{theorem.lower()}": ("verify", Flags(
+        ("--theorem", theorem, "--canonical", "two-points", "--family", "linear",
+         "--h-levels", "1/32", "--pair-budget", "-1"),
+        "config error: verify needs pair_budget in [0, inf), got -1",
+    )) for theorem in ("T11", "T715")},
 }
 
 
@@ -613,7 +619,13 @@ _ONE_CELL = solid_set(np.ones((1, 1), bool), 0.25, (0.0, 0.0)).to_json()
      "inconsistent dimensions"),
     ("tracenorm", _T72, {**_FUZZ_FILES["thin"], "--measure": {
         "points": [[0.0], [1.0]], "weights": [[0.5], [0.5]]}}, "one weight per point"),
-], ids=["set-oversized-cells-shape", "set-nested-points", "measure-nested-weights"])
+    # a shape that matches a huge bbox passes the shape check; the mask it
+    # asks for (3.6 TiB) is refused by the allocation limit
+    ("whitney", None, {"--set": {**_ONE_CELL, "bbox": [[-1e6, 1e6], [-1e6, 1e6]], "h": 1.0,
+                                 "cells_shape": [2 * 10 ** 6, 2 * 10 ** 6]}},
+     "cannot allocate an occupancy mask of cells_shape [2000000, 2000000]"),
+], ids=["set-oversized-cells-shape", "set-nested-points", "measure-nested-weights",
+        "set-huge-matching-cells-shape"])
 def test_damaged_input_file_exits_2(tmp_path, command, config, files, error):
     code, err = _run_with_files(tmp_path, command, config, files)
     assert code == 2

@@ -238,8 +238,6 @@ class TestPackingFunctional:
             packing_functional_details(S, f, t, 2.0)
         with pytest.raises(ConfigError):
             grid_packing_functional(F, t, 2.0)
-        with pytest.raises(ConfigError):
-            grid_packing_functional(F, t, 2.0, taus=[0.25])
 
 
 @pytest.mark.parametrize("name", CANONICAL_NAMES)
@@ -458,41 +456,81 @@ _GRID_FIELDS = {
 
 
 class TestGridPackingWalk:
-    """The flat-mask walk admits the same nodes in the same order as the
-    per-node unravel_index walk, so every sum is bit-identical."""
+    """The strided-view walk (a padded `blocked` raster, one check and one
+    window store per node, the order taken in chunks) admits the same nodes
+    in the same order as the per-node unravel_index walk, so every sum is
+    bit-identical."""
+
+    @staticmethod
+    def assert_same(F, t, p):
+        got = grid_packing_functional(F, t, p, details=True)
+        want = reference_grid_packing(F, t, p)
+        assert [row[0] for row in got["per_tau"]] == [t, t / 2, t / 4, t / 8]
+        assert got["per_tau"] == want["per_tau"]
+        assert got["value"] == want["value"]
+        assert got["best_tau"] == want["best_tau"]
+        return got
 
     @pytest.mark.parametrize("name", sorted(_GRID_FIELDS))
     @pytest.mark.parametrize("p", [1.0, 3.0])
     def test_default_taus(self, name, p):
         F = _GRID_FIELDS[name]()
         for t in (4 * F.h, 16 * F.h, 0.25):
-            got = grid_packing_functional(F, t, p, details=True)
-            want = reference_grid_packing(F, t, p)
-            assert got["per_tau"] == want["per_tau"]
-            assert got["value"] == want["value"]
-            assert got["best_tau"] == want["best_tau"]
+            self.assert_same(F, t, p)
 
     @pytest.mark.parametrize("name", sorted(_GRID_FIELDS))
     def test_even_and_odd_k(self, name):
         F = _GRID_FIELDS[name]()
-        # k = 1 .. 7: odd k centre cubes between nodes, k = 1 scores nothing
-        taus = [k * F.h for k in range(1, 8)]
-        got = grid_packing_functional(F, 0.5, 2.0, taus=taus, details=True)
-        want = reference_grid_packing(F, 0.5, 2.0, taus=taus)
-        assert [row[0] for row in got["per_tau"]] == taus
-        assert got["per_tau"] == want["per_tau"]
-        assert got["value"] == want["value"]
-        assert got["best_tau"] == want["best_tau"]
-        assert any(row[2] > 0 for row in got["per_tau"])
+        # t = 4h, 24h, 40h, 56h: the trial diameters t/2^j reach k = 1 .. 7;
+        # odd k centre cubes between nodes, k = 1 scores nothing
+        ks, admitted = set(), 0
+        for n in (4, 24, 40, 56):
+            got = self.assert_same(F, n * F.h, 2.0)
+            ks.update(round(row[0] / F.h) for row in got["per_tau"])
+            admitted += sum(row[2] for row in got["per_tau"])
+        assert ks >= set(range(1, 8))
+        assert admitted > 0
 
     def test_explicit_taus_list(self):
         F = _GRID_FIELDS["cosine"]()
-        taus = [0.3, 5 / 64, 0.125, 1 / 64, 0.0]
-        got = grid_packing_functional(F, 1.0, 3.0, taus=taus, details=True)
-        want = reference_grid_packing(F, 1.0, 3.0, taus=taus)
-        assert got["per_tau"] == want["per_tau"]
-        assert got["value"] == want["value"]
-        assert got["best_tau"] == want["best_tau"]
+        # tau = 0.3, 0.15, 0.075, 0.0375 round to k = 19, 10, 5, 2
+        got = self.assert_same(F, 0.3, 3.0)
+        assert [round(row[0] / F.h) for row in got["per_tau"]] == [19, 10, 5, 2]
+        assert all(row[2] > 0 for row in got["per_tau"])
+        # at t = 5 even t/8 rounds to k = 40 and 2k >= 65 nodes: nothing fits
+        got = self.assert_same(F, 5.0, 3.0)
+        assert got["per_tau"] == [(tau, 0.0, 0) for tau in (5.0, 2.5, 1.25, 0.625)]
+        assert got["value"] == 0.0 and got["best_tau"] is None
+
+    @pytest.mark.parametrize("shape", [(17,), (15, 18), (15, 16, 17)])
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_far_corner_window(self, shape, k):
+        # one spike half a window past the last valid node L = s - 1 - margin
+        # on every axis: L is the only node of positive score at k, so its
+        # window, the last one the strided view can be asked for, is stored
+        h = 1 / 16
+        margin, reach = (k + 1) // 2, k // 2  # reach: half the filter window
+        values = np.zeros(shape)
+        values[tuple(s - 1 - margin + reach for s in shape)] = 1.0
+        F = GridField(np.array([[0.0, (s - 1) * h] for s in shape]), h, values)
+        got = self.assert_same(F, k * h, 2.0)
+        assert got["per_tau"][0] == (k * h, (k * h) ** len(shape), 1)
+
+    def test_candidates_not_a_multiple_of_the_chunk(self):
+        F = GridField(
+            np.array([[0.0, 39 / 64], [0.0, 36 / 64]]),
+            1 / 64,
+            np.random.default_rng(11).standard_normal((40, 37)),
+        )
+        # at k = 2 every one of the 38 x 35 valid nodes of the random field
+        # scores above 0: two full chunks and a part
+        hi = ndimage.maximum_filter(F.values, size=3, mode="nearest")
+        lo = ndimage.minimum_filter(F.values, size=3, mode="nearest")
+        assert np.count_nonzero((hi - lo)[1:-1, 1:-1] > 0) == 38 * 35
+        chunk = oscillation._WALK_CHUNK
+        assert 38 * 35 % chunk != 0 and 38 * 35 > 2 * chunk
+        got = self.assert_same(F, 2 / 64, 3.0)
+        assert got["per_tau"][0][2] > 0
 
 
 def reference_sharp_maximal_field(S, f_vals):
