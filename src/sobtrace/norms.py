@@ -236,8 +236,7 @@ def lambda_packing(
 def _composition_norm(W: WhitneyDecomposition, f_vals, eps: float, p: float) -> tuple:
     """L_p norm of f(T(x)) over the eps-neighborhood of the set, and the
     neighborhood's mask on the set's grid."""
-    FT, dist = compose_with_projection(W, f_vals)
-    near = dist <= eps + 1e-12
+    FT, near = compose_with_projection(W, f_vals, eps)
     return FT.cell_lp(p, near), near
 
 

@@ -394,13 +394,39 @@ def sharp_maximal(
     raise ConfigError(f"unknown sharp maximal variant {variant!r}")
 
 
+def _doubled(a: np.ndarray, k: int, pick) -> np.ndarray:
+    """pick (np.maximum or np.minimum) over the windows [x - 2k, x + 2k] on
+    every axis, from a, pick over the windows [x - k, x + k].
+
+    Axis by axis, the wider window is the union of the narrower ones at
+    x - k and at x + k.  A shift that would leave the grid stops at the
+    edge node: what the wider window holds inside the grid on that side
+    lies in the edge node's window, which lies inside the wider window.
+    max and min do not round, so the result equals the direct filter."""
+    for axis in range(a.ndim):
+        v = np.moveaxis(a, axis, 0)
+        n = len(v)
+        m = min(k, n)
+        out = np.empty_like(v)
+        out[:n - m] = v[m:]
+        out[n - m:] = v[n - 1]
+        pick(out[m:], v[:n - m], out=out[m:])
+        pick(out[:m], v[0], out=out[:m])
+        a = np.moveaxis(out, 0, axis)
+    return a
+
+
 def sharp_maximal_field(S: ClosedSet, f_vals) -> GridField:
     """range_ratio sharp maximal function on the set's grid, S.bbox at step S.h.
 
     Samples are rasterized to their nearest node (max and min layers), and
-    each dyadic radius contributes a windowed oscillation; the radius grid
-    resolves the supremum up to a factor two, which the empirical-constant
-    comparisons absorb.
+    each dyadic radius r = k h contributes the oscillation over the window
+    of k nodes around each node, divided by r; nodes whose window holds no
+    sample contribute 0.  The radius grid resolves the supremum up to a
+    factor two, which the empirical-constant comparisons absorb.  The
+    first window (k = 1) is filtered directly; each later one is grown from
+    the one before by doubling (_doubled), with the same values as a direct
+    filter of every window.
     """
     box, h = S.bbox, S.h
     f_vals = np.asarray(f_vals, float)
@@ -412,16 +438,18 @@ def sharp_maximal_field(S: ClosedSet, f_vals) -> GridField:
     np.maximum.at(fmax, cells, f_vals)
     np.minimum.at(fmin, cells, f_vals)
     out = np.zeros(shape)
-    r = h
+    r, k = h, 1
     extent = float(np.max(box[:, 1] - box[:, 0]))
     while r <= extent:
-        k = int(round(r / h))
-        w = 2 * k + 1
-        hi = ndimage.maximum_filter(fmax, size=w, mode="constant", cval=-np.inf)
-        lo = ndimage.minimum_filter(fmin, size=w, mode="constant", cval=np.inf)
+        if k == 1:
+            hi = ndimage.maximum_filter(fmax, size=3, mode="constant", cval=-np.inf)
+            lo = ndimage.minimum_filter(fmin, size=3, mode="constant", cval=np.inf)
+        else:
+            hi = _doubled(hi, k // 2, np.maximum)
+            lo = _doubled(lo, k // 2, np.minimum)
         osc = np.where(np.isfinite(hi) & np.isfinite(lo), hi - lo, 0.0)
         out = np.maximum(out, osc / r)
-        r *= 2
+        r, k = 2 * r, 2 * k
     return GridField(box, h, out)
 
 

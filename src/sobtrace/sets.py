@@ -9,7 +9,9 @@ distance from a point to the cell around a sample is
 max(0, ||x - sample|| - h/2).  A Chebyshev KD-tree answers them exactly.  On
 a solid set whose samples sit one per cell center, most rows are answered
 instead by one lookup in the cell lattice (`ClosedSet.nearest_distance`),
-which returns the same float.
+which returns the same float; the lookup reads the row's cell column off
+its coordinate, through a per-axis table of the sampled columns below each
+cell column, with no binary search.
 
 The empty-cube searches (clearance, porosity, quasi-distance, empty
 subcubes) scan a capped h/2 lattice of each box and are batched: callers
@@ -138,21 +140,34 @@ class ClosedSet:
         one).  No sample is closer on any axis, so when the cell at those
         columns holds a sample, that sample is a nearest one, and its
         distance max_a |x_a - v_a| is the float the KD-tree returns (rounding
-        is monotone).  The other rows, and any batch with a non-finite row
-        (the KD-tree rejects it), go to the KD-tree.
+        is monotone).  The bracket comes from the row's cell column c, the
+        floor of t = (x_a - bbox_lo) / h clipped to the bbox, with no
+        search: a sample coordinate v sits within h/4 of its cell's center,
+        so its t (the same float expression) is below the row's when its
+        column is below c and above it when its column is above c, and v
+        compares with x_a alike (the expression is monotone); only column
+        c's own coordinate is compared.  Columns with no sample, such as
+        the gap between two blobs, count as neither.  The other rows, and
+        any batch with a non-finite row (the KD-tree rejects it), go to the
+        KD-tree.
         """
         x = np.atleast_2d(np.asarray(x, float))
         tables = self._cell_tables()
         if tables is None or x.shape[1:] != (self.dim,) or not np.isfinite(x).all():
             return self.tree.query(x, p=np.inf, distance_upper_bound=bound)[0]
-        lowers, uppers, holds = tables
+        lowers, uppers, below_column, holds = tables
         d = np.zeros(len(x))
         cell = np.zeros(len(x), np.intp)
-        for a, (lower, upper) in enumerate(zip(lowers, uppers)):
+        for a, (lower, upper, index) in enumerate(zip(lowers, uppers, below_column)):
             xa = x[:, a]
-            j = upper.searchsorted(xa)  # lower[j] < xa <= upper[j]
+            t = xa - self.bbox[a, 0]
+            t /= self.h
+            np.clip(t, 0, len(index) - 1, out=t)
+            j = index.take(t.astype(np.intp))
+            j += upper.take(j) < xa  # now lower[j] < xa <= upper[j]
             below = xa - lower.take(j)
-            above = upper.take(j) - xa
+            above = upper.take(j)
+            above -= xa
             cell *= holds.shape[a]
             cell += j
             cell += above < below
@@ -166,14 +181,16 @@ class ClosedSet:
     def _cell_tables(self) -> tuple | None:
         """The tables of nearest_distance's cell-lattice path, built once
         per set; None unless this is a solid set whose samples all sit on
-        their columns' coordinates, strictly increasing with the column.
+        their columns' coordinates, each within h/4 of its cell's center.
 
         Per axis, with v the coordinates of the sampled columns in order,
         lower = [-inf, v] and upper = [v, inf], so that column j - 1 lies
-        below a coordinate in (lower[j], upper[j]] and column j above it.
-        holds marks the cells that hold a sample, indexed by column + 1 on
-        every axis; it is read off the samples, since a loaded set may mark
-        a cell occupied that has none.
+        below a coordinate in (lower[j], upper[j]] and column j above it;
+        below_column[c] counts the sampled columns below cell column c, for
+        c = 0 .. cells, the last entry serving every coordinate past the
+        bbox.  holds marks the cells that hold a sample, indexed by
+        column + 1 on every axis; it is read off the samples, since a loaded
+        set may mark a cell occupied that has none.
         """
         if self._tables is None:
             self._tables = self._build_cell_tables() or ()
@@ -183,18 +200,22 @@ class ClosedSet:
         if self.kind != "solid":
             return None
         cells = self._cell_index()
-        lowers, uppers, slots = [], [], []
+        offset = (self.points - self.bbox[:, 0]) / self.h - (cells + 0.5)
+        if np.any(np.abs(offset) > 0.25):
+            return None
+        lowers, uppers, below_column, slots = [], [], [], []
         for a in range(self.dim):
-            _, first, slot = np.unique(cells[:, a], return_index=True, return_inverse=True)
+            columns, first, slot = np.unique(cells[:, a], return_index=True, return_inverse=True)
             v = self.points[first, a]
-            if np.any(self.points[:, a] != v[slot]) or np.any(np.diff(v) <= 0):
+            if np.any(self.points[:, a] != v[slot]):
                 return None
             lowers.append(np.concatenate([[-np.inf], v]))
             uppers.append(np.concatenate([v, [np.inf]]))
+            below_column.append(np.searchsorted(columns, np.arange(self.occupancy.shape[a] + 1)))
             slots.append(slot + 1)
         holds = np.zeros([len(v) for v in lowers], bool)
         holds[tuple(slots)] = True
-        return lowers, uppers, holds
+        return lowers, uppers, below_column, holds
 
     def dist(self, x):
         """Uniform-norm distance from point(s) to the represented set."""

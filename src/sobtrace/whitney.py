@@ -31,11 +31,15 @@ the rule that also picks each cube's anchor.
 There is one grid per set: its lattice S.bbox at step S.h, on which the
 decomposition, the extension, the projection and the sharp maximal field
 are all sampled.  The grid products (the bump matrix at the nodes, the
-nodes' on-set flags and nearest samples, their distances to the set, and
-the node-to-cube map) are each built once, on first use, and kept on the
-decomposition.  The extension reads only the on-set flags and nearest
-samples, so their KD query stops just past the on-set reach; distances
-beyond it are queried only when the projection reads them.
+nodes' on-set flags and nearest samples, their distances to the set, the
+eps-neighbourhood masks, and the node-to-cube map) are each built once, on
+first use, and kept on the decomposition.  Each distance query is bounded
+by what its reader uses and goes only to the nodes a raster prefilter
+cannot rule out (WhitneyDecomposition._near_nodes): the extension reads
+the on-set flags and nearest samples, so their query stops just past the
+on-set reach; the composition norms read only whether a node lies within
+eps of the set (grid_near_mask); the exact distance at every node
+(grid_dist) is queried only when projection_data is asked for it.
 
 Two routes find the cube containing a point, with the same face-tie rule
 (the lexicographically smallest center wins).  WhitneyDecomposition.locate
@@ -53,7 +57,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
+from scipy import ndimage, sparse
 from scipy.spatial import cKDTree
 
 from .cubes import GROWTH
@@ -98,6 +102,7 @@ class WhitneyDecomposition:
     _pou: tuple | None = field(default=None, init=False, repr=False)
     _set_info: dict | None = field(default=None, init=False, repr=False)
     _dist: np.ndarray | None = field(default=None, init=False, repr=False)
+    _near_masks: dict = field(default_factory=dict, init=False, repr=False)
     _cube_of: np.ndarray | None = field(default=None, init=False, repr=False)
 
     # -- bookkeeping ----------------------------------------------------
@@ -216,22 +221,43 @@ class WhitneyDecomposition:
             self._pou = self.bumps(self._grid().nodes())
         return self._pou
 
+    def _near_nodes(self, bound: float, rows=None) -> np.ndarray:
+        """S.nearest_distance(nodes, bound) at the grid nodes, flat (at the
+        nodes the boolean mask rows marks; inf at the others).
+
+        Only the nodes within ceil(bound / h) + 1 nodes, per axis, of a
+        sample's nearest node (a chessboard dilation of the marks) are
+        queried; the others read inf, which is what the bounded query
+        returns for them.  A node within bound of a sample lies within
+        bound + h/2 of that sample's nearest node, that is, within
+        ceil(bound / h) nodes of it per axis; the + 1 covers the rounding of
+        the node coordinates and of the marks."""
+        S = self.S
+        marks = np.zeros(GridField.shape_for(S.bbox, S.h), bool)
+        marks[tuple(np.round((S.points - S.bbox[:, 0]) / S.h).astype(int).T)] = True
+        reach = int(min(np.ceil(bound / S.h) + 1, max(marks.shape)))
+        ask = ndimage.maximum_filter(marks, size=2 * reach + 1, mode="constant").ravel()
+        if rows is not None:
+            ask &= rows
+        near = np.full(marks.size, np.inf)
+        near[ask] = S.nearest_distance(self._grid().nodes()[ask], bound)
+        return near
+
     def grid_set_info(self) -> dict:
         """Nearest-sample distances, on-set flags and nearest-sample indices
         of the grid nodes; built on first use and kept.
 
-        The distance query ("near") stops just past the on-set reach: it
-        is exact up to there and inf beyond; grid_dist completes it.  The
-        nearest sample is resolved only where the extension or the
-        projection reads it, at on-set and unresolved nodes; it is -1
-        elsewhere."""
+        The distance query ("near") is bounded just past the on-set reach,
+        2 * S.on_set_reach, and prefiltered (_near_nodes): it is exact below
+        the bound and inf beyond.  The nearest sample is resolved only where
+        the extension or the projection reads it, at on-set and unresolved
+        nodes; it is -1 elsewhere."""
         if self._set_info is None:
-            nodes = self._grid().nodes()
-            near = self.S.nearest_distance(nodes, bound=2 * self.S.on_set_reach)
+            near = self._near_nodes(2 * self.S.on_set_reach)
             on_set = near <= self.S.on_set_reach
             rows = np.nonzero(on_set | (self.projection_map().ravel() < 0))[0]
-            nearest = np.full(len(nodes), -1)
-            nearest[rows] = self.S.nearest_point(nodes[rows])[1]
+            nearest = np.full(len(near), -1)
+            nearest[rows] = self.S.nearest_point(self._grid().nodes()[rows])[1]
             self._set_info = {"near": near, "nearest": nearest, "on_set": on_set}
         return self._set_info
 
@@ -244,6 +270,23 @@ class WhitneyDecomposition:
             near[far] = self.S.nearest_distance(self._grid().nodes()[far])
             self._dist = np.maximum(0.0, near - self.S.sample_radius)
         return self._dist
+
+    def grid_near_mask(self, eps: float) -> np.ndarray:
+        """The grid nodes within eps of the set, grid_dist() <= eps + 1e-12,
+        flat; built on first use for each eps and kept.
+
+        grid_set_info's query is exact at its near nodes; its far nodes are
+        completed by a prefiltered query (_near_nodes) bounded at
+        2 (eps + S.sample_radius) + h, past which a node's distance to the
+        set exceeds eps + h and the node is not in the mask."""
+        if eps not in self._near_masks:
+            S = self.S
+            near = self.grid_set_info()["near"]
+            far = np.isinf(near)
+            bound = 2 * (eps + S.sample_radius) + S.h
+            near = np.where(far, self._near_nodes(bound, far), near)
+            self._near_masks[eps] = np.maximum(0.0, near - S.sample_radius) <= eps + 1e-12
+        return self._near_masks[eps]
 
     def projection_map(self) -> np.ndarray:
         """Per-node index of the containing cube, painted so shared faces go
@@ -408,23 +451,29 @@ def extend_grid(W: WhitneyDecomposition, f_vals, delta: float, cbar: float) -> G
     return W._grid(_evaluate(W, f_vals, delta, cbar, bumps, info["on_set"], info["nearest"]))
 
 
+def _projection_targets(W: WhitneyDecomposition) -> np.ndarray:
+    """The sample index each grid node projects to (see projection_data)."""
+    info = W.grid_set_info()
+    cube_of = W.projection_map().ravel()
+    target = np.where(cube_of >= 0, W.anchor_idx[np.maximum(cube_of, 0)], info["nearest"])
+    return np.where(info["on_set"], info["nearest"], target).astype(int)
+
+
 def projection_data(W: WhitneyDecomposition) -> tuple:
     """(nodes, target sample index, dist, on_set) of the projection of the
-    set's grid.
+    set's grid; dist is exact at every node (grid_dist).
 
     On-set nodes keep their own location (target = nearest sample); outside
     nodes map to the anchor of the containing cube; unresolved collar nodes
     fall back to the nearest sample.
     """
-    info = W.grid_set_info()
-    cube_of = W.projection_map().ravel()
-    target = np.where(cube_of >= 0, W.anchor_idx[np.maximum(cube_of, 0)], info["nearest"])
-    target = np.where(info["on_set"], info["nearest"], target)
-    return W._grid().nodes(), target.astype(int), W.grid_dist(), info["on_set"]
+    return W._grid().nodes(), _projection_targets(W), W.grid_dist(), W.grid_set_info()["on_set"]
 
 
-def compose_with_projection(W: WhitneyDecomposition, f_vals) -> tuple:
-    """(GridField of f(T(x)), dist field) on the set's grid."""
-    _, target, dist, _ = projection_data(W)
-    FT = W._grid(np.asarray(f_vals, float)[target])
-    return FT, dist.reshape(FT.values.shape)
+def compose_with_projection(W: WhitneyDecomposition, f_vals, eps: float) -> tuple:
+    """(GridField of f(T(x)), mask of the nodes within eps of the set) on the
+    set's grid, T the projection of projection_data.  The mask is
+    dist <= eps + 1e-12 with projection_data's dist, read off the bounded
+    queries of grid_near_mask."""
+    FT = W._grid(np.asarray(f_vals, float)[_projection_targets(W)])
+    return FT, W.grid_near_mask(eps).reshape(FT.values.shape)

@@ -33,7 +33,7 @@ from sobtrace.norms import (
 from sobtrace.oscillation import PackingProblem, _thin_candidates, solve_packing
 from sobtrace.sets import solid_set, thin_set
 from sobtrace.util import ConfigError, dyadic_ladder
-from sobtrace.whitney import whitney_decomposition
+from sobtrace.whitney import projection_data, whitney_decomposition
 from test_oscillation import reference_oscillation
 
 
@@ -384,6 +384,32 @@ def test_lambda_packing_matches_per_candidate_loop(name, monkeypatch):
         assert np.array_equal(problems[0].centers[chosen], problem.centers[chosen])
         assert np.array_equal(problems[0].radii[chosen], problem.radii[chosen])
         assert np.array_equal(problems[0].scores, problem.scores)
+
+
+def reference_compose_with_projection(W, f_vals, eps):
+    """compose_with_projection with its eps mask read off projection_data's
+    exact distance at every node."""
+    _, target, dist, _ = projection_data(W)
+    FT = W._grid(np.asarray(f_vals, float)[target])
+    return FT, (dist <= eps + 1e-12).reshape(FT.values.shape)
+
+
+@pytest.mark.parametrize("name", CANONICAL_NAMES)
+def test_composition_norms_match_exact_distance_mask(name, monkeypatch):
+    S, _ = generate_canonical(CanonicalSpec(name, 1 / 32))
+    W = whitney_decomposition(S)
+    f = function_family("restrictions-of-smooth", S)[5].values
+    # T12 once: its packing, the slow part, does not read the mask
+    configs = [TraceEstimateConfig(theorem="T12", p=3.0, eps=0.25)] + [
+        TraceEstimateConfig(theorem=tid, p=3.0, eps=eps, **kw)
+        for eps in (4 * S.h, 0.25)
+        for tid, kw in (("T14ii", {}), ("T25", {}), ("T26", {"s": 2 / 3, "q": 3.0}))
+    ]
+    got = [trace_estimate(S, f, cfg, W=W) for cfg in configs]
+    monkeypatch.setattr(norms, "compose_with_projection", reference_compose_with_projection)
+    want = [trace_estimate(S, f, cfg, W=W) for cfg in configs]
+    for cfg, a, b in zip(configs, got, want):
+        assert (a.value, a.breakdown) == (b.value, b.breakdown), (cfg.theorem, cfg.eps)
 
 
 class TestLambdaPacking:

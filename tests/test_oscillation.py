@@ -535,7 +535,8 @@ class TestGridPackingWalk:
 
 def reference_sharp_maximal_field(S, f_vals):
     """sharp_maximal_field as first written, each sample rasterized by a
-    Python loop. Kept as the oracle for np.maximum.at/np.minimum.at."""
+    Python loop and every window filtered directly by ndimage. Kept as the
+    oracle for np.maximum.at/np.minimum.at and for the doubled windows."""
     box, h = S.bbox, S.h
     shape = GridField.shape_for(box, h)
     fmax = np.full(shape, -np.inf)
@@ -591,6 +592,26 @@ class TestSharpMaximal:
     def test_field_matches_per_sample_loop(self, name):
         S, _ = generate_canonical(CanonicalSpec(name, 1 / 32))
         f = function_family("restrictions-of-smooth", S)[5].values
+        assert np.array_equal(
+            sharp_maximal_field(S, f).values, reference_sharp_maximal_field(S, f)
+        )
+
+    @pytest.mark.parametrize("points, values, h", [
+        # 1-D: the largest window spans the whole axis; two samples share a node
+        (np.array([[0.0], [0.3], [0.31], [0.7], [1.0]]), None, 1 / 32),
+        # 1-D: two clusters, each constant, so only the windows that hold
+        # both oscillate and the widest windows set the field
+        (np.array([[0.0], [1 / 32], [3.0], [3 + 1 / 32]]), np.array([0.0, 0.0, 1.0, 1.0]), 1 / 32),
+        # 2-D: the y axis (43 nodes) is shorter than the largest window (129)
+        (np.stack([np.arange(49) / 16, np.arange(49) % 3 / 16], axis=1), None, 1 / 16),
+        # 2-D: four corners, one value each, three units apart
+        (np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0], [3.0, 3.0]]), np.arange(4.0), 1 / 16),
+        # 3-D: scattered samples, most nodes' small windows hold none
+        (np.random.default_rng(2).integers(0, 9, (30, 3)) / 8, None, 1 / 8),
+    ], ids=["1d", "1d-two-clusters", "2d-short-axis", "2d-corners", "3d"])
+    def test_field_matches_per_radius_loop(self, points, values, h):
+        S = thin_set(points, h=h)
+        f = np.random.default_rng(4).normal(size=len(points)) if values is None else values
         assert np.array_equal(
             sharp_maximal_field(S, f).values, reference_sharp_maximal_field(S, f)
         )

@@ -112,6 +112,18 @@ def test_off_center_sample_falls_back_to_kd_tree():
     assert S._cell_tables() is None
 
 
+def test_column_off_center_falls_back_to_kd_tree():
+    # a whole column moved 0.3 h off its cells' centers keeps one coordinate
+    # per column, but the cell column no longer brackets it
+    obj = solid_set(square_mask(6), h=1 / 8, origin=(0.0, 0.0)).to_json()
+    shift = 0.3 / 8
+    obj["points"] = [[x + shift, y] if x == obj["points"][0][0] else [x, y]
+                     for x, y in obj["points"]]
+    S = ClosedSet.from_json(obj)
+    assert S._cell_tables() is None
+    _assert_same_bits(S, _oracle_probes(S), (np.inf, S.h, 2 * S.on_set_reach))
+
+
 def test_occupied_cell_without_sample_is_not_a_hit():
     obj = solid_set(square_mask(6), h=1 / 8, origin=(0.0, 0.0)).to_json()
     gone = obj["points"].pop(14)  # an interior sample; its cell stays occupied
@@ -129,6 +141,19 @@ def test_single_column_axes(mask):
     S = solid_set(mask, h=1 / 16, origin=np.full(mask.ndim, 0.25))
     assert S._cell_tables() is not None
     _assert_same_bits(S, _oracle_probes(S), (np.inf, S.h, 0.1))
+
+
+def test_column_gaps_between_blobs():
+    # two blobs apart on both axes: the cell columns between them hold no
+    # sample, and the rows there bracket between the blobs' facing columns;
+    # rows far past the bbox take the outermost column
+    mask = np.zeros((12, 12), bool)
+    mask[1:4, 2:5] = True
+    mask[8:11, 7:10] = True
+    S = solid_set(mask, h=1 / 16, origin=(0.0, 0.0))
+    assert S._cell_tables() is not None
+    far = np.array([[1e300, 0.3], [-1e300, 0.3], [0.3, 1e300], [0.3, -1e300]])
+    _assert_same_bits(S, np.vstack([_oracle_probes(S), far]), (np.inf, S.h, 0.1))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -17,11 +17,12 @@ from sobtrace.canonical import CANONICAL_NAMES, CanonicalSpec, generate_canonica
 from sobtrace.cubes import GROWTH, covering_multiplicity
 from sobtrace.grid import GridField
 from sobtrace.measures import counting_measure
-from sobtrace.sets import solid_set, thin_set
+from sobtrace.sets import ClosedSet, solid_set, thin_set
 from sobtrace.util import lex_order
 from sobtrace.whitney import (
     _FACE_TOL,
     collar_profile,
+    compose_with_projection,
     extend_grid,
     extend_points,
     projection_data,
@@ -50,7 +51,7 @@ def solid_square():
 
 @pytest.mark.parametrize("cache", [
     "_tree", "_boundary", "_interior_mask", "_tables", "_ball_conditions",
-    "W._pou", "W._set_info", "W._dist", "W._cube_of", "mu.zero_mass_events",
+    "W._pou", "W._set_info", "W._dist", "W._near_masks", "W._cube_of", "mu.zero_mass_events",
 ])
 def test_caches_are_not_constructor_arguments(cache, solid_square):
     # each is built or counted by the object itself; only public fields
@@ -381,22 +382,62 @@ def test_projection_identity_on_set_and_bounded_off(segment2d):
     assert theta <= 12.0
 
 
-# grid_set_info queries distances only up to just past the on-set reach; the
-# reference below is the one full-grid query it replaced
+def half_node_set(h=1 / 32):
+    """A thin zigzag whose samples all sit half a node off the grid on both
+    axes, where rounding a sample to its nearest node is a tie (numpy rounds
+    half to even)."""
+    k = np.arange(33)
+    points = np.stack([k * h, (k % 3) * h], axis=1)
+    pad = 1.25 + h / 2
+    bbox = np.stack([points.min(axis=0) - pad, points.max(axis=0) + pad], axis=1)
+    return ClosedSet(dim=2, h=h, points=points, bbox=bbox, kind="thin", name="half-node")
 
 
-@pytest.mark.parametrize("name", CANONICAL_NAMES)
-def test_grid_set_info_matches_full_query(name):
-    S, _ = generate_canonical(CanonicalSpec(name, 1 / 32))
+def catalog_or_half_node(name, h):
+    if name == "half-node":
+        return half_node_set(h)
+    return generate_canonical(CanonicalSpec(name, h))[0]
+
+
+# grid_set_info queries distances only up to just past the on-set reach, and
+# only at the nodes its raster prefilter keeps; the reference below is the
+# one full-grid query it replaced
+SET_INFO_CASES = (
+    [pytest.param(name, 1 / 32, id=name) for name in CANONICAL_NAMES]
+    + [pytest.param(name, 1 / 64, id=f"{name}-h64") for name in CANONICAL_NAMES]
+    + [pytest.param("half-node", 1 / 32, id="half-node")]
+)
+
+
+@pytest.mark.parametrize("name, h", SET_INFO_CASES)
+def test_grid_set_info_matches_full_query(name, h):
+    S = catalog_or_half_node(name, h)
     W = whitney_decomposition(S)
     info = W.grid_set_info()
     nodes = W._grid().nodes()
+    assert np.array_equal(info["near"], S.nearest_distance(nodes, bound=2 * S.on_set_reach))
     on_set = S.nearest_distance(nodes) <= S.on_set_reach
     rows = np.nonzero(on_set | (W.projection_map().ravel() < 0))[0]
     nearest = np.full(len(nodes), -1)
     nearest[rows] = S.nearest_point(nodes[rows])[1]
     assert np.array_equal(info["on_set"], on_set)
     assert np.array_equal(info["nearest"], nearest)
+
+
+@pytest.mark.parametrize("name", [*CANONICAL_NAMES, "half-node"])
+def test_eps_mask_is_the_exact_distance_test(name):
+    # the composition norms read only dist <= eps + 1e-12; the mask comes
+    # from bounded, prefiltered queries and must match the exact distance
+    S = catalog_or_half_node(name, 1 / 32)
+    W = whitney_decomposition(S)
+    f = np.random.default_rng(5).normal(size=len(S.points))
+    masks = {eps: compose_with_projection(W, f, eps) for eps in (S.h / 4, S.h, 0.25, 10.0)}
+    nodes, target, dist, _ = projection_data(W)
+    assert np.array_equal(dist, S.dist(nodes))
+    for eps, (FT, near) in masks.items():
+        assert np.array_equal(near.ravel(), dist <= eps + 1e-12), eps
+        assert np.array_equal(FT.values.ravel(), f[target])
+    assert masks[10.0][1].all() and not masks[S.h / 4][1].all()
 
 
 @pytest.mark.parametrize("name", CANONICAL_NAMES)
