@@ -7,7 +7,7 @@ reports can be reproduced byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -73,7 +73,6 @@ class SampledFunction:
     values: np.ndarray
     name: str
     source: Callable | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, float)
@@ -341,23 +340,13 @@ def test_function_family(name: str, S: ClosedSet) -> list[SampledFunction]:
         if arg is None or not 0 < arg <= 1:
             raise ConfigError("hoelder needs an exponent in (0, 1]")
         for i, f in enumerate(_hoelder_fields(S, arg)):
-            out.append(
-                SampledFunction(
-                    S, f(S.points), f"hoelder{arg}-{i}", source=f,
-                    meta={"beta": arg},
-                )
-            )
+            out.append(SampledFunction(S, f(S.points), f"hoelder{arg}-{i}", source=f))
     elif base == "linear":
         slopes = [(1.0, 2.0), (-1.0, 1.0), (0.5, 0.0)]
         for i, a in enumerate(slopes):
             vec = np.array(a[: S.dim])
             f = lambda pts, v=vec: np.asarray(pts, float) @ v
-            out.append(
-                SampledFunction(
-                    S, f(S.points), f"linear-{i}", source=f,
-                    meta={"lipschitz": float(np.abs(vec).sum())},
-                )
-            )
+            out.append(SampledFunction(S, f(S.points), f"linear-{i}", source=f))
     elif base == "bump":
         center = S.points.mean(axis=0)
         for i, frac in enumerate((0.25, 0.4, 0.6)):
@@ -368,12 +357,7 @@ def test_function_family(name: str, S: ClosedSet) -> list[SampledFunction]:
             raise ConfigError("random-lipschitz needs a seed")
         for i in range(3):
             f = _random_lipschitz_field(S, int(arg) + i)
-            out.append(
-                SampledFunction(
-                    S, f(S.points), f"rlip{int(arg)}-{i}", source=f,
-                    meta={"lipschitz": 1.0},
-                )
-            )
+            out.append(SampledFunction(S, f(S.points), f"rlip{int(arg)}-{i}", source=f))
     else:
         raise ConfigError(f"unknown function family {name!r}")
     return out

@@ -53,7 +53,12 @@ from .whitney import extend_grid, whitney_decomposition
 
 
 def _emit(payload: dict, out: str | None, name: str) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=json_default)
+    # NaN and Infinity are not JSON (RFC 8259): a non-finite value anywhere
+    # in the output is a numerical failure, exit 3
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, default=json_default, allow_nan=False)
+    except ValueError:
+        raise NumericalFailure(f"{name} would hold a non-finite value") from None
     if out:
         path = Path(out)
         path.mkdir(parents=True, exist_ok=True)
@@ -383,12 +388,16 @@ def cmd_verify(args) -> int:
         raw, "h_levels", None, lambda v: [float(h) for h in v]
     )
     report = verify_equivalence(theorem, set_name, family, levels, **cfg)
+    try:
+        text = report.dumps()
+    except ValueError:  # NaN or Infinity, as in _emit
+        raise NumericalFailure("report.json would hold a non-finite value") from None
     if args.out:
         path = Path(args.out)
         path.mkdir(parents=True, exist_ok=True)
-        report.save(path / "report.json")
+        (path / "report.json").write_text(text)
     else:
-        print(report.dumps())
+        print(text)
     return 0
 
 

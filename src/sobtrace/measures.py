@@ -345,9 +345,6 @@ def A_p_mu(S: ClosedSet, mu: DiscreteMeasure, f_vals, t: float, p: float, **opti
 
 # -- pair energies -----------------------------------------------------
 
-_ROW_CHUNK = 512
-
-
 def _require_finite_p(p: float) -> None:
     # with p = inf, |f(x)-f(y)|^p and the kernel powers give 0 * inf = NaN,
     # and a final 1/p power turns NaN or 0 into 1
@@ -375,23 +372,23 @@ def local_pair_energy(
     f_vals = np.asarray(f_vals, float)
     pts, w = mu.points, mu.weights
     n = mu.dim
-    masses = mu.ball_mass(pts, t)
+    # one ball query: each closed ball's mass, summed as ball_mass sums it,
+    # and its open part, the pair domain
+    groups = mu.tree.query_ball_point(pts, t, p=np.inf)
+    masses = np.array([w[g].sum() for g in groups])
     total = 0.0
-    for lo in range(0, len(pts), _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, len(pts))
-        groups = mu.tree.query_ball_point(pts[lo:hi], t, p=np.inf)
-        for i, g in zip(range(lo, hi), groups):
-            g = np.array(g, int)
-            d = chebyshev(pts[g], pts[i])
-            g = g[d < t]  # strict inequality in the pair domain
-            if len(g) == 0 or masses[i] <= 0:
-                continue
-            num = w[i] * w[g] * np.abs(f_vals[i] - f_vals[g]) ** p
-            if kernel == "square":
-                den = masses[i] ** 2
-                total += float(num.sum()) / den
-            else:
-                total += float(np.sum(num / (masses[i] * masses[g])))
+    for i, g in enumerate(groups):
+        g = np.array(g, int)
+        d = chebyshev(pts[g], pts[i])
+        g = g[d < t]  # strict inequality in the pair domain
+        if len(g) == 0 or masses[i] <= 0:
+            continue
+        num = w[i] * w[g] * np.abs(f_vals[i] - f_vals[g]) ** p
+        if kernel == "square":
+            den = masses[i] ** 2
+            total += float(num.sum()) / den
+        else:
+            total += float(np.sum(num / (masses[i] * masses[g])))
     return total * t ** (n - p)
 
 

@@ -247,32 +247,36 @@ def verify_equivalence(
 
 # -- decomposition contract report -------------------------------------
 
+_CONTRACT_PROBES = 2000
+
 
 def whitney_contract_report(
-    S: ClosedSet, W: WhitneyDecomposition | None = None,
-    n_probe: int = 2000, seed: int = 0,
+    S: ClosedSet, W: WhitneyDecomposition | None = None, seed: int = 0
 ) -> dict:
-    """Distance contract, grown-cover multiplicity, and collar coverage."""
+    """Distance contract, grown-cover multiplicity, and collar coverage.
+
+    The contract slacks are how far the cube-to-set distances fall below
+    the diameters and rise above four diameters; coverage is checked at
+    _CONTRACT_PROBES random points farther than 2h from the set."""
     if W is None:
         W = whitney_decomposition(S)
-    check = W.contract_check()
+    dists = S.dist_cube(W.centers, W.radii)
+    lower_slack = float(np.max(W.diams - dists))
+    upper_slack = float(np.max(dists - 4 * W.diams))
     slack = 2 * S.h
     grown_mult = covering_multiplicity(W.centers, GROWTH * W.radii)
     rng = np.random.default_rng(seed)
     box = S.bbox
-    probes = rng.uniform(box[:, 0], box[:, 1], size=(4 * n_probe, S.dim))
+    probes = rng.uniform(box[:, 0], box[:, 1], size=(4 * _CONTRACT_PROBES, S.dim))
     dist = S.dist(probes)
-    probes = probes[dist > slack][:n_probe]
+    probes = probes[dist > slack][:_CONTRACT_PROBES]
     misses = int(np.sum(W.locate(probes) < 0))
     report = {
         "n_cubes": len(W),
         "n_dropped": W.n_dropped,
-        "lower_slack": check["lower_slack"],
-        "upper_slack": check["upper_slack"],
-        "contract_pass": bool(
-            check["lower_slack"] <= slack + 1e-12
-            and check["upper_slack"] <= slack + 1e-12
-        ),
+        "lower_slack": lower_slack,
+        "upper_slack": upper_slack,
+        "contract_pass": bool(lower_slack <= slack + 1e-12 and upper_slack <= slack + 1e-12),
         "grown_multiplicity": grown_mult,
         "multiplicity_pass": bool(grown_mult <= 4 ** S.dim),
         "coverage_checked": int(len(probes)),

@@ -31,15 +31,14 @@ the rule that also picks each cube's anchor.
 There is one grid per set: its lattice S.bbox at step S.h, on which the
 decomposition, the extension, the projection and the sharp maximal field
 are all sampled.  The grid products (the bump matrix at the nodes, the
-nodes' on-set flags and nearest samples, their distances to the set, the
-eps-neighbourhood masks, and the node-to-cube map) are each built once, on
-first use, and kept on the decomposition.  Each distance query is bounded
-by what its reader uses and goes only to the nodes a raster prefilter
-cannot rule out (WhitneyDecomposition._near_nodes): the extension reads
-the on-set flags and nearest samples, so their query stops just past the
-on-set reach; the composition norms read only whether a node lies within
-eps of the set (grid_near_mask); the exact distance at every node
-(grid_dist) is queried only when projection_data is asked for it.
+nodes' on-set flags and nearest samples, the eps-neighbourhood masks, and
+the node-to-cube map) are each built once, on first use, and kept on the
+decomposition.  Each product that reads distances to the set makes one
+query, bounded by what its reader uses, and sends it only to the nodes a
+raster prefilter cannot rule out (WhitneyDecomposition._near_nodes): the
+extension reads the on-set flags and nearest samples, so their query
+stops just past the on-set reach; the composition norms read only whether
+a node lies within eps of the set (grid_near_mask).
 
 Two routes find the cube containing a point, with the same face-tie rule
 (the lexicographically smallest center wins).  WhitneyDecomposition.locate
@@ -101,7 +100,6 @@ class WhitneyDecomposition:
     n_dropped: int
     _pou: tuple | None = field(default=None, init=False, repr=False)
     _set_info: dict | None = field(default=None, init=False, repr=False)
-    _dist: np.ndarray | None = field(default=None, init=False, repr=False)
     _near_masks: dict = field(default_factory=dict, init=False, repr=False)
     _cube_of: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -113,22 +111,6 @@ class WhitneyDecomposition:
     @property
     def diams(self) -> np.ndarray:
         return 2.0 * self.radii
-
-    @property
-    def anchors(self) -> np.ndarray:
-        return self.S.points[self.anchor_idx]
-
-    def contract_check(self) -> dict:
-        """Distance-vs-diameter contract diagnostics over all cubes."""
-        dists = self.S.dist_cube(self.centers, self.radii)
-        d = self.diams
-        return {
-            "n_cubes": len(self),
-            "min_dist_over_diam": float(np.min(dists / d)),
-            "max_dist_over_diam": float(np.max(dists / d)),
-            "lower_slack": float(np.max(d - dists)),
-            "upper_slack": float(np.max(dists - 4 * d)),
-        }
 
     # -- point location -------------------------------------------------
 
@@ -221,9 +203,8 @@ class WhitneyDecomposition:
             self._pou = self.bumps(self._grid().nodes())
         return self._pou
 
-    def _near_nodes(self, bound: float, rows=None) -> np.ndarray:
-        """S.nearest_distance(nodes, bound) at the grid nodes, flat (at the
-        nodes the boolean mask rows marks; inf at the others).
+    def _near_nodes(self, bound: float) -> np.ndarray:
+        """S.nearest_distance(nodes, bound) at the grid nodes, flat.
 
         Only the nodes within ceil(bound / h) + 1 nodes, per axis, of a
         sample's nearest node (a chessboard dilation of the marks) are
@@ -237,54 +218,37 @@ class WhitneyDecomposition:
         marks[tuple(np.round((S.points - S.bbox[:, 0]) / S.h).astype(int).T)] = True
         reach = int(min(np.ceil(bound / S.h) + 1, max(marks.shape)))
         ask = ndimage.maximum_filter(marks, size=2 * reach + 1, mode="constant").ravel()
-        if rows is not None:
-            ask &= rows
         near = np.full(marks.size, np.inf)
         near[ask] = S.nearest_distance(self._grid().nodes()[ask], bound)
         return near
 
     def grid_set_info(self) -> dict:
-        """Nearest-sample distances, on-set flags and nearest-sample indices
-        of the grid nodes; built on first use and kept.
+        """On-set flags and nearest-sample indices of the grid nodes; built
+        on first use and kept.
 
-        The distance query ("near") is bounded just past the on-set reach,
-        2 * S.on_set_reach, and prefiltered (_near_nodes): it is exact below
-        the bound and inf beyond.  The nearest sample is resolved only where
-        the extension or the projection reads it, at on-set and unresolved
-        nodes; it is -1 elsewhere."""
+        The on-set test reads one distance query bounded just past the
+        on-set reach, 2 * S.on_set_reach, and prefiltered (_near_nodes).
+        The nearest sample is resolved only where the extension or the
+        projection reads it, at on-set and unresolved nodes; it is -1
+        elsewhere."""
         if self._set_info is None:
-            near = self._near_nodes(2 * self.S.on_set_reach)
-            on_set = near <= self.S.on_set_reach
+            on_set = self._near_nodes(2 * self.S.on_set_reach) <= self.S.on_set_reach
             rows = np.nonzero(on_set | (self.projection_map().ravel() < 0))[0]
-            nearest = np.full(len(near), -1)
+            nearest = np.full(len(on_set), -1)
             nearest[rows] = self.S.nearest_point(self._grid().nodes()[rows])[1]
-            self._set_info = {"near": near, "nearest": nearest, "on_set": on_set}
+            self._set_info = {"nearest": nearest, "on_set": on_set}
         return self._set_info
 
-    def grid_dist(self) -> np.ndarray:
-        """Distances to the set at the grid nodes: grid_set_info's bounded
-        query, its far nodes queried exactly; built on first use and kept."""
-        if self._dist is None:
-            near = self.grid_set_info()["near"].copy()
-            far = np.isinf(near)
-            near[far] = self.S.nearest_distance(self._grid().nodes()[far])
-            self._dist = np.maximum(0.0, near - self.S.sample_radius)
-        return self._dist
-
     def grid_near_mask(self, eps: float) -> np.ndarray:
-        """The grid nodes within eps of the set, grid_dist() <= eps + 1e-12,
+        """The grid nodes within eps of the set, S.dist(nodes) <= eps + 1e-12,
         flat; built on first use for each eps and kept.
 
-        grid_set_info's query is exact at its near nodes; its far nodes are
-        completed by a prefiltered query (_near_nodes) bounded at
-        2 (eps + S.sample_radius) + h, past which a node's distance to the
-        set exceeds eps + h and the node is not in the mask."""
+        One prefiltered query (_near_nodes) bounded at
+        2 (eps + S.sample_radius) + h: past the bound a node's distance to
+        the set exceeds eps + h, and the node is not in the mask."""
         if eps not in self._near_masks:
             S = self.S
-            near = self.grid_set_info()["near"]
-            far = np.isinf(near)
-            bound = 2 * (eps + S.sample_radius) + S.h
-            near = np.where(far, self._near_nodes(bound, far), near)
+            near = self._near_nodes(2 * (eps + S.sample_radius) + S.h)
             self._near_masks[eps] = np.maximum(0.0, near - S.sample_radius) <= eps + 1e-12
         return self._near_masks[eps]
 
@@ -461,19 +425,20 @@ def _projection_targets(W: WhitneyDecomposition) -> np.ndarray:
 
 def projection_data(W: WhitneyDecomposition) -> tuple:
     """(nodes, target sample index, dist, on_set) of the projection of the
-    set's grid; dist is exact at every node (grid_dist).
+    set's grid; dist is S.dist(nodes), exact at every node.
 
     On-set nodes keep their own location (target = nearest sample); outside
     nodes map to the anchor of the containing cube; unresolved collar nodes
     fall back to the nearest sample.
     """
-    return W._grid().nodes(), _projection_targets(W), W.grid_dist(), W.grid_set_info()["on_set"]
+    nodes = W._grid().nodes()
+    return nodes, _projection_targets(W), W.S.dist(nodes), W.grid_set_info()["on_set"]
 
 
 def compose_with_projection(W: WhitneyDecomposition, f_vals, eps: float) -> tuple:
     """(GridField of f(T(x)), mask of the nodes within eps of the set) on the
     set's grid, T the projection of projection_data.  The mask is
-    dist <= eps + 1e-12 with projection_data's dist, read off the bounded
-    queries of grid_near_mask."""
+    dist <= eps + 1e-12 with projection_data's dist, read off one bounded
+    query (grid_near_mask)."""
     FT = W._grid(np.asarray(f_vals, float)[_projection_targets(W)])
     return FT, W.grid_near_mask(eps).reshape(FT.values.shape)

@@ -164,6 +164,37 @@ def test_functional_overflow_exits_3(tmp_path, capsys, t, p, values):
     assert err.startswith("numerical failure:")
 
 
+def test_extend_non_finite_norms_exit_3(tmp_path, capsys):
+    # the extension of +-1e308 overflows its norms to inf and NaN, which
+    # are not JSON
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps([1e308, -1e308]))
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        code = main(["--out", str(out), "extend", "--canonical", "two-points", "--h", "1/32",
+                     "--function", str(fn)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure:") and "extend.json" in err
+    assert not (out / "extend.json").exists()
+
+
+def test_functional_non_finite_result_exits_3(tmp_path, capsys):
+    # one atom leaves the d-set fit of measure-diagnostics undefined (NaN)
+    S, _ = generate_canonical(CanonicalSpec("two-points", 1 / 32))
+    (tmp_path / "set.json").write_text(json.dumps(S.to_json()))
+    (tmp_path / "mu.json").write_text(json.dumps({"points": [S.points[0].tolist()],
+                                                  "weights": [1.0]}))
+    (tmp_path / "cfg.json").write_text(json.dumps({"functional": "measure-diagnostics"}))
+    with np.errstate(all="ignore"):
+        code = main(["functional", "--set", str(tmp_path / "set.json"),
+                     "--measure", str(tmp_path / "mu.json"), "--config", str(tmp_path / "cfg.json")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("numerical failure:") and "functional.json" in captured.err
+    assert "NaN" not in captured.out and "Infinity" not in captured.out
+
+
 def test_tracenorm_csv_values_are_floats(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"theorem": "T24", "p": 3.0}))
@@ -487,6 +518,19 @@ def test_verify_report_file(tmp_path, capsys):
     assert obj["report_version"] == 1
     assert "runtime" not in obj
     assert obj["h_levels"] == [1 / 32, 1 / 64]
+
+
+def test_verify_non_finite_report_exits_3(tmp_path, capsys):
+    # the report refuses NaN; the command exits 3 instead of a traceback
+    report = verify_equivalence("T11", "two-points", "linear", [1 / 32])
+    report.ratio_stats = {"0.03125": {"min": float("nan")}}
+    out_dir = tmp_path / "out"
+    with mock.patch("sobtrace.cli.verify_equivalence", return_value=report):
+        code = main(["--out", str(out_dir), "verify", "--theorem", "T11",
+                     "--canonical", "two-points", "--h-levels", "1/32"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert not (out_dir / "report.json").exists()
 
 
 def test_verify_needs_theorem(capsys):

@@ -381,7 +381,45 @@ class TestAPMu:
         assert np.isfinite(val) and val >= 0
 
 
+def reference_local_pair_energy(mu, f_vals, t, p, kernel):
+    """local_pair_energy as two ball queries: ball_mass first, then the
+    same balls again in chunks of 512 rows."""
+    f_vals = np.asarray(f_vals, float)
+    pts, w = mu.points, mu.weights
+    masses = mu.ball_mass(pts, t)
+    total = 0.0
+    for lo in range(0, len(pts), 512):
+        hi = min(lo + 512, len(pts))
+        groups = mu.tree.query_ball_point(pts[lo:hi], t, p=np.inf)
+        for i, g in zip(range(lo, hi), groups):
+            g = np.array(g, int)
+            d = chebyshev(pts[g], pts[i])
+            g = g[d < t]
+            if len(g) == 0 or masses[i] <= 0:
+                continue
+            num = w[i] * w[g] * np.abs(f_vals[i] - f_vals[g]) ** p
+            if kernel == "square":
+                total += float(num.sum()) / masses[i] ** 2
+            else:
+                total += float(np.sum(num / (masses[i] * masses[g])))
+    return total * t ** (mu.dim - p)
+
+
 class TestPairEnergies:
+    @pytest.mark.parametrize("kernel", ["square", "product"])
+    @pytest.mark.parametrize("name", ["segment-1d-in-2d", "example-726", "solid-disk", "cantor-1d"])
+    def test_local_one_ball_query_matches_two_query_loop(self, name, kernel):
+        # one more atom, of weight 0 and isolated, whose ball holds no mass
+        # at any t
+        base = _CATALOG[name][1]
+        far = base.points.max(axis=0) + 1.0
+        mu = DiscreteMeasure(np.vstack([base.points, far]), np.append(base.weights, 0.0))
+        f = np.random.default_rng(8).normal(size=len(mu.points))
+        for t in (1 / 64, 1 / 16, 1 / 4):
+            assert mu.ball_mass(far, t)[0] == 0.0
+            got = local_pair_energy(mu, f, t, 3.0, kernel=kernel)
+            assert got == reference_local_pair_energy(mu, f, t, 3.0, kernel), t
+
     def test_local_two_point_hand_value(self):
         mu = two_point_measure()
         # both ordered pairs: 2 * (1/4) * 1 * t^(1-2), masses are 1

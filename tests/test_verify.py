@@ -175,7 +175,7 @@ def test_t26_compares_with_besov_norm_of_extension():
 
 def test_contract_report_keys():
     S, _ = generate_canonical(CanonicalSpec("segment-1d-in-2d", 1 / 64))
-    rep = whitney_contract_report(S, n_probe=200)
+    rep = whitney_contract_report(S)
     assert rep["pass"]
     assert rep["contract_pass"] and rep["multiplicity_pass"] and rep["coverage_pass"]
     assert rep["coverage_misses"] == 0

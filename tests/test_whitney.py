@@ -19,6 +19,7 @@ from sobtrace.grid import GridField
 from sobtrace.measures import counting_measure
 from sobtrace.sets import ClosedSet, solid_set, thin_set
 from sobtrace.util import lex_order
+from sobtrace.verify import whitney_contract_report
 from sobtrace.whitney import (
     _FACE_TOL,
     collar_profile,
@@ -51,7 +52,7 @@ def solid_square():
 
 @pytest.mark.parametrize("cache", [
     "_tree", "_boundary", "_interior_mask", "_tables", "_ball_conditions",
-    "W._pou", "W._set_info", "W._dist", "W._near_masks", "W._cube_of", "mu.zero_mass_events",
+    "W._pou", "W._set_info", "W._near_masks", "W._cube_of", "mu.zero_mass_events",
 ])
 def test_caches_are_not_constructor_arguments(cache, solid_square):
     # each is built or counted by the object itself; only public fields
@@ -74,11 +75,12 @@ def brute_containing(W, x):
 @pytest.mark.parametrize("fix", ["two_points", "segment2d", "solid_square"])
 def test_distance_contract(fix, request):
     S, W = request.getfixturevalue(fix)
-    check = W.contract_check()
-    assert check["lower_slack"] <= 1e-9
-    assert check["upper_slack"] <= 1e-9
-    assert check["min_dist_over_diam"] >= 1.0 - 1e-12
-    assert check["max_dist_over_diam"] <= 4.0 + 1e-12
+    report = whitney_contract_report(S, W)
+    assert report["lower_slack"] <= 1e-9
+    assert report["upper_slack"] <= 1e-9
+    dists = S.dist_cube(W.centers, W.radii)
+    assert np.all(dists >= W.diams * (1 - 1e-12))
+    assert np.max(dists / W.diams) <= 4.0 + 1e-12
 
 
 @pytest.mark.parametrize("fix", ["two_points", "segment2d", "solid_square"])
@@ -124,7 +126,7 @@ def test_grown_multiplicity_small(segment2d):
 def test_anchor_is_nearest_sample(two_points):
     S, W = two_points
     for k in range(len(W)):
-        d_anchor = np.max(np.abs(W.anchors[k] - W.centers[k]))
+        d_anchor = np.max(np.abs(S.points[W.anchor_idx[k]] - W.centers[k]))
         assert d_anchor <= S.nearest_distance(W.centers[k])[0] + 1e-12
 
 
@@ -399,9 +401,9 @@ def catalog_or_half_node(name, h):
     return generate_canonical(CanonicalSpec(name, h))[0]
 
 
-# grid_set_info queries distances only up to just past the on-set reach, and
-# only at the nodes its raster prefilter keeps; the reference below is the
-# one full-grid query it replaced
+# grid_set_info and grid_near_mask query distances only up to the bound
+# their reader uses, and only at the nodes the raster prefilter keeps; the
+# references below are the full-grid queries they replaced
 SET_INFO_CASES = (
     [pytest.param(name, 1 / 32, id=name) for name in CANONICAL_NAMES]
     + [pytest.param(name, 1 / 64, id=f"{name}-h64") for name in CANONICAL_NAMES]
@@ -415,7 +417,13 @@ def test_grid_set_info_matches_full_query(name, h):
     W = whitney_decomposition(S)
     info = W.grid_set_info()
     nodes = W._grid().nodes()
-    assert np.array_equal(info["near"], S.nearest_distance(nodes, bound=2 * S.on_set_reach))
+    assert sorted(info) == ["nearest", "on_set"]
+    # the prefilter at every bound it serves: the on-set query's and each
+    # eps-neighbourhood mask's
+    bounds = [2 * S.on_set_reach] + [2 * (eps + S.sample_radius) + h
+                                     for eps in (h / 4, h, 0.25, 10.0)]
+    for b in bounds:
+        assert np.array_equal(W._near_nodes(b), S.nearest_distance(nodes, bound=b)), b
     on_set = S.nearest_distance(nodes) <= S.on_set_reach
     rows = np.nonzero(on_set | (W.projection_map().ravel() < 0))[0]
     nearest = np.full(len(nodes), -1)
