@@ -11,7 +11,6 @@ sandwich, and end-to-end determinism of the report pipeline.
 from __future__ import annotations
 
 import itertools
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +36,7 @@ from .grid import GridField
 from .measures import A_p_mu, ap_mu_options, local_pair_energy, measure_diagnostics
 from .norms import TraceEstimateConfig, grid_sobolev_norms, trace_estimate
 from .oscillation import PackingProblem, grid_packing_functional, packing_profile, solve_packing
-from .util import chebyshev, dyadic_ladder, json_default
+from .util import chebyshev, dyadic_ladder, json_text
 from .verify import verify_equivalence, whitney_contract_report
 from .whitney import collar_profile, extend_points, whitney_decomposition
 
@@ -345,7 +344,7 @@ def _criterion_9(seed, out):
         worst_spread = max(worst_spread, max(spreads))
         if worst_spread > 50:
             return False, f"beta={beta}: ratio spread {worst_spread:.1f} > 50"
-        flags = rep.divergence_flags(threshold=0.13)
+        flags = rep.divergence_flags()
         for name, f in flags.items():
             if f["intrinsic"] != f["comparison"]:
                 return False, f"{name}: sides disagree on divergence ({f})"
@@ -467,9 +466,7 @@ def quick_reports(out_dir, seed: int = 0) -> list[Path]:
 
     def dump(name, payload):
         path = out / name
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True, default=json_default) + "\n"
-        )
+        path.write_text(json_text(payload, name) + "\n")
         written.append(path)
 
     S, mu = generate_canonical(CanonicalSpec("segment-1d-in-2d", 1 / 64))

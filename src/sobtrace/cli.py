@@ -15,7 +15,6 @@ import argparse
 import csv
 import dataclasses
 import inspect
-import json
 import sys
 from functools import partial
 from pathlib import Path
@@ -46,19 +45,14 @@ from .oscillation import (
 )
 from .sets import ClosedSet
 from .util import (
-    ConfigError, NumericalFailure, OutOfDomainError, check_finite, json_default, read_json,
+    ConfigError, NumericalFailure, OutOfDomainError, check_finite, json_text, read_json,
 )
 from .verify import verify_equivalence, whitney_contract_report
 from .whitney import extend_grid, whitney_decomposition
 
 
 def _emit(payload: dict, out: str | None, name: str) -> None:
-    # NaN and Infinity are not JSON (RFC 8259): a non-finite value anywhere
-    # in the output is a numerical failure, exit 3
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, default=json_default, allow_nan=False)
-    except ValueError:
-        raise NumericalFailure(f"{name} would hold a non-finite value") from None
+    text = json_text(payload, name)
     if out:
         path = Path(out)
         path.mkdir(parents=True, exist_ok=True)
@@ -387,11 +381,7 @@ def cmd_verify(args) -> int:
     levels = args.h_levels or _param(
         raw, "h_levels", None, lambda v: [float(h) for h in v]
     )
-    report = verify_equivalence(theorem, set_name, family, levels, **cfg)
-    try:
-        text = report.dumps()
-    except ValueError:  # NaN or Infinity, as in _emit
-        raise NumericalFailure("report.json would hold a non-finite value") from None
+    text = verify_equivalence(theorem, set_name, family, levels, **cfg).dumps()
     if args.out:
         path = Path(args.out)
         path.mkdir(parents=True, exist_ok=True)

@@ -388,7 +388,10 @@ def local_pair_energy(
             den = masses[i] ** 2
             total += float(num.sum()) / den
         else:
-            total += float(np.sum(num / (masses[i] * masses[g])))
+            # masses[g] is 0 only when w[g] is: that pair adds nothing, and
+            # dividing would make it 0/0
+            heavy = masses[g] > 0
+            total += float(np.sum(num[heavy] / (masses[i] * masses[g[heavy]])))
     return total * t ** (n - p)
 
 

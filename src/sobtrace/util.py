@@ -18,7 +18,7 @@ __all__ = [
     "IntegralBracket",
     "besov_scale_integral",
     "check_finite",
-    "json_default",
+    "json_text",
     "read_json",
 ]
 
@@ -114,7 +114,7 @@ def check_finite(value, what: str):
     return value
 
 
-def json_default(obj):
+def _json_default(obj):
     """json.dumps default hook for numpy scalars/arrays and to_json objects."""
     if isinstance(obj, np.integer):
         return int(obj)
@@ -125,3 +125,13 @@ def json_default(obj):
     if hasattr(obj, "to_json"):
         return obj.to_json()
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
+
+
+def json_text(payload, name: str) -> str:
+    """The JSON text of every report and CLI output: indented, keys sorted.
+    NaN and Infinity are not JSON (RFC 8259), so a non-finite value anywhere
+    is a NumericalFailure naming the output."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
+    except ValueError:
+        raise NumericalFailure(f"{name} would hold a non-finite value") from None

@@ -8,7 +8,6 @@ runtime field so identical inputs give identical bytes.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from typing import ClassVar
@@ -30,10 +29,11 @@ from .norms import (
     trace_estimate,
 )
 from .sets import ClosedSet
-from .util import ConfigError, NumericalFailure
+from .util import ConfigError, NumericalFailure, json_text
 from .whitney import WhitneyDecomposition, extend_grid, whitney_decomposition
 
 NEAR_ZERO = 1e-10
+_DIVERGENCE_SLOPE = 0.13
 
 _DIM2_SETS = {"segment-1d-in-2d", "example-726", "solid-disk", "solid-square"}
 
@@ -58,10 +58,10 @@ class EquivalenceReport:
     runtime: float
     report_version: ClassVar[int] = 1
 
-    def divergence_flags(self, threshold: float = 0.08) -> dict:
+    def divergence_flags(self) -> dict:
         """Per function and per side: does the value grow like a power of 1/h?
 
-        The flag is the log-log slope against 1/h exceeding the threshold;
+        The flag is the log-log slope against 1/h exceeding _DIVERGENCE_SLOPE;
         needs at least two resolutions.
         """
         out = {}
@@ -73,7 +73,7 @@ class EquivalenceReport:
                 hs = np.array([r["h"] for r in rows])
                 if len(vals) >= 2 and np.all(vals > NEAR_ZERO):
                     slope = np.polyfit(np.log(1 / hs), np.log(vals), 1)[0]
-                    flags[side] = bool(slope > threshold)
+                    flags[side] = bool(slope > _DIVERGENCE_SLOPE)
                 else:
                     flags[side] = False
             out[name] = flags
@@ -94,7 +94,7 @@ class EquivalenceReport:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2, allow_nan=False)
+        return json_text(self.to_json(), "the equivalence report")
 
     def save(self, path):
         with open(path, "w") as fh:

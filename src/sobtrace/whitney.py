@@ -40,14 +40,14 @@ extension reads the on-set flags and nearest samples, so their query
 stops just past the on-set reach; the composition norms read only whether
 a node lies within eps of the set (grid_near_mask).
 
-Two routes find the cube containing a point, with the same face-tie rule
-(the lexicographically smallest center wins).  WhitneyDecomposition.locate
-takes any batch of points and makes one KD-tree containment query per
-level; 2000 random probes take a few milliseconds.  projection_map paints
-each cube's node range on the set's grid, lex-smallest last; it gives the
-same indices as locate at every node, and on a full grid it is 10-30 times
-faster (segment-1d-in-2d at h = 1/256, 575k nodes: about 0.015 s against
-0.4 s), so the grid products keep it.
+Every cube lookup reads (row, cube) pairs from one of two sources.  Points
+are paired by one KD-tree match per cube level; grid nodes need no search,
+since the nodes within reach of a cube are the outer product of its
+per-axis node ranges.  Two readers take the pairs: the bump matrix (bumps
+at points, pou_matrix at the nodes) reads the pairs within 9/8 r, and the
+containing cube (locate at points, projection_map at the nodes) is the
+paired cube with the lexicographically smallest center among those within
+r, the one face-tie rule.
 """
 
 from __future__ import annotations
@@ -75,11 +75,9 @@ __all__ = [
 ]
 
 _FACE_TOL = 1e-12
-# leaf sizes of the two KD-trees WhitneyDecomposition.bumps matches, fastest
-# on a 575k-node grid: large leaves keep the tree over the points small and
-# quick to build, small ones let the cube centers prune it
-_POINTS_LEAFSIZE = 256
-_CENTERS_LEAFSIZE = 4
+# a hair past the grown cube, in radii, so rounding drops no point the
+# profile reaches
+_BUMP_REACH = GROWTH * (1 + 1e-9)
 
 
 def collar_profile(u):
@@ -112,75 +110,93 @@ class WhitneyDecomposition:
     def diams(self) -> np.ndarray:
         return 2.0 * self.radii
 
-    # -- point location -------------------------------------------------
+    # -- cube lookups: two pair sources, two readers ---------------------
 
-    def locate(self, X):
-        """Index of the cube containing each row of X (an int for a single
-        point); face ties resolve to the cube with the lexicographically
-        smallest center; -1 where unresolved (inside the collar or on the
-        set).
-
-        Per cube level, a KD-tree over that level's centers is matched
-        against one over X for the pairs within radius + _FACE_TOL *
-        root_side in the max norm; each point keeps the smallest lex rank
-        among its containing cubes.
-        """
-        X = np.asarray(X, float)
-        points = X.reshape(-1, self.S.dim)
-        order = lex_order(self.centers)
-        rank = np.empty(len(self), int)
-        rank[order] = np.arange(len(self))
-        best = np.full(len(points), len(self))
-        if len(points):
-            tree = cKDTree(points)
-            for level in np.unique(self.levels):
-                cubes = np.nonzero(self.levels == level)[0]
-                reach = self.radii[cubes[0]] + _FACE_TOL * self.root_side
-                pairs = cKDTree(self.centers[cubes]).sparse_distance_matrix(
-                    tree, reach, p=np.inf, output_type="ndarray")
-                np.minimum.at(best, pairs["j"], rank[cubes[pairs["i"]]])
-        found = np.append(order, -1)[best]
-        return int(found[0]) if X.ndim == 1 else found
-
-    # -- partition of unity ---------------------------------------------
-
-    def bumps(self, X) -> tuple:
-        """Sparse (points x cubes) CSR matrix of raw bump values at the rows
-        of X, plus the row sums.
-
-        Per cube level, a KD-tree over that level's centers is matched
-        against one over X for the points within the grown cubes' reach; the
-        profile, which vanishes on the grown cube's boundary, decides
-        membership exactly.  Columns ascend within each row (canonical CSR),
-        which fixes the order the row sums add up in.
-        """
-        X = np.atleast_2d(np.asarray(X, float))
-        tree = cKDTree(X, leafsize=_POINTS_LEAFSIZE, balanced_tree=False, compact_nodes=False)
-        lo, hi = tree.mins, tree.maxes
-        rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
+    def _point_pairs(self, X, grow: float, pad: float):
+        """Per cube level, (row, cube, coordinates) for the rows of X within
+        grow * radius + pad of the cube's center in the max norm: a KD-tree
+        over the level's centers, pruned to X's bbox, matched with one over X."""
+        if not len(X):
+            return
+        tree = cKDTree(X)
         for level in np.unique(self.levels):
             cubes = np.nonzero(self.levels == level)[0]
-            # a hair past the grown cube, so rounding drops no point the
-            # profile reaches
-            reach = GROWTH * self.radii[cubes[0]] * (1 + 1e-9)
+            reach = grow * self.radii[cubes[0]] + pad
             c = self.centers[cubes]
-            cubes = cubes[np.all((c >= lo - reach) & (c <= hi + reach), axis=1)]
-            near = cKDTree(self.centers[cubes], leafsize=_CENTERS_LEAFSIZE, balanced_tree=False,
-                           compact_nodes=False)
-            pairs = near.sparse_distance_matrix(tree, reach, p=np.inf, output_type="ndarray")
-            row, col = pairs["j"], cubes[pairs["i"]]
-            b = collar_profile((X[row, 0] - self.centers[col, 0]) / self.radii[col])
+            cubes = cubes[np.all((c >= tree.mins - reach) & (c <= tree.maxes + reach), axis=1)]
+            pairs = cKDTree(self.centers[cubes]).sparse_distance_matrix(
+                tree, reach, p=np.inf, output_type="ndarray")
+            yield pairs["j"], cubes[pairs["i"]], X[pairs["j"]].T
+
+    def _node_pairs(self, grow: float):
+        """Per cube level, (flat node, cube, coordinates) for the nodes of the
+        set's grid in each cube's per-axis node ranges at grow * radius; the
+        coordinates are GridField.axes() values, the floats nodes() stacks."""
+        box, h = self.S.bbox, self.S.h
+        shape = GridField.shape_for(box, h)
+        axes = self._grid().axes()
+        for level in np.unique(self.levels):
+            cubes = np.nonzero(self.levels == level)[0]
+            c, half = self.centers[cubes], grow * self.radii[cubes, None]
+            i0 = np.maximum(np.ceil((c - half - box[:, 0]) / h - 1e-9).astype(int), 0)
+            i1 = np.minimum(np.floor((c + half - box[:, 0]) / h + 1e-9).astype(int),
+                            np.array(shape) - 1)
+            # (cubes, width_0, ..., width_n-1): the offsets in each range
+            inside = np.ones(len(cubes), bool)
+            for a, width in enumerate(np.max(i1 - i0 + 1, axis=0)):
+                span = np.arange(width) <= (i1[:, a] - i0[:, a])[:, None]
+                inside = inside[..., None] & span.reshape((len(cubes),) + (1,) * a + (-1,))
+            k, *offsets = np.nonzero(inside)
+            idx = [i0[k, a] + offsets[a] for a in range(self.S.dim)]
+            yield (np.ravel_multi_index(idx, shape), cubes[k],
+                   [axes[a][idx[a]] for a in range(self.S.dim)])
+
+    def _bump_matrix(self, pairs, n_rows: int) -> tuple:
+        """Sparse (rows x cubes) CSR matrix of raw bump values over the pairs,
+        plus the row sums.  The profile, which vanishes on the grown cube's
+        boundary, decides membership exactly.  Columns ascend within each row
+        (canonical CSR), which fixes the order the row sums add up in."""
+        rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
+        for row, col, x in pairs:
+            b = collar_profile((x[0] - self.centers[col, 0]) / self.radii[col])
             for a in range(1, self.S.dim):
-                b = b * collar_profile((X[row, a] - self.centers[col, a]) / self.radii[col])
+                b = b * collar_profile((x[a] - self.centers[col, a]) / self.radii[col])
             keep = b > 0
             rows.append(row[keep])
             cols.append(col[keep])
             vals.append(b[keep])
         matrix = sparse.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(len(X), len(self)),
+            shape=(n_rows, len(self)),
         )
         return matrix, np.asarray(matrix.sum(axis=1)).ravel()
+
+    def _first_cube(self, pairs, n_rows: int) -> np.ndarray:
+        """Per row, the paired cube with the lexicographically smallest
+        center, the face-tie rule; -1 for a row with no pair."""
+        order = lex_order(self.centers)
+        rank = np.argsort(order)
+        best = np.full(n_rows, len(self))
+        for row, col, _ in pairs:
+            np.minimum.at(best, row, rank[col])
+        return np.append(order, -1)[best]
+
+    def locate(self, X):
+        """Index of the cube containing each row of X (an int for a single
+        point), within _FACE_TOL * root_side in the max norm; face ties
+        resolve to the cube with the lexicographically smallest center; -1
+        where unresolved (inside the collar or on the set)."""
+        X = np.asarray(X, float)
+        points = X.reshape(-1, self.S.dim)
+        found = self._first_cube(
+            self._point_pairs(points, 1.0, _FACE_TOL * self.root_side), len(points))
+        return int(found[0]) if X.ndim == 1 else found
+
+    def bumps(self, X) -> tuple:
+        """Sparse (points x cubes) CSR matrix of raw bump values at the rows
+        of X, plus the row sums (see _bump_matrix)."""
+        X = np.atleast_2d(np.asarray(X, float))
+        return self._bump_matrix(self._point_pairs(X, _BUMP_REACH, 0.0), len(X))
 
     def pou_at(self, x) -> tuple:
         """(cube indices, phi values) of the normalized partition of unity at
@@ -198,9 +214,10 @@ class WhitneyDecomposition:
         return GridField(self.S.bbox, self.S.h, values)
 
     def pou_matrix(self) -> tuple:
-        """bumps() at the grid nodes; built on first use and kept."""
+        """bumps() at the grid nodes, from node ranges; built once and kept."""
         if self._pou is None:
-            self._pou = self.bumps(self._grid().nodes())
+            n_nodes = int(np.prod(GridField.shape_for(self.S.bbox, self.S.h)))
+            self._pou = self._bump_matrix(self._node_pairs(_BUMP_REACH), n_nodes)
         return self._pou
 
     def _near_nodes(self, bound: float) -> np.ndarray:
@@ -253,30 +270,13 @@ class WhitneyDecomposition:
         return self._near_masks[eps]
 
     def projection_map(self) -> np.ndarray:
-        """Per-node index of the containing cube, painted so shared faces go
-        to the lexicographically smallest center; -1 where unresolved.
-        Built on first use and kept."""
-        if self._cube_of is not None:
-            return self._cube_of
-        box, h = self.S.bbox, self.S.h
-        shape = GridField.shape_for(box, h)
-        cube_of = np.full(shape, -1, int)
-        order = lex_order(self.centers)[::-1]  # lex-smallest painted last
-        for k in order:
-            slices = []
-            empty = False
-            for a in range(self.S.dim):
-                i0 = int(np.ceil((self.centers[k, a] - self.radii[k] - box[a, 0]) / h - 1e-9))
-                i1 = int(np.floor((self.centers[k, a] + self.radii[k] - box[a, 0]) / h + 1e-9))
-                i0, i1 = max(0, i0), min(shape[a] - 1, i1)
-                if i1 < i0:
-                    empty = True
-                    break
-                slices.append(slice(i0, i1 + 1))
-            if not empty:
-                cube_of[tuple(slices)] = k
-        self._cube_of = cube_of
-        return cube_of
+        """locate() at the grid nodes, from node ranges, shaped as the grid;
+        built once and kept."""
+        if self._cube_of is None:
+            shape = GridField.shape_for(self.S.bbox, self.S.h)
+            self._cube_of = self._first_cube(
+                self._node_pairs(1.0), int(np.prod(shape))).reshape(shape)
+        return self._cube_of
 
 
 def whitney_decomposition(S: ClosedSet) -> WhitneyDecomposition:

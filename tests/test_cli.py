@@ -549,6 +549,16 @@ def test_demo_quick_profile(tmp_path, capsys):
     assert "verify_t723_besov.json" in names
 
 
+def test_demo_quick_non_finite_report_exits_3(tmp_path, capsys):
+    # the quick reports are JSON text as every other output is: NaN exits 3
+    nan_report = {"lower_slack": float("nan")}
+    with mock.patch("sobtrace.acceptance.whitney_contract_report", return_value=nan_report):
+        code = main(["--out", str(tmp_path), "demo", "--profile", "quick"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert not (tmp_path / "whitney_contract.json").exists()
+
+
 def test_verify_seed_reaches_only_the_theorems_that_read_it(capsys):
     """The global --seed is run-wide: T11 does not read it, so verify must not
     hand it to T11's config, and the report bytes do not depend on it."""

@@ -420,6 +420,15 @@ class TestPairEnergies:
             got = local_pair_energy(mu, f, t, 3.0, kernel=kernel)
             assert got == reference_local_pair_energy(mu, f, t, 3.0, kernel), t
 
+    def test_product_kernel_skips_zero_mass_partners(self):
+        # the ball around 0.2 holds no mass, and its atom sits within t of
+        # the atom at 0.1, whose ball does: the product kernel's partner
+        # mass is 0 where the pair's weight is 0, so the pair adds nothing
+        mu = DiscreteMeasure(np.array([[0.0], [0.1], [0.2]]), np.array([1.0, 0.0, 0.0]))
+        assert mu.ball_mass(mu.points, 0.15).tolist() == [1.0, 1.0, 0.0]
+        for kernel in ("square", "product"):
+            assert local_pair_energy(mu, [0.0, 1.0, 2.0], 0.15, p=2, kernel=kernel) == 0.0
+
     def test_local_two_point_hand_value(self):
         mu = two_point_measure()
         # both ordered pairs: 2 * (1/4) * 1 * t^(1-2), masses are 1

@@ -122,7 +122,7 @@ def test_divergence_flags_synthetic():
         skipped_near_zero=0,
         runtime=0.0,
     )
-    flags = rep.divergence_flags(threshold=0.13)
+    flags = rep.divergence_flags()
     assert flags["rough"] == {"intrinsic": True, "comparison": False}
     assert flags["flat"] == {"intrinsic": False, "comparison": False}
 

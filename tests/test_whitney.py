@@ -199,11 +199,37 @@ def test_batched_locate_matches_per_point_reference(name):
     assert W.locate(np.zeros((0, S.dim))).shape == (0,)
 
 
-@pytest.mark.parametrize("name", CANONICAL_NAMES)
-def test_locate_agrees_with_projection_map(name):
-    S, _ = generate_canonical(CanonicalSpec(name, 1 / 32))
-    W = whitney_decomposition(S)
+# the grid products read node pairs off per-axis node ranges, the point
+# lookups read KD-tree pairs; both must give the same cubes at the nodes
+PAIR_SOURCE_CASES = (
+    [pytest.param(name, 1 / 32, id=name) for name in CANONICAL_NAMES]
+    + [pytest.param(name, 1 / 64, id=f"{name}-h64") for name in CANONICAL_NAMES]
+    + [pytest.param("three-points-3d", 1 / 8, id="three-points-3d")]
+)
+
+
+def pair_source_case(name, h):
+    if name == "three-points-3d":
+        S = thin_set(np.array([[0.0, 0.0, 0.0], [0.5, 0.25, 0.75], [1.0, 1.0, 1.0]]), h)
+    else:
+        S = generate_canonical(CanonicalSpec(name, h))[0]
+    return whitney_decomposition(S)
+
+
+@pytest.mark.parametrize("name, h", PAIR_SOURCE_CASES)
+def test_locate_agrees_with_projection_map(name, h):
+    W = pair_source_case(name, h)
     assert np.array_equal(W.locate(W._grid().nodes()), W.projection_map().ravel())
+
+
+@pytest.mark.parametrize("name, h", PAIR_SOURCE_CASES)
+def test_pou_matrix_equals_bumps_at_the_nodes(name, h):
+    W = pair_source_case(name, h)
+    matrix, den = W.pou_matrix()
+    ref, ref_den = W.bumps(W._grid().nodes())
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(matrix, attr), getattr(ref, attr)), attr
+    assert np.array_equal(den, ref_den)
 
 
 def test_collar_profile_support_exact():
