@@ -35,7 +35,7 @@ from .cubes import (
 from .grid import GridField
 from .measures import A_p_mu, ap_mu_options, local_pair_energy, measure_diagnostics
 from .norms import TraceEstimateConfig, grid_sobolev_norms, trace_estimate
-from .oscillation import PackingProblem, grid_packing_functional, packing_profile, solve_packing
+from .oscillation import PackingProblem, grid_packing_profile, packing_profile, solve_packing
 from .util import chebyshev, dyadic_ladder, json_text
 from .verify import verify_equivalence, whitney_contract_report
 from .whitney import collar_profile, extend_points, whitney_decomposition
@@ -254,10 +254,8 @@ def _c6_fields():
 
 
 def _c6_quotient(F, p):
-    sem = grid_sobolev_norms(F, p).seminorm
     ts = dyadic_ladder(4 * F.h, 0.5)
-    sup = max(grid_packing_functional(F, float(t), p) / float(t) for t in ts)
-    return sup / sem
+    return np.max(grid_packing_profile(F, ts, p) / ts) / grid_sobolev_norms(F, p).seminorm
 
 
 def _criterion_6(seed, out):

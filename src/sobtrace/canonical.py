@@ -20,7 +20,7 @@ from .measures import (
     measure_diagnostics,
 )
 from .sets import ClosedSet, solid_set, thin_set
-from .util import ConfigError, chebyshev
+from .util import ConfigError, chebyshev, lex_order
 
 CANONICAL_NAMES = (
     "two-points",
@@ -281,8 +281,8 @@ def _bump_field(center, radius):
 
 
 def _hoelder_fields(S, beta):
-    lo = S.points[np.lexsort(S.points.T[::-1])[0]]
-    hi = S.points[np.lexsort(S.points.T[::-1])[-1]]
+    order = lex_order(S.points)
+    lo, hi = S.points[order[0]], S.points[order[-1]]
     extent = S.extent
     # roughness down to the sample resolution, not merely at one cusp:
     # a lacunary cosine sum is the member that actually sits on the

@@ -33,7 +33,13 @@ class GridField:
     @staticmethod
     def shape_for(box, h) -> tuple:
         box = np.asarray(box, float)
+        if box.ndim != 2 or box.shape[1] != 2 or not box.size or not np.isfinite(box).all():
+            raise ConfigError(f"grid box must be a finite (n, 2) array, got {box.tolist()}")
+        if not 0 < h < np.inf:
+            raise ConfigError(f"grid step h must be finite and > 0, got {h}")
         ratio = (box[:, 1] - box[:, 0]) / h
+        if not np.all((ratio >= 0) & (ratio < 2.0 ** 31)):
+            raise ConfigError(f"box/h gives {ratio.tolist()} cells per axis, not in [0, 2^31)")
         if np.any(np.abs(ratio - np.round(ratio)) > 1e-6):
             raise ConfigError("box extents must be integer multiples of h")
         return tuple(int(c) for c in np.round(ratio).astype(int) + 1)
@@ -94,9 +100,11 @@ class GridField:
         path = Path(path)
         try:
             header = json.loads(path.with_suffix(".json").read_text())
-            shape = tuple(header["shape"])
-            if header["format"] == "binary":
+            shape, fmt = tuple(header["shape"]), header["format"]
+            if fmt == "binary":
                 vals = np.fromfile(path.with_suffix(".bin"), dtype="<f8").reshape(shape)
+            elif fmt != "csv":
+                raise ConfigError(f"unknown grid format {fmt!r}")
             else:
                 vals = np.loadtxt(path.with_suffix(".csv")).reshape(shape)
             box, h = np.array(header["box"], float), float(header["h"])

@@ -394,8 +394,7 @@ def _estimate_decomposed(S, f, cfg, mu, W):
     field, interior = _interior_field(S, f)
     interior_norm = grid_sobolev_norms(field, cfg.p, interior).total
     sigma = boundary_measure(S)
-    _, parent = S.tree.query(sigma.points, k=1, p=np.inf)
-    f_sigma = np.asarray(f, float)[parent]
+    f_sigma = np.asarray(f, float)[~S.interior_mask()]  # sigma's points, in order
     base = sigma.lp_norm(f_sigma, cfg.p)
     energy = distance_pair_energy(sigma, f_sigma, cfg.eps, cfg.p)
     return _report(

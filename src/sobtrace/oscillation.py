@@ -8,8 +8,10 @@ The central object is the packing functional
 computed over candidate cubes at trial diameters t, t/2, t/4, t/8 with a
 greedy disjoint selection. (solve_packing's exact branch and bound, limited
 to 24 candidates, serves only the greedy-versus-optimum check of C05.)
-The estimators read it along a scale ladder through packing_profile, which
-packs each distinct trial diameter of the ladder once.
+A packing fills one table, {tau: (power sum, count)} over the distinct trial
+diameters of its scales, and _breakdown reads each scale from it: sets
+through packing_profile, grid fields (a raster walk, every node a candidate
+center) through grid_packing_functional and grid_packing_profile.
 Variants restrict centers to boundary samples, require the cubes to be
 porous, or replace the score of cube_oscillations by a callable
 score_fn(centers, radius) -> scores, called once per trial diameter with all
@@ -48,6 +50,7 @@ __all__ = [
     "packing_functional_details",
     "packing_profile",
     "grid_packing_functional",
+    "grid_packing_profile",
     "sharp_maximal",
     "sharp_maximal_field",
     "modulus_profile",
@@ -177,38 +180,47 @@ def _default_taus(t: float) -> list:
     return [t, t / 2, t / 4, t / 8]
 
 
-def _check_packing_args(p: float, ts):
+def _trial_diameters(ts, p: float) -> list:
+    """The distinct trial diameters t, t/2, t/4, t/8 of the scales ts, in the
+    order the scales first reach them; p and every t must be finite and > 0."""
     if not 0 < p < np.inf:
         raise ConfigError(f"packing functional needs finite p > 0, got {p}")
     for t in ts:
         if not 0 < t < np.inf:
             raise ConfigError(f"packing functional needs finite t > 0, got {t}")
+    return list(dict.fromkeys(tau for t in ts for tau in _default_taus(t)))
+
+
+def _breakdown(table: dict, t: float, p: float) -> dict:
+    """Scale t of a packing table: the best power sum over t, t/2, t/4, t/8
+    (the first tau reaching it), its p-th root, and the rows (tau, *table[tau])."""
+    per_tau = [(tau, *table[tau]) for tau in _default_taus(t)]
+    best, best_tau = 0.0, None
+    for tau, total, _ in per_tau:
+        if total > best:
+            best, best_tau = total, tau
+    return {"value": best ** (1.0 / p), "power_sum": best, "best_tau": best_tau,
+            "per_tau": per_tau}
 
 
 def _packing_table(S: ClosedSet, f_vals, ts, p: float, *, centers: str = "set",
                    alpha: float | None = None, strong: bool = False,
                    score_fn=None) -> dict:
-    """{tau: (power sum, cubes chosen)} for every distinct trial diameter of
-    the scales ts, each packed once, in the order the scales first reach it;
-    the options are those of packing_functional_details."""
-    _check_packing_args(p, ts)
+    """{tau: (power sum, cubes chosen)} for each tau of _trial_diameters(ts, p),
+    packed once; the options are those of packing_functional_details."""
+    taus = _trial_diameters(ts, p)
     if centers not in ("set", "boundary"):
         raise ConfigError(f"unknown packing centers {centers!r}")
     f_vals = np.asarray(f_vals, float)
+    # the boundary samples are the samples outside the interior mask, in order
     center_set = S if centers == "set" else S.boundary()
-    if center_set is S:
-        score_vals = f_vals
-    else:
-        _, parent = S.tree.query(center_set.points, k=1, p=np.inf)
-        score_vals = f_vals[parent]
+    score_vals = f_vals if centers == "set" else f_vals[~S.interior_mask()]
     if score_fn is None:
         def score_fn(cand, radius):
             osc = cube_oscillations(center_set.tree, score_vals, cand, radius + 1e-12)
             return [(2 * radius) ** S.dim * o ** p for o in osc.tolist()]
     table = {}
-    for tau in (tau for t in ts for tau in _default_taus(t)):
-        if tau in table:
-            continue
+    for tau in taus:
         cand_idx = _thin_candidates(center_set.points, tau)
         cand = center_set.points[cand_idx]
         radius = tau / 2.0
@@ -236,18 +248,7 @@ def packing_functional_details(S: ClosedSet, f_vals, t: float, p: float, **optio
     set's samples in Q (the boundary samples for boundary-centered packings,
     so that boundary variants score osc over Q cap dS).
     """
-    table = _packing_table(S, f_vals, [t], p, **options)
-    per_tau = [(tau, *table[tau]) for tau in _default_taus(t)]
-    best, best_tau = 0.0, None
-    for tau, total, _ in per_tau:
-        if total > best:
-            best, best_tau = total, tau
-    return {
-        "value": best ** (1.0 / p),
-        "power_sum": best,
-        "best_tau": best_tau,
-        "per_tau": per_tau,
-    }
+    return _breakdown(_packing_table(S, f_vals, [t], p, **options), t, p)
 
 
 def packing_profile(S: ClosedSet, f_vals, ts, p: float, **options) -> np.ndarray:
@@ -256,9 +257,7 @@ def packing_profile(S: ClosedSet, f_vals, ts, p: float, **options) -> np.ndarray
     (on a dyadic ladder t/2 of one scale is the next scale down) is packed
     once."""
     table = _packing_table(S, f_vals, ts, p, **options)
-    return np.array(
-        [max(table[tau][0] for tau in _default_taus(t)) ** (1.0 / p) for t in ts]
-    )
+    return np.array([_breakdown(table, t, p)["value"] for t in ts])
 
 
 # -- packing functional for grid fields --------------------------------
@@ -276,9 +275,9 @@ def _window_extrema(values: np.ndarray, k: int) -> tuple:
 _WALK_CHUNK = 512  # nodes per step of the greedy grid walk
 
 
-def grid_packing_functional(F: GridField, t: float, p: float, details: bool = False):
-    """Packing functional for a grid field: every node is a candidate center,
-    at the trial diameters t, t/2, t/4, t/8.
+def _grid_packing_table(F: GridField, ts, p: float) -> dict:
+    """{tau: (power sum, nodes admitted)} for each tau of _trial_diameters(ts,
+    p), packed once; every node is a candidate center.
 
     Per trial diameter the oscillation raster comes from running max/min
     filters. The greedy packing walks the nodes of positive score in
@@ -296,13 +295,12 @@ def grid_packing_functional(F: GridField, t: float, p: float, details: bool = Fa
     survivors' scores are read once per chunk, as Python floats, and summed
     in admission order.
     """
-    _check_packing_args(p, [t])
     shape = F.values.shape
-    best, best_tau, per_tau = 0.0, None, []
-    for tau in _default_taus(t):
+    table = {}
+    for tau in _trial_diameters(ts, p):
         k = int(round(tau / F.h))
         if k < 1 or 2 * k >= min(shape):
-            per_tau.append((tau, 0.0, 0))
+            table[tau] = (0.0, 0)
             continue
         hi, lo = _window_extrema(F.values, k)
         score = (hi - lo) ** p * tau ** F.dim
@@ -335,13 +333,21 @@ def grid_packing_functional(F: GridField, t: float, p: float, details: bool = Fa
                 total += node_score
                 count += 1
                 patches[pos] = True
-        per_tau.append((tau, total, count))
-        if total > best:
-            best, best_tau = total, tau
-    value = best ** (1.0 / p)
-    if details:
-        return {"value": value, "best_tau": best_tau, "per_tau": per_tau}
-    return value
+        table[tau] = (total, count)
+    return table
+
+
+def grid_packing_functional(F: GridField, t: float, p: float, details: bool = False):
+    """Packing functional of a grid field at t, every node a candidate center;
+    with details, the breakdown of packing_functional_details."""
+    out = _breakdown(_grid_packing_table(F, [t], p), t, p)
+    return out if details else out["value"]
+
+
+def grid_packing_profile(F: GridField, ts, p: float) -> np.ndarray:
+    """grid_packing_functional at every scale of ts, each trial diameter packed once."""
+    table = _grid_packing_table(F, ts, p)
+    return np.array([_breakdown(table, t, p)["value"] for t in ts])
 
 
 # -- sharp maximal functions -------------------------------------------

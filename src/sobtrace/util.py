@@ -78,8 +78,6 @@ class IntegralBracket:
 
     lower: float
     upper: float
-    t_min: float
-    t_max: float
 
     @property
     def value(self) -> float:
@@ -96,14 +94,13 @@ def besov_scale_integral(ts: np.ndarray, gs: np.ndarray, s: float, q: float) -> 
     ts = np.asarray(ts, float)
     gs = np.asarray(gs, float)
     if ts.size < 2:
-        return IntegralBracket(0.0, 0.0, float(ts[0]) if ts.size else 0.0,
-                               float(ts[-1]) if ts.size else 0.0)
+        return IntegralBracket(0.0, 0.0)
     sq = s * q
     t0, t1 = ts[:-1], ts[1:]
     weights = (t0 ** (-sq) - t1 ** (-sq)) / sq
     lo = float(np.sum(gs[:-1] ** q * weights))
     hi = float(np.sum(gs[1:] ** q * weights))
-    return IntegralBracket(lo, hi, float(ts[0]), float(ts[-1]))
+    return IntegralBracket(lo, hi)
 
 
 def check_finite(value, what: str):

@@ -29,7 +29,7 @@ from .norms import (
     trace_estimate,
 )
 from .sets import ClosedSet
-from .util import ConfigError, NumericalFailure, json_text
+from .util import ConfigError, NumericalFailure, json_text, lex_order
 from .whitney import WhitneyDecomposition, extend_grid, whitney_decomposition
 
 NEAR_ZERO = 1e-10
@@ -147,7 +147,7 @@ def extension_field(W: WhitneyDecomposition, f_vals, cfg: TraceEstimateConfig) -
     S = W.S
     if THEOREMS[cfg.theorem].comparison == "seminorm":
         delta = S.span
-        x0 = int(np.lexsort(S.points.T[::-1])[0])
+        x0 = int(lex_order(S.points)[0])
         cbar = float(np.asarray(f_vals, float)[x0])
     else:
         base = cfg.eps if cfg.eps is not None else S.span

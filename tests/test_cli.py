@@ -79,6 +79,60 @@ def test_grid_load_rejects_damaged_files(tmp_path, capsys, damage):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+# a 1-D box used to end in an IndexError traceback, h = 0, NaN or 1e-300 in
+# a message naming a shape of -9223372036854775807, an inverted box read as
+# a grid of no nodes, and an unknown format was read as CSV
+@pytest.mark.parametrize("header, error", [
+    ('{"box": [0, 1], "h": 0.5, "shape": [3], "format": "binary"}',
+     "grid box must be a finite (n, 2) array"),
+    ('{"box": [[0, 1, 2]], "h": 0.5, "shape": [3], "format": "binary"}',
+     "grid box must be a finite (n, 2) array"),
+    ('{"box": [[0, Infinity]], "h": 0.5, "shape": [3], "format": "binary"}',
+     "grid box must be a finite (n, 2) array"),
+    ('{"box": [[0, 1]], "h": 0, "shape": [3], "format": "binary"}',
+     "grid step h must be finite and > 0, got 0.0"),
+    ('{"box": [[0, 1]], "h": -0.5, "shape": [3], "format": "binary"}',
+     "grid step h must be finite and > 0, got -0.5"),
+    ('{"box": [[0, 1]], "h": NaN, "shape": [3], "format": "binary"}',
+     "grid step h must be finite and > 0, got nan"),
+    ('{"box": [[0, 1]], "h": Infinity, "shape": [3], "format": "binary"}',
+     "grid step h must be finite and > 0, got inf"),
+    ('{"box": [[0, 1]], "h": 1e-300, "shape": [3], "format": "binary"}',
+     "cells per axis, not in [0, 2^31)"),
+    ('{"box": [[1, 0]], "h": 0.5, "shape": [3], "format": "binary"}',
+     "box/h gives [-2.0] cells per axis, not in [0, 2^31)"),
+    ('{"box": [[0, 1]], "h": 0.5, "shape": [3], "format": "npy"}',
+     "unknown grid format 'npy'"),
+], ids=["one-dimensional-box", "three-column-box", "infinite-box", "zero-h", "negative-h",
+        "nan-h", "infinite-h", "tiny-h", "inverted-box", "unknown-format"])
+@pytest.mark.parametrize("functional", ["grid-packing", "modulus"])
+def test_grid_header_refused(tmp_path, capsys, functional, header, error):
+    (tmp_path / "g.json").write_text(header)
+    np.zeros(3).astype("<f8").tofile(tmp_path / "g.bin")
+    np.savetxt(tmp_path / "g.csv", np.zeros(3))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"functional": functional, "t": 0.5, "field": str(tmp_path / "g")}))
+    code = main(["functional", "--canonical", "two-points", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and error in err
+    assert "Traceback" not in err
+
+
+def test_functional_grid_packing_power_sum(tmp_path, capsys):
+    GridField(np.array([[0.0, 1.0]]), 1 / 64, np.linspace(0.0, 1.0, 65)).save(tmp_path / "g")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"functional": "grid-packing", "t": 0.25, "p": 2.0,
+                               "field": str(tmp_path / "g")}))
+    code, out = run_cli(capsys, "functional", "--canonical", "two-points", "--config", str(cfg))
+    assert code == 0
+    result = json.loads(out)["result"]
+    # the breakdown of the set packing: value, power_sum, best_tau, per_tau
+    assert set(result) >= {"value", "power_sum", "best_tau", "per_tau"}
+    assert result["power_sum"] == pytest.approx(4 * 0.25 ** 3)
+    assert result["value"] == pytest.approx(result["power_sum"] ** 0.5)
+
+
 def test_functional_averaged_modulus(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"functional": "averaged-modulus", "t": 0.25, "p": 3.0}))

@@ -21,6 +21,7 @@ from sobtrace.oscillation import (
     _thin_candidates,
     cube_oscillations,
     grid_packing_functional,
+    grid_packing_profile,
     modulus_of_smoothness,
     modulus_profile,
     packing_functional_details,
@@ -226,6 +227,10 @@ class TestPackingFunctional:
             packing_functional_details(S, f, 0.5, p)
         with pytest.raises(ConfigError):
             grid_packing_functional(F, 0.5, p)
+        with pytest.raises(ConfigError):
+            grid_packing_profile(F, [0.25, 0.5], p)
+        with pytest.raises(ConfigError):
+            grid_packing_profile(F, [], p)
 
     @pytest.mark.parametrize("t", [0.0, -0.25, np.inf, -np.inf, np.nan])
     def test_rejects_bad_t(self, t):
@@ -238,6 +243,8 @@ class TestPackingFunctional:
             packing_functional_details(S, f, t, 2.0)
         with pytest.raises(ConfigError):
             grid_packing_functional(F, t, 2.0)
+        with pytest.raises(ConfigError):
+            grid_packing_profile(F, [0.25, t, 0.5], 2.0)
 
 
 @pytest.mark.parametrize("name", CANONICAL_NAMES)
@@ -453,6 +460,33 @@ _GRID_FIELDS = {
         np.random.default_rng(10).standard_normal((17, 13, 9)),
     ),
 }
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_FIELDS))
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_grid_profile_matches_per_scale_calls(name, p):
+    """grid_packing_profile packs each distinct trial diameter of the ladder
+    once; grid_packing_functional packs t, t/2, t/4, t/8 at every scale.
+    Values must be equal, on C06's dyadic ladder (whose scales share trial
+    diameters) and on a ladder whose scales share none."""
+    F = _GRID_FIELDS[name]()
+    dyadic = dyadic_ladder(4 * F.h, 0.5)
+    disjoint = np.array([0.3, 0.2, 0.07])
+    assert len(oscillation._trial_diameters(dyadic, p)) < 4 * len(dyadic)
+    assert len(oscillation._trial_diameters(disjoint, p)) == 4 * len(disjoint)
+    for ts in (dyadic, disjoint):
+        want = [grid_packing_functional(F, t, p) for t in ts]
+        assert grid_packing_profile(F, ts, p).tolist() == want
+
+
+def test_set_and_grid_breakdowns_have_the_same_keys():
+    pts = np.linspace(0, 1, 65)[:, None]
+    S = thin_set(pts, h=1 / 64)
+    F = GridField(np.array([[0.0, 1.0]]), 1 / 64, pts[:, 0])
+    set_out = packing_functional_details(S, pts[:, 0], t=0.25, p=2)
+    grid_out = grid_packing_functional(F, t=0.25, p=2, details=True)
+    assert set(set_out) == set(grid_out) == {"value", "power_sum", "best_tau", "per_tau"}
+    assert grid_out["value"] == grid_out["power_sum"] ** 0.5
 
 
 class TestGridPackingWalk:
