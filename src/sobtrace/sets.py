@@ -7,11 +7,15 @@ samples.  Distances, porosity tests, the empty-core quasi-distance and the
 ball-condition estimate all reduce to nearest-sample queries:  the uniform
 distance from a point to the cell around a sample is
 max(0, ||x - sample|| - h/2).  A Chebyshev KD-tree answers them exactly.  On
-a solid set whose samples sit one per cell center, most rows are answered
-instead by one lookup in the cell lattice (`ClosedSet.nearest_distance`),
-which returns the same float; the lookup reads the row's cell column off
-its coordinate, through a per-axis table of the sampled columns below each
-cell column, with no binary search.
+a solid set whose samples sit one per cell center, distance and nearest
+sample share one cell-lattice route instead, which gives the KD-tree's
+answers bit for bit: each row's bracketing sampled columns are read off its
+coordinates through a per-axis table of the sampled columns below each cell
+column, with no binary search (`ClosedSet._cell_bracket`).  The distance
+(`nearest_distance`) is then one lookup of the cell at the nearer columns;
+the nearest sample (`nearest_point`), ties included, is the first held cell
+within reach in a window of four columns per axis around the bracket, for
+rows within 3h/4 of their nearest sample.
 
 The empty-cube searches (clearance, porosity, quasi-distance, empty
 subcubes) scan a capped h/2 lattice of each box and are batched: callers
@@ -136,61 +140,85 @@ class ClosedSet:
 
         On a solid set whose samples sit one per cell center (`_cell_tables`)
         a row first takes, per axis, the sampled column whose coordinate is
-        nearest to it (the nearer of the two that bracket it, or the outermost
-        one).  No sample is closer on any axis, so when the cell at those
-        columns holds a sample, that sample is a nearest one, and its
-        distance max_a |x_a - v_a| is the float the KD-tree returns (rounding
-        is monotone).  The bracket comes from the row's cell column c, the
-        floor of t = (x_a - bbox_lo) / h clipped to the bbox, with no
-        search: a sample coordinate v sits within h/4 of its cell's center,
-        so its t (the same float expression) is below the row's when its
-        column is below c and above it when its column is above c, and v
-        compares with x_a alike (the expression is monotone); only column
-        c's own coordinate is compared.  Columns with no sample, such as
-        the gap between two blobs, count as neither.  The other rows, and
-        any batch with a non-finite row (the KD-tree rejects it), go to the
+        nearest to it (`_cell_bracket`).  No sample is closer on any axis, so
+        when the cell at those columns holds a sample, that sample is a
+        nearest one, and its distance max_a |x_a - v_a| is the float the
+        KD-tree returns (rounding is monotone).  The other rows, and any
+        batch the KD-tree must see (`_cell_bracket` returns None), go to the
         KD-tree.
         """
         x = np.atleast_2d(np.asarray(x, float))
+        bracket = self._cell_bracket(x)
+        if bracket is None:
+            return self.tree.query(x, p=np.inf, distance_upper_bound=bound)[0]
+        _, d, held = bracket
+        d[d >= bound] = np.inf
+        miss = np.flatnonzero(~held)
+        if len(miss):
+            d[miss] = self.tree.query(x[miss], p=np.inf, distance_upper_bound=bound)[0]
+        return d
+
+    def _cell_bracket(self, x):
+        """(brackets, d, held) for the rows of an (n, dim) batch on the cell
+        lattice, or None when the batch goes to the KD-tree: no cell tables,
+        a width other than dim, or a non-finite row (the KD-tree rejects
+        both).
+
+        Per axis a, brackets[a] is the row's bracket j in the padded column
+        coordinates (`_cell_tables`), coords[j] < x_a <= coords[j + 1]; d is
+        the largest over the axes of the distance to the nearer of the two,
+        and held says whether the cell at the nearer columns holds a sample.
+        The bracket comes from the row's cell column c, the floor of
+        t = (x_a - bbox_lo) / h clipped to the bbox, with no search: a sample
+        coordinate v sits within h/4 of its cell's center, so its t (the same
+        float expression) is below the row's when its column is below c and
+        above it when its column is above c, and v compares with x_a alike
+        (the expression is monotone); only column c's own coordinate is
+        compared.  Columns with no sample, such as the gap between two
+        blobs, count as neither.
+        """
         tables = self._cell_tables()
         if tables is None or x.shape[1:] != (self.dim,) or not np.isfinite(x).all():
-            return self.tree.query(x, p=np.inf, distance_upper_bound=bound)[0]
-        lowers, uppers, below_column, holds = tables
+            return None
+        coords, below_column, holds, _ = tables
+        brackets = []
         d = np.zeros(len(x))
         cell = np.zeros(len(x), np.intp)
-        for a, (lower, upper, index) in enumerate(zip(lowers, uppers, below_column)):
+        for a, (coord, index) in enumerate(zip(coords, below_column)):
             xa = x[:, a]
             t = xa - self.bbox[a, 0]
             t /= self.h
             np.clip(t, 0, len(index) - 1, out=t)
             j = index.take(t.astype(np.intp))
-            j += upper.take(j) < xa  # now lower[j] < xa <= upper[j]
-            below = xa - lower.take(j)
+            upper = coord[1:]
+            j += upper.take(j) < xa  # now coord[j] < xa <= coord[j + 1]
+            below = xa - coord.take(j)
             above = upper.take(j)
             above -= xa
             cell *= holds.shape[a]
             cell += j
             cell += above < below
             np.maximum(d, np.minimum(below, above, out=below), out=d)
-        d[d >= bound] = np.inf
-        miss = np.flatnonzero(~holds.ravel().take(cell))
-        if len(miss):
-            d[miss] = self.tree.query(x[miss], p=np.inf, distance_upper_bound=bound)[0]
-        return d
+            brackets.append(j)
+        return brackets, d, holds.ravel().take(cell)
 
     def _cell_tables(self) -> tuple | None:
-        """The tables of nearest_distance's cell-lattice path, built once
-        per set; None unless this is a solid set whose samples all sit on
-        their columns' coordinates, each within h/4 of its cell's center.
+        """The cell-lattice tables of nearest_distance and nearest_point,
+        built once per set; None unless this is a solid set whose samples all
+        sit on their columns' coordinates, each within h/4 of its cell's
+        center.
 
         Per axis, with v the coordinates of the sampled columns in order,
-        lower = [-inf, v] and upper = [v, inf], so that column j - 1 lies
-        below a coordinate in (lower[j], upper[j]] and column j above it;
-        below_column[c] counts the sampled columns below cell column c, for
-        c = 0 .. cells, the last entry serving every coordinate past the
-        bbox.  holds marks the cells that hold a sample, indexed by
-        column + 1 on every axis; it is read off the samples, since a loaded
-        set may mark a cell occupied that has none.
+        coords = [-inf, -inf, v, inf, inf]: sampled column k sits at padded
+        index k + 2, and the padding lets a window of columns j - 1 .. j + 2
+        around any bracket j stay inside the table.  below_column[c] is the
+        padded index of the last sampled column below cell column c (1 when
+        there is none), for c = 0 .. cells, the last entry serving every
+        coordinate past the bbox.  first holds, per cell at padded indices,
+        the smallest index of a sample in it, and the sample count where
+        there is none; holds marks the cells that hold a sample.  Both are
+        read off the samples, since a loaded set may mark a cell occupied
+        that has none, or hold one point twice.
         """
         if self._tables is None:
             self._tables = self._build_cell_tables() or ()
@@ -203,19 +231,20 @@ class ClosedSet:
         offset = (self.points - self.bbox[:, 0]) / self.h - (cells + 0.5)
         if np.any(np.abs(offset) > 0.25):
             return None
-        lowers, uppers, below_column, slots = [], [], [], []
+        coords, below_column, slots = [], [], []
         for a in range(self.dim):
             columns, first, slot = np.unique(cells[:, a], return_index=True, return_inverse=True)
             v = self.points[first, a]
             if np.any(self.points[:, a] != v[slot]):
                 return None
-            lowers.append(np.concatenate([[-np.inf], v]))
-            uppers.append(np.concatenate([v, [np.inf]]))
-            below_column.append(np.searchsorted(columns, np.arange(self.occupancy.shape[a] + 1)))
-            slots.append(slot + 1)
-        holds = np.zeros([len(v) for v in lowers], bool)
-        holds[tuple(slots)] = True
-        return lowers, uppers, below_column, holds
+            coords.append(np.concatenate([[-np.inf, -np.inf], v, [np.inf, np.inf]]))
+            below = np.searchsorted(columns, np.arange(self.occupancy.shape[a] + 1))
+            below_column.append(below + 1)
+            slots.append(slot + 2)
+        n = len(self.points)
+        first = np.full([len(c) for c in coords], n)
+        np.minimum.at(first, tuple(slots), np.arange(n))
+        return coords, below_column, first < n, first
 
     def dist(self, x):
         """Uniform-norm distance from point(s) to the represented set."""
@@ -245,13 +274,64 @@ class ClosedSet:
     def nearest_point(self, x) -> tuple:
         """(sample point, index) closest to x, or (points, indices) for an
         (n, dim) array; ties pick the lexicographically smallest sample, then
-        the smallest index.
+        the smallest index: among the samples within reach = d + 1e-12 (1 + d)
+        of the row, d its nearest-sample distance.
 
-        One k=2 query finds the rows with a tie; only those take a ball
-        query for the whole tied group.
+        On a solid set with cell tables, a row whose nearest cell
+        (`_cell_bracket`) holds a sample and whose reach is at most 3h/4
+        reads its answer off the cells, as nearest_distance reads d: of the
+        4^dim cells at columns j - 1 .. j + 2 around its bracket j on each
+        axis, the first in lexicographic column order that holds a sample
+        within reach on every axis gives that cell's smallest sample index.
+        This is exact.  Sampled columns sit at least h/2 apart, since each
+        sample lies within h/4 of its cell's center, so every column outside
+        the window lies at least h > reach from the row.  The samples of a
+        cell share its column coordinates, and those rise with the column,
+        so column order is the samples' lexicographic order.
+
+        Every other row takes the KD-tree: one k=2 query finds the rows with
+        a tie, and only those take a ball query for the whole tied group.
         """
         x = np.asarray(x, float)
         rows = np.atleast_2d(x)
+        bracket = self._cell_bracket(rows)
+        if bracket is None:
+            idx = self._kd_nearest(rows)
+        else:
+            brackets, d, held = bracket
+            reach = d + 1e-12 * (1.0 + d)
+            local = held & (reach <= 0.75 * self.h)
+            idx = np.empty(len(rows), np.intp)
+            near = np.flatnonzero(local)
+            idx[near] = self._first_in_window(
+                rows[near], [j[near] for j in brackets], reach[near])
+            far = np.flatnonzero(~local)
+            if len(far):
+                idx[far] = self._kd_nearest(rows[far])
+        if x.ndim == 1:
+            return self.points[idx[0]].copy(), int(idx[0])
+        return self.points[idx], idx
+
+    def _first_in_window(self, rows, brackets, reach) -> np.ndarray:
+        """nearest_point's cell route: per row, the smallest sample index of
+        the first held cell of the window within reach on every axis."""
+        coords, _, holds, first = self._tables
+        n, width = len(rows), 1
+        flat = np.zeros((n, 1), np.intp)
+        within = np.ones((n, 1), bool)
+        for a, j in enumerate(brackets):
+            # the window's cells in lexicographic column order, axis 0 first
+            k = j[:, None] + np.arange(-1, 3)
+            ok = np.abs(rows[:, a, None] - coords[a].take(k)) <= reach[:, None]
+            width *= 4
+            flat = ((flat * holds.shape[a])[:, :, None] + k[:, None, :]).reshape(n, width)
+            within = (within[:, :, None] & ok[:, None, :]).reshape(n, width)
+        sample = first.ravel().take(flat)
+        within &= sample < len(self.points)
+        return sample[np.arange(n), within.argmax(axis=1)]
+
+    def _kd_nearest(self, rows) -> np.ndarray:
+        """nearest_point's KD-tree route for an (n, dim) batch."""
         d, i = self.tree.query(rows, k=2, p=np.inf)
         idx = i[:, 0]
         reach = d[:, 0] + 1e-12 * (1.0 + d[:, 0])
@@ -266,9 +346,7 @@ class ClosedSet:
         order = np.lexsort((cand,) + tuple(self.points[cand].T[::-1]) + (owner,))
         first = order[np.diff(owner[order], prepend=-1) != 0]
         idx[tied[owner[first]]] = cand[first]
-        if x.ndim == 1:
-            return self.points[idx[0]].copy(), int(idx[0])
-        return self.points[idx], idx
+        return idx
 
     # -- boundary / interior --------------------------------------------
 

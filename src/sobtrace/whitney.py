@@ -26,7 +26,10 @@ the normalized average sum_Q b_Q c_Q / sum_Q b_Q wherever a bump reaches.
 Points on the set (within h/2 of a sample) and collar points no bump
 reaches take the value of their nearest sample instead.  Among equally
 near samples the lexicographically smallest wins (ClosedSet.nearest_point),
-the rule that also picks each cube's anchor.
+the rule that also picks each cube's anchor.  On a solid set the nearest
+sample, ties included, is read off the same cell lattice as the distance
+to the set, so the on-set flags and the nearest samples come from one
+oracle; both give the KD-tree's answers exactly.
 
 There is one grid per set: its lattice S.bbox at step S.h, on which the
 decomposition, the extension, the projection and the sharp maximal field
@@ -115,7 +118,10 @@ class WhitneyDecomposition:
     def _point_pairs(self, X, grow: float, pad: float):
         """Per cube level, (row, cube, coordinates) for the rows of X within
         grow * radius + pad of the cube's center in the max norm: a KD-tree
-        over the level's centers, pruned to X's bbox, matched with one over X."""
+        over the level's centers, pruned to X's bbox, matched with one over X.
+        A batch whose rows are not points of the set's dimension is refused."""
+        if X.ndim != 2 or X.shape[1] != self.S.dim:
+            raise ConfigError(f"points of shape {X.shape} are not rows of dimension {self.S.dim}")
         if not len(X):
             return
         tree = cKDTree(X)
@@ -187,7 +193,7 @@ class WhitneyDecomposition:
         resolve to the cube with the lexicographically smallest center; -1
         where unresolved (inside the collar or on the set)."""
         X = np.asarray(X, float)
-        points = X.reshape(-1, self.S.dim)
+        points = np.atleast_2d(X)
         found = self._first_cube(
             self._point_pairs(points, 1.0, _FACE_TOL * self.root_side), len(points))
         return int(found[0]) if X.ndim == 1 else found

@@ -95,6 +95,17 @@ def _oracle_probes(S, seed=6):
     return np.vstack(probes)
 
 
+def _off_center_set():
+    obj = solid_set(square_mask(6), h=1 / 8, origin=(0.0, 0.0)).to_json()
+    obj["points"][7] = [obj["points"][7][0] + 1 / 32, obj["points"][7][1]]
+    return ClosedSet.from_json(obj)
+
+
+_BLOBS = np.zeros((12, 12), bool)
+_BLOBS[1:4, 2:5] = True
+_BLOBS[8:11, 7:10] = True
+
+
 @pytest.mark.parametrize("h", [1 / 32, 1 / 64])
 @pytest.mark.parametrize("name", CANONICAL_NAMES)
 def test_nearest_distance_is_the_kd_answer_bitwise(name, h):
@@ -105,9 +116,7 @@ def test_nearest_distance_is_the_kd_answer_bitwise(name, h):
 
 
 def test_off_center_sample_falls_back_to_kd_tree():
-    obj = solid_set(square_mask(6), h=1 / 8, origin=(0.0, 0.0)).to_json()
-    obj["points"][7] = [obj["points"][7][0] + 1 / 32, obj["points"][7][1]]
-    S = ClosedSet.from_json(obj)
+    S = _off_center_set()
     _assert_same_bits(S, _oracle_probes(S), (np.inf, S.h, 2 * S.on_set_reach))
     assert S._cell_tables() is None
 
@@ -147,10 +156,7 @@ def test_column_gaps_between_blobs():
     # two blobs apart on both axes: the cell columns between them hold no
     # sample, and the rows there bracket between the blobs' facing columns;
     # rows far past the bbox take the outermost column
-    mask = np.zeros((12, 12), bool)
-    mask[1:4, 2:5] = True
-    mask[8:11, 7:10] = True
-    S = solid_set(mask, h=1 / 16, origin=(0.0, 0.0))
+    S = solid_set(_BLOBS, h=1 / 16, origin=(0.0, 0.0))
     assert S._cell_tables() is not None
     far = np.array([[1e300, 0.3], [-1e300, 0.3], [0.3, 1e300], [0.3, -1e300]])
     _assert_same_bits(S, np.vstack([_oracle_probes(S), far]), (np.inf, S.h, 0.1))
@@ -164,6 +170,19 @@ def test_nearest_distance_rejects_non_finite_rows(name, bad):
     for bound in (np.inf, S.h):
         with pytest.raises(ValueError):
             S.nearest_distance(x, bound)
+    with pytest.raises(ValueError):
+        S.nearest_point(x)
+
+
+@pytest.mark.parametrize("name", ["solid-square", "segment-1d-in-2d", "axis-line"])
+def test_nearest_queries_reject_rows_of_another_width(name):
+    # the cell route would answer from the first dim columns
+    S = _CATALOG[name]
+    x = np.hstack([S.points[:3], np.zeros((3, 1))])
+    with pytest.raises(ValueError):
+        S.nearest_distance(x)
+    with pytest.raises(ValueError):
+        S.nearest_point(x)
 
 
 def test_dist_solid_is_zero_inside_cells():
@@ -213,6 +232,161 @@ def test_nearest_point_batched_matches_per_point_rule():
     for x, k in zip(queries, want):
         p, i = S.nearest_point(x)
         assert i == k and np.array_equal(p, pts[k])
+
+
+# -- the cell route of nearest_point on solid sets -------------------------
+#
+# Every answer must be the KD-tree route's, index for index.
+
+
+def _kd_nearest_point(S, rows):
+    """nearest_point's KD-tree route, for every row."""
+    d, i = S.tree.query(rows, k=2, p=np.inf)
+    idx = i[:, 0]
+    reach = d[:, 0] + 1e-12 * (1.0 + d[:, 0])
+    tied = np.nonzero(d[:, 1] <= reach)[0]
+    groups = S.tree.query_ball_point(rows[tied], reach[tied], p=np.inf)
+    sizes = np.fromiter(map(len, groups), int, len(groups))
+    cand = np.fromiter(itertools.chain.from_iterable(groups), int, int(sizes.sum()))
+    owner = np.repeat(np.arange(len(groups)), sizes)
+    keep = chebyshev(S.points[cand], rows[tied][owner]) <= reach[tied][owner]
+    cand, owner = cand[keep], owner[keep]
+    order = np.lexsort((cand,) + tuple(S.points[cand].T[::-1]) + (owner,))
+    first = order[np.diff(owner[order], prepend=-1) != 0]
+    idx[tied[owner[first]]] = cand[first]
+    return idx
+
+
+def _nearest_point_rows(S, seed=7):
+    """Grid nodes, samples, samples jittered by U(-h, h), the oracle probes
+    and rows at +-1e300 on each axis."""
+    rng = np.random.default_rng(seed)
+    axes = [np.arange(lo, hi + S.h / 2, S.h) for lo, hi in S.bbox]
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, S.dim)
+    far = np.repeat(S.points[:1], 2 * S.dim, axis=0)
+    far[np.arange(2 * S.dim), np.arange(2 * S.dim) // 2] = np.tile([1e300, -1e300], S.dim)
+    return np.vstack([
+        nodes,
+        S.points,
+        S.points + rng.uniform(-S.h, S.h, S.points.shape),
+        _oracle_probes(S),
+        far,
+    ])
+
+
+def _assert_same_nearest(S, rows):
+    points, idx = S.nearest_point(rows)
+    want = _kd_nearest_point(S, rows)
+    assert idx.dtype == want.dtype and np.array_equal(idx, want)
+    assert np.array_equal(points, S.points[want])
+
+
+def _assert_samples_take_cell_route(S, monkeypatch):
+    """With cell tables, rows on the samples never reach the KD-tree."""
+    want = _kd_nearest_point(S, S.points)
+    with monkeypatch.context() as m:
+        m.setattr(S, "_kd_nearest", lambda rows: pytest.fail(f"{len(rows)} rows took the KD-tree"))
+        assert np.array_equal(S.nearest_point(S.points)[1], want)
+
+
+def _column_jittered_set(mask, h, seed):
+    """A solid set whose sampled columns sit off their cells' centers by
+    different amounts under h/4, so that neighbouring columns lie between
+    h/2 and 3h/2 apart."""
+    S = solid_set(mask, h, origin=np.zeros(mask.ndim))
+    shift = np.random.default_rng(seed).uniform(-0.24, 0.24, (max(S.occupancy.shape), S.dim))
+    points = S.points + h * shift[S._cell_index(), np.arange(S.dim)]
+    return ClosedSet(dim=S.dim, h=h, points=points, bbox=S.bbox, kind="solid",
+                     occupancy=S.occupancy)
+
+
+def _duplicated_samples_set():
+    obj = solid_set(square_mask(6), h=1 / 8, origin=(0.0, 0.0)).to_json()
+    obj["points"] = obj["points"][::-1] + obj["points"][5:20]
+    return ClosedSet.from_json(obj)
+
+
+def _mask(shape, seed):
+    return np.random.default_rng(seed).random(shape) < 0.6
+
+
+_EXTRA_SETS = {
+    "two-blobs": lambda: solid_set(_BLOBS, h=1 / 16, origin=(0.0, 0.0)),
+    "random-3d": lambda: solid_set(_mask((7, 6, 5), 8), h=1 / 8, origin=(0.0, 0.0, 0.0)),
+    "random-1d": lambda: solid_set(_mask(40, 8), h=1 / 16, origin=(0.0,)),
+    "jittered-columns": lambda: _column_jittered_set(_mask((16, 16), 9), 1 / 16, 9),
+    "jittered-columns-3d": lambda: _column_jittered_set(_mask((6, 6, 6), 10), 1 / 8, 10),
+    "duplicated-samples": _duplicated_samples_set,
+    "no-cell-tables": _off_center_set,
+}
+
+
+def _sample_at(S, point):
+    return int(np.flatnonzero((S.points == point).all(axis=1))[0])
+
+
+def test_nearest_point_cell_route_reads_the_reach_and_window_edges():
+    h = 1 / 16
+    # the rows (R, y), R = reach(h/2) exactly and y halfway between two
+    # columns, have their nearest samples at distance h/2 in the column at
+    # h; the lexicographically first answer, in the column at 0, lies
+    # exactly at the reach
+    S = solid_set(square_mask(6), h, origin=(-2.5 * h, -2.5 * h))
+    R = h / 2 + 1e-12 * (1.0 + h / 2)
+    rows = np.array([[R, h / 2], [R, -h / 2]])
+    assert S.nearest_distance(rows).tolist() == [h / 2, h / 2]
+    assert S.nearest_point(rows)[1].tolist() == [
+        _sample_at(S, [0.0, 0.0]), _sample_at(S, [0.0, -h])]
+    _assert_same_nearest(S, rows)
+    # columns moved off their cells' centers: on axis 0 the columns at
+    # 1.3h and 2.7h, on axis 1 those at 1.74h and 2.26h; cells (1, 0) and
+    # (1, 1) hold no sample.  Row a lies just past 2h on axis 0, at the
+    # column 1.74h on axis 1: its nearest sample is in cell (2, 1), and the
+    # answer in cell (1, 2) sits in the column above its bracket on axis 1.
+    # Row b lies 0.6h below column 0 on axis 0 and just above 2.26h on
+    # axis 1: the answer in cell (0, 1) sits in the column below its bracket.
+    S = solid_set(square_mask(4), h, origin=(0.0, 0.0))
+    mask = S.occupancy.copy()
+    cells = S._cell_index() - S._cell_index().min(axis=0)
+    keep = ~((cells[:, 0] == 1) & (cells[:, 1] <= 1))
+    mask[tuple(S._cell_index()[~keep].T)] = False
+    shift = np.array([[0.0, 0.0], [-0.2, 0.24], [0.2, -0.24], [0.0, 0.0]]) * h
+    points = S.points[keep] + shift[cells[keep], [0, 1]]
+    S = ClosedSet(dim=2, h=h, points=points, bbox=S.bbox, kind="solid", occupancy=mask)
+    assert S._cell_tables() is not None
+    v0, v1 = (np.unique(points[:, a]) for a in (0, 1))
+    rows = np.array([[np.nextafter(2 * h, 1.0), v1[1]],
+                     [v0[0] - 0.6 * h, np.nextafter(v1[2], 1.0)]])
+    assert S.nearest_point(rows)[1].tolist() == [
+        _sample_at(S, [v0[1], v1[2]]), _sample_at(S, [v0[0], v1[1]])]
+    _assert_same_nearest(S, rows)
+
+
+@pytest.mark.parametrize("h", [1 / 32, 1 / 64])
+@pytest.mark.parametrize("name", ["solid-disk", "solid-square", "axis-line"])
+def test_nearest_point_cell_route_matches_kd_route(name, h, monkeypatch):
+    S = generate_canonical(CanonicalSpec(name, h))[0]
+    assert S._cell_tables() is not None
+    _assert_same_nearest(S, _nearest_point_rows(S))
+    _assert_samples_take_cell_route(S, monkeypatch)
+
+
+@pytest.mark.parametrize("name", list(_EXTRA_SETS))
+def test_nearest_point_cell_route_matches_kd_route_on_built_sets(name, monkeypatch):
+    S = _EXTRA_SETS[name]()
+    assert (S._cell_tables() is None) == (name == "no-cell-tables")
+    if name != "no-cell-tables":
+        _assert_samples_take_cell_route(S, monkeypatch)
+    _assert_same_nearest(S, _nearest_point_rows(S))
+    # one (dim,) row gives a copied sample and an int; an empty batch works
+    x = S.points[3] + S.h / 3
+    p, i = S.nearest_point(x)
+    assert type(i) is int and i == _kd_nearest_point(S, x[None])[0]
+    assert np.array_equal(p, S.points[i])
+    p[:] = np.nan
+    assert np.isfinite(S.points).all()
+    points, idx = S.nearest_point(np.zeros((0, S.dim)))
+    assert points.shape == (0, S.dim) and idx.shape == (0,)
 
 
 def test_boundary_of_solid_square():

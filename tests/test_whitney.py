@@ -18,7 +18,7 @@ from sobtrace.cubes import GROWTH, covering_multiplicity
 from sobtrace.grid import GridField
 from sobtrace.measures import counting_measure
 from sobtrace.sets import ClosedSet, solid_set, thin_set
-from sobtrace.util import lex_order
+from sobtrace.util import ConfigError, lex_order
 from sobtrace.verify import whitney_contract_report
 from sobtrace.whitney import (
     _FACE_TOL,
@@ -197,6 +197,20 @@ def test_batched_locate_matches_per_point_reference(name):
     single = W.locate(corners[0])
     assert isinstance(single, int) and single == reference(corners[0])
     assert W.locate(np.zeros((0, S.dim))).shape == (0,)
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (0, 2), (2,), (3, 1, 1)])
+@pytest.mark.parametrize("entry", ["extend_points", "bumps", "locate"])
+def test_point_batches_of_another_width_are_refused(entry, shape, two_points):
+    # on the 1-D two-points set, (1, 2) points used to fail inside scipy
+    S, W = two_points
+    calls = {
+        "extend_points": lambda X: extend_points(W, np.zeros(len(S.points)), X, 1.0, 0.0),
+        "bumps": W.bumps,
+        "locate": W.locate,
+    }
+    with pytest.raises(ConfigError, match="points of shape"):
+        calls[entry](np.zeros(shape))
 
 
 # the grid products read node pairs off per-axis node ranges, the point
