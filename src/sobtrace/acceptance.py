@@ -2,7 +2,7 @@
 
 Thirteen criteria, one per structural claim the package rests on:
 decomposition contract, packing coloring, extension algebra, partition of
-unity, greedy-vs-exact packing, gradient criterion on grids, two
+unity, greedy packing against the optimum, gradient criterion on grids, two
 sufficiency/necessity equivalences, the Besov identification on a 1-d
 set, the comb measure law, quasidistance bounds, the pair-energy
 sandwich, and end-to-end determinism of the report pipeline.
@@ -28,6 +28,7 @@ from .canonical import (
 from .canonical import test_function_family as function_family
 from .cubes import (
     GROWTH,
+    conflict_masks,
     covering_multiplicity,
     packing_color_bound,
     partition_into_packings,
@@ -68,21 +69,15 @@ def _off_set_points(S, n, rng, margin: float):
 
 
 def _brute_force_packing(centers, radii, scores) -> float:
-    los = centers - radii[:, None]
-    his = centers + radii[:, None]
-    m = len(centers)
-    conflict = np.zeros((m, m), bool)
-    for i in range(m):
-        conflict[i] = np.all(
-            np.minimum(his[i], his) > np.maximum(los[i], los), axis=1
-        )
-        conflict[i, i] = False
+    """The packing optimum: the best total over every subfamily in which no
+    two interiors meet (cubes.interiors_meet, read through conflict_masks)."""
+    conflicts = conflict_masks(centers, radii)
+    m = len(scores)
     best = 0.0
     for mask in range(1 << m):
         idx = [i for i in range(m) if mask >> i & 1]
-        if any(conflict[i, j] for i, j in itertools.combinations(idx, 2)):
-            continue
-        best = max(best, float(scores[idx].sum() if idx else 0.0))
+        if not any(conflicts[i] & mask for i in idx):
+            best = max(best, float(scores[idx].sum()))
     return best
 
 
@@ -223,27 +218,22 @@ def _criterion_5(seed, out):
         centers = rng.uniform(0, 1, (m, dim))
         radii = rng.uniform(0.05, 0.3, m)
         scores = rng.uniform(0, 1, m) ** 2
-        prob = PackingProblem(centers, radii, scores)
-        exact = solve_packing(prob, mode="exact").value
-        brute = _brute_force_packing(centers, radii, scores)
-        if not np.isclose(exact, brute, rtol=1e-12, atol=1e-12):
-            return False, f"trial {trial}: exact {exact} != enumeration {brute}"
-        greedy = solve_packing(prob, mode="greedy").value
-        if exact > 0:
-            ratio = greedy / exact
+        optimum = _brute_force_packing(centers, radii, scores)
+        greedy = solve_packing(PackingProblem(centers, radii, scores)).value
+        # greedy sums its picks in admission order, the enumeration in index order
+        if greedy > optimum * (1 + 1e-12):
+            return False, f"trial {trial}: greedy {greedy} > enumerated optimum {optimum}"
+        if optimum > 0:
+            ratio = greedy / optimum
             if ratio < 0.5 - 1e-12:
-                return False, f"trial {trial}: greedy/exact = {ratio:.3f} < 0.5"
+                return False, f"trial {trial}: greedy/optimum = {ratio:.3f} < 0.5"
             min_ratio = min(min_ratio, ratio)
-    chain = PackingProblem(
-        np.array([[0.0], [1.0], [2.0]]),
-        np.full(3, 0.6),
-        np.array([2.0, 3.0, 2.0]),
-    )
-    g = solve_packing(chain, mode="greedy").value
-    e = solve_packing(chain, mode="exact").value
+    chain = (np.array([[0.0], [1.0], [2.0]]), np.full(3, 0.6), np.array([2.0, 3.0, 2.0]))
+    g = solve_packing(PackingProblem(*chain)).value
+    e = _brute_force_packing(*chain)
     if not (g == 3.0 and e == 4.0):
-        return False, f"chain gap case: greedy {g}, exact {e} (want 3 and 4)"
-    return True, f"50 instances exact-vs-enumeration equal, greedy/exact >= {min_ratio:.3f}, chain gap 3/4"
+        return False, f"chain gap case: greedy {g}, optimum {e} (want 3 and 4)"
+    return True, f"50 instances greedy <= optimum, greedy/optimum >= {min_ratio:.3f}, chain gap 3/4"
 
 
 def _c6_fields():

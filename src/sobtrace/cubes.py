@@ -4,8 +4,10 @@ A cube is determined by its center and radius (half side length); its diameter
 in the max norm equals the side length 2r.  A family of cubes is a pair of
 arrays (centers (m, n), radii (m,)); families support exact
 covering-multiplicity computation and partitioning into packings (subfamilies
-with pairwise disjoint interiors).  A single Cube is the witness the
-quasidistance scan returns and the argument of ClosedSet.is_porous.
+with pairwise disjoint interiors).  Whether two interiors meet has one rule,
+interiors_meet, read by the colouring here, the greedy packing of
+oscillation.py and the enumeration of criterion C05.  A single Cube is the
+witness the quasidistance scan returns and the argument of ClosedSet.is_porous.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import ConfigError, lex_order
+from .util import ConfigError, chebyshev, lex_order
 
 __all__ = [
     "Cube",
+    "interiors_meet",
     "covering_multiplicity",
     "packing_color_bound",
     "partition_into_packings",
@@ -84,22 +87,20 @@ def packing_color_bound(multiplicity: int, dim: int) -> int:
     return 2 ** (dim - 1) * (multiplicity - 1) + 1
 
 
+def interiors_meet(center, radius, centers, radii) -> np.ndarray:
+    """Per cube Q(centers[i], radii[i]), whether its interior meets that of
+    Q(center, radius): their center gap (max norm) is below the radius sum
+    by more than 1e-12, so faces that touch up to rounding do not meet."""
+    return chebyshev(center, centers) < radius + radii - 1e-12
+
+
 def conflict_masks(centers, radii) -> list:
     """Per cube, a bit mask of the other cubes whose interiors meet its own."""
-    los = centers - radii[:, None]
-    his = centers + radii[:, None]
-    m = len(centers)
-    masks = [0] * m
-    for i in range(m):
-        # open interiors overlap iff every axis has strict interval overlap
-        overlap = np.all(
-            np.minimum(his[i], his) > np.maximum(los[i], los), axis=1
-        )
-        overlap[i] = False
-        mask = 0
-        for j in np.nonzero(overlap)[0]:
-            mask |= 1 << int(j)
-        masks[i] = mask
+    masks = []
+    for i in range(len(centers)):
+        meet = interiors_meet(centers[i], radii[i], centers, radii)
+        meet[i] = False
+        masks.append(sum(1 << j for j in np.nonzero(meet)[0].tolist()))
     return masks
 
 

@@ -6,8 +6,9 @@ The central object is the packing functional
                  set) of  sum |Q| * osc(f over Q)^p,
 
 computed over candidate cubes at trial diameters t, t/2, t/4, t/8 with a
-greedy disjoint selection. (solve_packing's exact branch and bound, limited
-to 24 candidates, serves only the greedy-versus-optimum check of C05.)
+greedy disjoint selection, which admits a cube when its interior meets no
+admitted one (cubes.interiors_meet; criterion C05 bounds it against the
+optimum that enumeration finds under the same rule).
 A packing fills one table, {tau: (power sum, count)} over the distinct trial
 diameters of its scales, and _breakdown reads each scale from it: sets
 through packing_profile, grid fields (a raster walk, every node a candidate
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .cubes import conflict_masks
+from .cubes import interiors_meet
 from .grid import GridField
 from .sets import ClosedSet
 from .util import ConfigError, chebyshev, lex_order
@@ -92,31 +93,19 @@ def _greedy_order(problem: PackingProblem) -> np.ndarray:
 
 
 def solve_packing(problem: PackingProblem, mode: str = "greedy") -> PackingResult:
-    """Max-total-score subfamily with pairwise disjoint interiors.
-
-    greedy: admit in decreasing score order (ties by lexicographic center).
-    exact: branch and bound, limited to 24 candidates.
-    """
-    m = len(problem.scores)
-    if m == 0:
-        return PackingResult(0.0, np.zeros(0, int))
+    """A subfamily of positive-score cubes with pairwise disjoint interiors,
+    picked greedily: in decreasing score order (ties by lexicographic
+    center), each cube whose interior meets no admitted one is admitted.
+    "greedy" is the only mode."""
+    if mode != "greedy":
+        raise ConfigError(f"unknown packing mode {mode!r}")
     positive = np.nonzero(problem.scores > 0)[0]
     if len(positive) == 0:
         return PackingResult(0.0, np.zeros(0, int))
     sub = PackingProblem(
         problem.centers[positive], problem.radii[positive], problem.scores[positive]
     )
-    if mode == "greedy":
-        chosen = _solve_greedy(sub)
-    elif mode == "exact":
-        if len(positive) > 24:
-            raise ConfigError(
-                f"exact packing limited to 24 candidates, got {len(positive)}"
-            )
-        chosen = _solve_exact(sub)
-    else:
-        raise ConfigError(f"unknown packing mode {mode!r}")
-    chosen = positive[chosen]
+    chosen = positive[_solve_greedy(sub)]
     return PackingResult(float(problem.scores[chosen].sum()), np.sort(chosen))
 
 
@@ -128,37 +117,9 @@ def _solve_greedy(problem: PackingProblem) -> np.ndarray:
     for i in order:
         c, r = problem.centers[i], problem.radii[i]
         k = len(chosen)
-        # interiors meet iff the center Chebyshev gap is below the radius
-        # sum on every axis, i.e. below it in the max norm
-        if not np.any(chebyshev(c, C[:k]) < r + R[:k] - 1e-12):
+        if not np.any(interiors_meet(c, r, C[:k], R[:k])):
             C[k], R[k] = c, r
             chosen.append(int(i))
-    return np.array(chosen, int)
-
-
-def _solve_exact(problem: PackingProblem) -> np.ndarray:
-    order = _greedy_order(problem)
-    scores = problem.scores[order]
-    conflicts = conflict_masks(problem.centers[order], problem.radii[order])
-    suffix = np.concatenate([np.cumsum(scores[::-1])[::-1], [0.0]])
-    m = len(scores)
-    best_val = -1.0
-    best_set = 0
-
-    def rec(pos: int, taken_mask: int, blocked: int, val: float):
-        nonlocal best_val, best_set
-        if val + suffix[pos] <= best_val + 1e-15:
-            return
-        if pos == m:
-            if val > best_val:
-                best_val, best_set = val, taken_mask
-            return
-        if not (blocked >> pos) & 1:
-            rec(pos + 1, taken_mask | (1 << pos), blocked | conflicts[pos], val + scores[pos])
-        rec(pos + 1, taken_mask, blocked, val)
-
-    rec(0, 0, 0, 0.0)
-    chosen = [order[i] for i in range(m) if (best_set >> i) & 1]
     return np.array(chosen, int)
 
 
@@ -282,7 +243,9 @@ def _grid_packing_table(F: GridField, ts, p: float) -> dict:
     Per trial diameter the oscillation raster comes from running max/min
     filters. The greedy packing walks the nodes of positive score in
     decreasing score order (ties by flat index). An admitted node i blocks
-    the patch [i-k+1, i+k), the nodes whose cubes would overlap its cube.
+    the patch [i-k+1, i+k), the nodes whose cubes' interiors meet its own:
+    the rule of cubes.interiors_meet on nodes, where a center gap below the
+    diameter k h is one of at most k-1 nodes on every axis.
     The `blocked` raster is padded by k-1 nodes on every side, so that patch
     is the (2k-1)^d window that starts at padded index i on every axis, and
     one strided view of the padded buffer holds every such window, indexed

@@ -521,10 +521,13 @@ class ClosedSet:
         trades value precision for speed but never returns below ||x-y||.
         Candidate centers range over the box of points within d/2 of both
         points.  All pairs still walking take one step together.  alpha must
-        lie in (0, 1], as for `porous`.
+        lie in (0, 1], as for `porous`, and ratio must be finite and > 1, so
+        that every walk ends.
         """
         if not (0 < alpha <= 1):
             raise ConfigError(f"quasidistance core parameter must be in (0, 1], got {alpha}")
+        if not (1 < ratio < np.inf):
+            raise ConfigError(f"quasidistance scan ratio must be finite and > 1, got {ratio}")
         X = np.asarray(X, float).reshape(-1, self.dim)
         Y = np.asarray(Y, float).reshape(-1, self.dim)
         upper, lower = np.maximum(X, Y), np.minimum(X, Y)

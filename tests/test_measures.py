@@ -31,11 +31,10 @@ from sobtrace.oscillation import (
     cube_oscillations,
     modulus_of_smoothness,
     packing_functional_details,
-    solve_packing,
 )
 from sobtrace.sets import solid_set, thin_set
 from sobtrace.util import ConfigError, OutOfDomainError, chebyshev
-from test_oscillation import reference_packing_table
+from test_oscillation import brute_force_packing, reference_packing_table
 
 
 def two_point_measure():
@@ -315,8 +314,8 @@ class TestAPMu:
         assert A_p_mu(S, mu, [2.0, 2.0], t=2.0, p=2, q=2)["value"] == 0.0
 
     def test_majorized_by_plain_packing(self):
-        # score-wise domination carries to the exact packing optimum over the
-        # same candidate cubes, solved by branch and bound
+        # score-wise domination carries to the packing optimum over the
+        # same candidate cubes, found by trying every subset
         pts = np.array([[0.0], [0.3], [0.7], [1.0]])
         S = thin_set(pts, h=0.1)
         mu = counting_measure(S, normalized=True)
@@ -333,7 +332,7 @@ class TestAPMu:
                 cand = S.points[_thin_candidates(S.points, tau)]
                 radii = np.full(len(cand), tau / 2)
                 scores = np.array(score_fn(cand, tau / 2), float)
-                best = max(best, solve_packing(PackingProblem(cand, radii, scores), "exact").value)
+                best = max(best, brute_force_packing(PackingProblem(cand, radii, scores)))
             return best
 
         for t in (0.5, 1.0, 2.0):

@@ -9,11 +9,11 @@ from scipy import ndimage
 
 from sobtrace.canonical import CANONICAL_NAMES, CanonicalSpec, generate_canonical
 from sobtrace.canonical import test_function_family as function_family
-from sobtrace.cubes import Cube
+from sobtrace.cubes import Cube, conflict_masks, partition_into_packings
 from sobtrace.grid import GridField
 from sobtrace.norms import grid_besov_norm
 from sobtrace.measures import ap_mu_options
-from sobtrace import oscillation
+from sobtrace import acceptance, oscillation
 from sobtrace.oscillation import (
     PackingProblem,
     _greedy_order,
@@ -36,7 +36,7 @@ from test_cubes import interiors_disjoint
 
 
 def brute_force_packing(problem):
-    """Best packing by trying every subset; oracle for the exact solver."""
+    """The packing optimum, by trying every subset; the bound on greedy."""
     m = len(problem.scores)
     cubes = [Cube(tuple(c), r) for c, r in zip(problem.centers, problem.radii)]
     best = 0.0
@@ -73,10 +73,9 @@ class TestPackingSolver:
             scores=np.array([2.0, 3.0, 2.0]),
         )
         greedy = solve_packing(problem, mode="greedy")
-        exact = solve_packing(problem, mode="exact")
         assert greedy.value == 3.0
-        assert exact.value == 4.0
-        assert list(exact.chosen) == [0, 2]
+        assert list(greedy.chosen) == [1]
+        assert brute_force_packing(problem) == 4.0
 
     def test_touching_cubes_are_disjoint(self):
         problem = PackingProblem(
@@ -85,7 +84,7 @@ class TestPackingSolver:
             scores=np.array([1.0, 1.0, 1.0]),
         )
         assert solve_packing(problem, mode="greedy").value == 3.0
-        assert solve_packing(problem, mode="exact").value == 3.0
+        assert brute_force_packing(problem) == 3.0
 
     def test_zero_scores_dropped(self):
         problem = PackingProblem(
@@ -96,15 +95,13 @@ class TestPackingSolver:
         res = solve_packing(problem)
         assert res.value == 0.0 and len(res.chosen) == 0
 
-    def test_exact_candidate_cap(self):
-        m = 30
-        problem = PackingProblem(
-            centers=np.linspace(0, 1, m)[:, None],
-            radii=np.full(m, 0.2),
-            scores=np.ones(m),
-        )
-        with pytest.raises(ConfigError):
-            solve_packing(problem, mode="exact")
+    def test_exact_mode_is_refused(self):
+        # "greedy" is the only mode; another is refused before the scores
+        # are read, also when none is positive
+        centers, radii = np.array([[0.0], [1.0]]), np.full(2, 0.2)
+        for scores in (np.ones(2), np.zeros(2)):
+            with pytest.raises(ConfigError, match="unknown packing mode 'exact'"):
+                solve_packing(PackingProblem(centers, radii, scores), mode="exact")
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -118,25 +115,33 @@ class TestPackingSolver:
             max_size=8,
         )
     )
-    def test_exact_matches_brute_force(self, raw):
+    def test_greedy_is_a_packing_within_the_optimum(self, raw):
         problem = PackingProblem(
             centers=np.array([[c / 4.0] for c, _, _ in raw]),
             radii=np.array([r / 8.0 for _, r, _ in raw]),
             scores=np.array([float(s) for _, _, s in raw]),
         )
-        exact = solve_packing(problem, mode="exact")
-        greedy = solve_packing(problem, mode="greedy")
-        brute = brute_force_packing(problem)
-        assert exact.value == pytest.approx(brute, abs=1e-12)
-        assert greedy.value <= exact.value + 1e-12
-        for res in (greedy, exact):
-            cubes = [
-                Cube(tuple(problem.centers[i]), problem.radii[i]) for i in res.chosen
-            ]
-            for a in range(len(cubes)):
-                for b in range(a + 1, len(cubes)):
-                    assert interiors_disjoint(cubes[a], cubes[b])
+        greedy = solve_packing(problem)
+        assert greedy.value <= brute_force_packing(problem) + 1e-12
+        cubes = [Cube(tuple(problem.centers[i]), problem.radii[i]) for i in greedy.chosen]
+        for a, b in itertools.combinations(cubes, 2):
+            assert interiors_disjoint(a, b)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("spacing", [0.3, 0.15, 0.7])
+    def test_touching_lattice_is_one_packing(self, spacing, dim):
+        # at a spacing that is not dyadic the faces of neighbours meet only
+        # up to rounding; the colouring, the greedy solver and C05's
+        # enumeration all read cubes.interiors_meet and see one packing
+        sides = (7,) if dim == 1 else (4, 3)
+        centers = spacing * np.array(list(itertools.product(*map(range, sides))), float)
+        m = len(centers)
+        radii = np.full(m, spacing / 2)
+        assert conflict_masks(centers, radii) == [0] * m
+        assert partition_into_packings(centers, radii).tolist() == [0] * m
+        greedy = solve_packing(PackingProblem(centers, radii, np.ones(m)))
+        assert greedy.value == m and greedy.chosen.tolist() == list(range(m))
+        assert acceptance._brute_force_packing(centers, radii, np.ones(m)) == m
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_vectorised_greedy_matches_scalar_walk(self, dim):

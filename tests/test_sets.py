@@ -445,6 +445,19 @@ def test_quasidistance_infinite_inside_solid():
     assert S.quasidistance(x, x, alpha=0.9) == np.inf
 
 
+@pytest.mark.parametrize("ratio", [1.0, 0.5, np.nan, np.inf])
+def test_quasidistance_refuses_a_scan_ratio_that_never_ends(ratio):
+    # with ratio 1 the step never grows, below 1 it shrinks: an interior
+    # pair of a solid set would walk forever
+    S, _ = generate_canonical(CanonicalSpec("solid-square", 1 / 32))
+    x = S.points[np.argmin(chebyshev(S.points, S.points.mean(axis=0)))]
+    y = x + [S.h, 0.0]
+    with pytest.raises(ConfigError, match="scan ratio"):
+        S.quasidistances([x], [y], ratio=ratio)
+    with pytest.raises(ConfigError, match="scan ratio"):
+        S.quasidistance(x, y, ratio=ratio)
+
+
 def test_ball_condition_segment_vs_solid():
     xs = np.linspace(0.0, 1.0, 65)
     seg = thin_set(np.stack([xs, np.zeros_like(xs)], axis=1), h=1 / 64)

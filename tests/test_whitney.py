@@ -380,6 +380,22 @@ def test_extension_linear_in_data(segment2d):
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+@pytest.mark.parametrize("route", ["extend_grid", "extend_points"])
+def test_extension_refuses_values_of_another_length(route, extra, segment2d):
+    # one value per sample: a longer array is not read by its prefix, and a
+    # shorter one is refused before it is indexed
+    S, W = segment2d
+    f = np.zeros(len(S.points) + extra)
+    calls = {
+        "extend_grid": lambda: extend_grid(W, f, delta=0.1, cbar=0.0),
+        "extend_points": lambda: extend_points(W, f, S.points, delta=0.1, cbar=0.0),
+    }
+    want = rf"needs {len(S.points)} values, got shape \({len(f)},\)"
+    with pytest.raises(ConfigError, match=want):
+        calls[route]()
+
+
 def test_grid_and_point_extension_agree():
     # grid nodes and arbitrary points share one evaluation path
     rng = np.random.default_rng(23)
