@@ -10,7 +10,6 @@ sandwich, and end-to-end determinism of the report pipeline.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,6 +80,16 @@ def _brute_force_packing(centers, radii, scores) -> float:
     return best
 
 
+def _class_overlap(conflicts, labels):
+    """The first pair i < j of cubes with one label whose interiors meet
+    (conflict masks as cubes.conflict_masks builds them), or None."""
+    for i, c in enumerate(labels):
+        hit = conflicts[i] & sum(1 << j for j in np.nonzero(labels == c)[0].tolist())
+        if hit:
+            return i, (hit & -hit).bit_length() - 1
+    return None
+
+
 # -- criteria ----------------------------------------------------------
 
 
@@ -116,13 +125,10 @@ def _criterion_2(seed, out):
         n_colors = len(np.unique(colors))
         if n_colors > bound:
             return False, f"trial {trial}: {n_colors} colors > bound {bound}"
-        los = centers - radii[:, None]
-        his = centers + radii[:, None]
-        for c in np.unique(colors):
-            idx = np.nonzero(colors == c)[0]
-            for i, j in itertools.combinations(idx, 2):
-                if np.all(np.minimum(his[i], his[j]) > np.maximum(los[i], los[j])):
-                    return False, f"trial {trial}: cubes {i},{j} share color {c} but overlap"
+        pair = _class_overlap(conflict_masks(centers, radii), colors)
+        if pair is not None:
+            i, j = pair
+            return False, f"trial {trial}: cubes {i},{j} share color {colors[i]} but overlap"
         max_colors = max(max_colors, n_colors)
     return True, f"100 families, colors <= bound throughout (max used {max_colors})"
 

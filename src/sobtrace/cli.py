@@ -73,15 +73,21 @@ _REQUIRED = object()
 
 
 def _param(cfg: dict, key: str, default=_REQUIRED, kind=float):
-    """cfg[key] converted by kind, or the default when the key is absent or null."""
-    if cfg.get(key) is None:
+    """cfg[key] converted by kind, or the default when the key is absent or null.
+    A JSON true or false is read only by kind bool, and only a whole number by
+    kind int."""
+    value = cfg.get(key)
+    if value is None:
         if default is _REQUIRED:
             raise ConfigError(f"config needs a {key!r} key")
         return default
     try:
-        return kind(cfg[key])
+        if isinstance(value, bool) != (kind is bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            raise ValueError(value)
+        return kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"config key {key!r} has a bad value {cfg[key]!r}") from None
+        raise ConfigError(f"config key {key!r} has a bad value {value!r}") from None
 
 
 _KINDS = {"str": str, "float": float, "float | None": float, "int": int, "int | None": int}
@@ -265,7 +271,7 @@ def _functional_call(kind: str, cfg: dict, S, mu, vals):
             packing_functional_details, S, vals, scale(), p,
             centers=cfg.get("centers", "set"),
             alpha=_param(cfg, "alpha", None),
-            strong=bool(cfg.get("strong", False)),
+            strong=_param(cfg, "strong", False, bool),
         )
     if kind == "grid-packing":
         F = GridField.load(_param(cfg, "field", kind=str))
@@ -278,7 +284,7 @@ def _functional_call(kind: str, cfg: dict, S, mu, vals):
             A_p_mu, S, mu, vals, scale(), p,
             q=_param(cfg, "q", 1.0),
             alpha=_param(cfg, "alpha", None),
-            strong=bool(cfg.get("strong", False)),
+            strong=_param(cfg, "strong", False, bool),
             variant=cfg.get("variant", "pair"),
         )
     if kind == "local-pair-energy":

@@ -4,10 +4,12 @@ A cube is determined by its center and radius (half side length); its diameter
 in the max norm equals the side length 2r.  A family of cubes is a pair of
 arrays (centers (m, n), radii (m,)); families support exact
 covering-multiplicity computation and partitioning into packings (subfamilies
-with pairwise disjoint interiors).  Whether two interiors meet has one rule,
+with pairwise disjoint interiors) by one colouring, DSATUR over the conflict
+masks, with no colour target of its own (criterion C02 compares the count
+with the multiplicity bound).  Whether two interiors meet has one rule,
 interiors_meet, read by the colouring here, the greedy packing of
-oscillation.py and the enumeration of criterion C05.  A single Cube is the
-witness the quasidistance scan returns and the argument of ClosedSet.is_porous.
+oscillation.py and criteria C02 and C05.  A single Cube is the witness the
+quasidistance scan returns and the argument of ClosedSet.is_porous.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import ConfigError, chebyshev, lex_order
+from .util import ConfigError, chebyshev
 
 __all__ = [
     "Cube",
@@ -28,7 +30,6 @@ __all__ = [
 ]
 
 GROWTH = 9.0 / 8.0  # dilation factor used for Whitney support cubes
-_BACKTRACK_BUDGET = 400_000  # search nodes the exact coloring may visit
 
 
 @dataclass(frozen=True)
@@ -104,22 +105,6 @@ def conflict_masks(centers, radii) -> list:
     return masks
 
 
-def _first_fit(order, conflicts) -> np.ndarray:
-    labels = np.full(len(conflicts), -1, int)
-    class_masks: list = []
-    for i in order:
-        ci = conflicts[i]
-        for k, cm in enumerate(class_masks):
-            if not (cm & ci):
-                labels[i] = k
-                class_masks[k] = cm | (1 << int(i))
-                break
-        else:
-            labels[i] = len(class_masks)
-            class_masks.append(1 << int(i))
-    return labels
-
-
 def _dsatur(conflicts) -> np.ndarray:
     m = len(conflicts)
     neighbor_colors = [set() for _ in range(m)]
@@ -145,62 +130,13 @@ def _dsatur(conflicts) -> np.ndarray:
     return labels
 
 
-def _backtrack_coloring(conflicts, target: int):
-    """Search for a coloring with at most `target` colors; None if not found."""
-    m = len(conflicts)
-    order = sorted(range(m), key=lambda i: (-bin(conflicts[i]).count("1"), i))
-    labels = [-1] * m
-    color_masks = [0] * target
-    nodes = 0
-
-    def rec(pos: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > _BACKTRACK_BUDGET:
-            return False
-        if pos == m:
-            return True
-        i = order[pos]
-        used = max(labels[order[k]] for k in range(pos)) if pos else -1
-        # symmetry break: allow at most one brand-new color
-        for c in range(min(used + 1, target - 1) + 1):
-            if not (color_masks[c] & conflicts[i]):
-                labels[i] = c
-                color_masks[c] |= 1 << i
-                if rec(pos + 1):
-                    return True
-                color_masks[c] &= ~(1 << i)
-                labels[i] = -1
-        return False
-
-    if rec(0):
-        return np.array(labels, int)
-    return None
-
-
 def partition_into_packings(centers, radii) -> np.ndarray:
     """Color labels splitting the family Q(centers[i], radii[i]) into
     packings (disjoint interiors).
 
-    Tries greedy first-fit in decreasing-diameter order, then in
-    lexicographic sweep order, then DSATUR, and finally a bounded exact
-    search against the multiplicity-based color bound.  Returns the best
-    labeling found; every class is guaranteed internally disjoint.
+    One strategy, DSATUR (Brelaz 1979) over the conflict masks, with no
+    colour target: every class is internally disjoint by interiors_meet,
+    and criterion C02 checks the count against packing_color_bound.
     """
     centers, radii = np.asarray(centers, float), np.asarray(radii, float)
-    if len(radii) == 0:
-        return np.zeros(0, int)
-    target = packing_color_bound(covering_multiplicity(centers, radii), centers.shape[1])
-    conflicts = conflict_masks(centers, radii)
-
-    by_diam = np.lexsort(tuple(centers.T[::-1]) + (-radii,))
-    candidates = [_first_fit(by_diam, conflicts)]
-    if candidates[-1].max() + 1 > target:
-        candidates.append(_first_fit(lex_order(centers), conflicts))
-    if min(c.max() + 1 for c in candidates) > target:
-        candidates.append(_dsatur(conflicts))
-    if min(c.max() + 1 for c in candidates) > target:
-        exact = _backtrack_coloring(conflicts, target)
-        if exact is not None:
-            candidates.append(exact)
-    return min(candidates, key=lambda c: c.max() + 1)
+    return _dsatur(conflict_masks(centers, radii))

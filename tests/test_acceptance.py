@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sobtrace import acceptance
+from sobtrace.cubes import conflict_masks
 
 LABELS = [label for label, _ in acceptance._CRITERIA]
 
@@ -26,6 +28,33 @@ def test_criterion(number, artifact_dir):
     verdict = "pass" if result.passed else "FAIL"
     print(f"{result.label}: {verdict}  {result.detail}  [{result.seconds:.1f}s]")
     assert result.passed, f"{result.label}: {result.detail}"
+
+
+def test_c02_class_check_passes_a_touching_lattice():
+    # 16 cubes at spacing 0.3 share faces and nothing more: one packing
+    ticks = 0.3 * np.arange(4)
+    centers = np.array([(x, y) for x in ticks for y in ticks])
+    radii = np.full(16, 0.15)
+    assert acceptance._class_overlap(conflict_masks(centers, radii), np.zeros(16, int)) is None
+
+
+def test_c02_class_check_names_the_overlapping_pair():
+    # 0-1 and 1-2 overlap, 0-2 and every pair with cube 3 do not
+    centers, radii = np.array([[0.0], [0.4], [0.7], [3.0]]), np.full(4, 0.25)
+    conflicts = conflict_masks(centers, radii)
+    assert acceptance._class_overlap(conflicts, np.array([0, 1, 0, 1])) is None
+    assert acceptance._class_overlap(conflicts, np.array([0, 1, 1, 0])) == (1, 2)
+    assert acceptance._class_overlap(conflicts, np.array([5, 5, 5, 5])) == (0, 1)
+
+
+def test_c02_fails_when_a_class_is_not_a_packing(monkeypatch, tmp_path):
+    monkeypatch.setattr(
+        acceptance, "partition_into_packings", lambda centers, radii: np.zeros(len(radii), int)
+    )
+    result = acceptance.run(2, seed=0, out_dir=tmp_path)
+    assert not result.passed
+    assert result.detail.startswith("trial 0: cubes ")
+    assert result.detail.endswith(" share color 0 but overlap")
 
 
 def test_c13_determinism_across_processes(tmp_path):

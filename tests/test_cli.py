@@ -389,6 +389,38 @@ _FLAG_CASES = {
 }
 
 
+@dataclasses.dataclass(frozen=True)
+class BadValue:
+    """A config refused for the value of one key, with an error naming it."""
+
+    config: dict
+    key: str
+
+
+# a flag is read only from JSON true/false and an int key only from a whole
+# number: "strong": "false" used to run a strongly porous packing, "seed": 2.7
+# seed 2, "seed": true seed 1 and "pair_budget": 10.9 a budget of 10
+_T715 = {"theorem": "T715", "p": 3.0, "eps": 0.25}
+_QUASI = {"functional": "quasidistance-energy", "eps": 0.25}
+_TYPE_CASES = {
+    **{f"packing-strong-{value}": ("functional", BadValue(
+        {"functional": "packing", "t": 0.25, "alpha": 0.1, "centers": "boundary", "strong": value},
+        "strong",
+    )) for value in ("false", "no", 1)},
+    **{f"ap-mu-strong-{value}": ("functional", BadValue(
+        {"functional": "ap-mu", "t": 0.25, "alpha": 0.1, "strong": value}, "strong"
+    )) for value in ("false", 0)},
+    **{f"{label}-{key}-{str(value).lower()}": (command, BadValue({**base, key: value}, key))
+       for label, command, base in (("t715", "tracenorm", _T715),
+                                    ("quasidistance-energy", "functional", _QUASI),
+                                    ("verify-t715", "verify", {"theorem": "T715", "set": "two-points"}))
+       for key, value in (("seed", 2.7), ("seed", True), ("pair_budget", 10.9))},
+    "measure-diagnostics-seed-true": (
+        "functional", BadValue({"functional": "measure-diagnostics", "seed": True}, "seed")
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "command, config",
     [
@@ -455,7 +487,8 @@ _FLAG_CASES = {
         ("tracenorm", {"theorem": "T14ii", "p": 3.0, "eps": float("nan")}),
         ("tracenorm", {"theorem": "T14ii", "p": 3.0, "eps": float("inf")}),
         ("tracenorm", {"theorem": "T12", "p": 3.0, "eps": float("inf")}),
-    ] + list(_FILE_CASES.values()) + list(_GRID_CASES.values()) + list(_FLAG_CASES.values()),
+    ] + list(_FILE_CASES.values()) + list(_GRID_CASES.values()) + list(_FLAG_CASES.values())
+    + list(_TYPE_CASES.values()),
     ids=[
         "unknown-key", "p-as-string", "no-p", "bad-eps", "no-file", "not-json",
         "no-t", "bad-t", "bad-alpha", "functional-no-file", "bad-centers",
@@ -472,7 +505,7 @@ _FLAG_CASES = {
         "verify-mode-key", "verify-kernel-key", "packing-mode-key", "ap-mu-mode-key",
         "t723-unread-parameters", "verify-t14i-unread-alpha", "nan-eps-t14ii",
         "infinite-eps-t14ii", "infinite-eps-t12",
-    ] + list(_FILE_CASES) + list(_GRID_CASES) + list(_FLAG_CASES),
+    ] + list(_FILE_CASES) + list(_GRID_CASES) + list(_FLAG_CASES) + list(_TYPE_CASES),
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     path = tmp_path / "cfg.json"
@@ -481,6 +514,8 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     if isinstance(config, Flags):
         argv = ["--out", str(tmp_path / "out"), command, *config.argv]
         error, config = config.error, None
+    if isinstance(config, BadValue):
+        error, config = f"config error: config key {config.key!r}", config.config
     files = []
     if isinstance(config, InputFiles):
         for flag, text in config.files:
@@ -551,6 +586,24 @@ def test_config_fuzz_exit_codes(case):
                          *level, "--config", str(path)])
     assert code in (0, 2, 3), (config, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("command, config, key, whole", [
+    ("functional", _QUASI, "pair_budget", 4000),
+    ("functional", _QUASI, "seed", 3),
+    ("tracenorm", _T715, "seed", 3),
+])
+def test_whole_float_reads_as_its_int(tmp_path, capsys, command, config, key, whole):
+    results = []
+    for value in (whole, float(whole)):
+        path = tmp_path / f"{value!r}.json"
+        path.write_text(json.dumps({**config, key: value}))
+        code, out = run_cli(capsys, command, "--canonical", "two-points", "--family",
+                            "linear", "--config", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        results.append(payload.get("result", payload.get("value")))
+    assert results[0] == results[1]
 
 
 def test_negative_seed_exits_2(capsys):

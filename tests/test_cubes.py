@@ -94,7 +94,7 @@ def test_multiplicity_matches_brute_force(seed, n, m):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 2), st.integers(1, 9))
+@given(st.integers(0, 10_000), st.integers(1, 2), st.integers(1, 40))
 def test_partition_classes_are_packings_and_meet_bound(seed, n, m):
     rng = np.random.default_rng(seed)
     centers, radii = random_family(rng, n, m)
