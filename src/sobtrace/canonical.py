@@ -75,9 +75,7 @@ class SampledFunction:
     source: Callable | None = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, float)
-        if self.values.shape != (len(self.set.points),):
-            raise ConfigError("need exactly one value per sample point")
+        self.values = self.set.sample_values(self.values, "a sampled function")
         if not np.all(np.isfinite(self.values)):
             raise ConfigError("sampled values must be finite")
 

@@ -166,11 +166,7 @@ def _load_values(args, S: ClosedSet) -> np.ndarray:
         vals = members[idx].values
     else:
         raise ConfigError("need --function FILE or --family NAME")
-    if len(vals) != len(S.points):
-        raise ConfigError(
-            f"function has {len(vals)} values for {len(S.points)} samples"
-        )
-    return vals
+    return S.sample_values(vals, "function")
 
 
 def _set_flags(sub, with_measure: bool = True) -> None:

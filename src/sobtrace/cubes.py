@@ -14,6 +14,7 @@ quasidistance scan returns and the argument of ClosedSet.is_porous.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,38 +97,48 @@ def interiors_meet(center, radius, centers, radii) -> np.ndarray:
 
 
 def conflict_masks(centers, radii) -> list:
-    """Per cube, a bit mask of the other cubes whose interiors meet its own."""
-    masks = []
-    for i in range(len(centers)):
-        meet = interiors_meet(centers[i], radii[i], centers, radii)
-        meet[i] = False
-        masks.append(sum(1 << j for j in np.nonzero(meet)[0].tolist()))
-    return masks
+    """Per cube, a bit mask of the other cubes whose interiors meet its own
+    (bit j for cube j), read off one broadcast interiors_meet matrix, whose
+    row i holds what the one-row call for cube i gives."""
+    centers, radii = np.asarray(centers, float), np.asarray(radii, float)
+    meet = interiors_meet(centers[:, None], radii[:, None], centers, radii)
+    np.fill_diagonal(meet, False)
+    rows = np.packbits(meet, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 def _dsatur(conflicts) -> np.ndarray:
+    """DSATUR colour labels: the uncoloured cube of highest saturation (the
+    number of distinct colours among its neighbours) is coloured next, with
+    the smallest colour no neighbour holds; ties go to the higher degree,
+    then the lower index. Picks come off a heap keyed (-saturation, -degree,
+    index); a cube's saturation only grows, and each growth pushes a fresh
+    entry, which ranks before the cube's older ones, so an entry popped for
+    a coloured cube is skipped. The key is a total order, so every pick is
+    the minimum over the uncoloured cubes."""
     m = len(conflicts)
     neighbor_colors = [set() for _ in range(m)]
-    degrees = [bin(c).count("1") for c in conflicts]
-    labels = np.full(m, -1, int)
-    for _ in range(m):
-        # highest saturation first, degree then index as deterministic ties
-        pick = min(
-            (i for i in range(m) if labels[i] < 0),
-            key=lambda i: (-len(neighbor_colors[i]), -degrees[i], i),
-        )
+    degrees = [c.bit_count() for c in conflicts]
+    labels = [-1] * m
+    heap = [(0, -degrees[i], i) for i in range(m)]
+    heapq.heapify(heap)
+    while heap:
+        pick = heapq.heappop(heap)[2]
+        if labels[pick] >= 0:
+            continue
         color = 0
         while color in neighbor_colors[pick]:
             color += 1
         labels[pick] = color
         ci = conflicts[pick]
-        j = 0
         while ci:
-            if ci & 1:
+            low = ci & -ci
+            j = low.bit_length() - 1
+            ci ^= low
+            if labels[j] < 0 and color not in neighbor_colors[j]:
                 neighbor_colors[j].add(color)
-            ci >>= 1
-            j += 1
-    return labels
+                heapq.heappush(heap, (-len(neighbor_colors[j]), -degrees[j], j))
+    return np.array(labels, int)
 
 
 def partition_into_packings(centers, radii) -> np.ndarray:

@@ -205,7 +205,7 @@ def lambda_packing(
     each cube scores osc(f over the gamma-dilated cube cap S)^p times
     diam^(n-p), cubes of all dyadic sizes pooled into one greedy packing.
     """
-    f_vals = np.asarray(f_vals, float)
+    f_vals = S.sample_values(f_vals, "lambda packing")
     top = S.span if max_diam is None else min(max_diam, 2 * S.span)
     taus = _scales(S, top)
     centers, radii, scores = [], [], []
@@ -264,9 +264,7 @@ def trace_estimate(
     W: WhitneyDecomposition | None = None,
 ) -> NormReport:
     """Evaluate the intrinsic trace-norm surrogate chosen by the config."""
-    f_vals = np.asarray(f_vals, float)
-    if len(f_vals) != len(S.points):
-        raise ConfigError("one value per set sample required")
+    f_vals = S.sample_values(f_vals, f"{cfg.theorem} estimate")
     spec = THEOREMS[cfg.theorem]
     if spec.needs_W and W is None:
         W = whitney_decomposition(S)

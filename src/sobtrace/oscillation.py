@@ -8,7 +8,10 @@ The central object is the packing functional
 computed over candidate cubes at trial diameters t, t/2, t/4, t/8 with a
 greedy disjoint selection, which admits a cube when its interior meets no
 admitted one (cubes.interiors_meet; criterion C05 bounds it against the
-optimum that enumeration finds under the same rule).
+optimum that enumeration finds under the same rule). The selection tests
+its candidates in blocks through broadcast interiors_meet calls, which
+form every pair's test as the one-row call does, so its picks are those
+of the one-at-a-time walk.
 A packing fills one table, {tau: (power sum, count)} over the distinct trial
 diameters of its scales, and _breakdown reads each scale from it: sets
 through packing_profile, grid fields (a raster walk, every node a candidate
@@ -17,6 +20,11 @@ Variants restrict centers to boundary samples, require the cubes to be
 porous, or replace the score of cube_oscillations by a callable
 score_fn(centers, radius) -> scores, called once per trial diameter with all
 its candidate cubes (the measure-based local deviations of measures.py).
+
+The sharp maximal field filters, at each dyadic radius, only the nodes
+whose window can hold a sample: the samples' node box dilated by the
+radius. Everywhere else that radius adds 0, and window max and min do not
+round, so every node keeps the value of the direct filter.
 
 The grid modulus of smoothness, omega_p(f, t), is the sup over lattice
 shifts shorter than t of the L_p difference norm. The Besov ladder reads it
@@ -109,18 +117,38 @@ def solve_packing(problem: PackingProblem, mode: str = "greedy") -> PackingResul
     return PackingResult(float(problem.scores[chosen].sum()), np.sort(chosen))
 
 
+_GREEDY_BLOCK = 32  # candidates per step of the greedy set packing
+
+
 def _solve_greedy(problem: PackingProblem) -> np.ndarray:
+    """The picks of the greedy packing, in admission order.
+
+    The greedy order is taken in blocks of _GREEDY_BLOCK candidates. One
+    broadcast interiors_meet call drops the block's candidates that meet
+    an admitted cube (admissions only add conflicts, so this changes no
+    pick), and the survivors are admitted in order against the block's own
+    broadcast interiors_meet matrix. Broadcasting forms each pair's
+    chebyshev gap and radius + radii - 1e-12 as the one-row call does, so
+    every pick, and its order, is that of the one-candidate-at-a-time walk.
+    """
     order = _greedy_order(problem)
-    C = np.empty_like(problem.centers)
-    R = np.empty_like(problem.radii)
+    centers, radii = problem.centers[order], problem.radii[order]
+    C = np.empty_like(centers)
+    R = np.empty_like(radii)
     chosen: list = []
-    for i in order:
-        c, r = problem.centers[i], problem.radii[i]
+    for start in range(0, len(order), _GREEDY_BLOCK):
         k = len(chosen)
-        if not np.any(interiors_meet(c, r, C[:k], R[:k])):
-            C[k], R[k] = c, r
-            chosen.append(int(i))
-    return np.array(chosen, int)
+        c, r = centers[start:start + _GREEDY_BLOCK], radii[start:start + _GREEDY_BLOCK]
+        free = np.nonzero(~interiors_meet(c[:, None], r[:, None], C[:k], R[:k]).any(axis=1))[0]
+        c, r = c[free], r[free]
+        meet = interiors_meet(c[:, None], r[:, None], c, r)
+        live = np.ones(len(free), bool)
+        for a in range(len(free)):
+            if live[a]:
+                live[a + 1:] &= ~meet[a, a + 1:]
+                C[len(chosen)], R[len(chosen)] = c[a], r[a]
+                chosen.append(start + int(free[a]))
+    return order[np.array(chosen, int)]
 
 
 # -- packing functionals over sampled sets -----------------------------
@@ -172,7 +200,7 @@ def _packing_table(S: ClosedSet, f_vals, ts, p: float, *, centers: str = "set",
     taus = _trial_diameters(ts, p)
     if centers not in ("set", "boundary"):
         raise ConfigError(f"unknown packing centers {centers!r}")
-    f_vals = np.asarray(f_vals, float)
+    f_vals = S.sample_values(f_vals, "packing functional")
     # the boundary samples are the samples outside the interior mask, in order
     center_set = S if centers == "set" else S.boundary()
     score_vals = f_vals if centers == "set" else f_vals[~S.interior_mask()]
@@ -363,26 +391,39 @@ def sharp_maximal(
     raise ConfigError(f"unknown sharp maximal variant {variant!r}")
 
 
-def _doubled(a: np.ndarray, k: int, pick) -> np.ndarray:
-    """pick (np.maximum or np.minimum) over the windows [x - 2k, x + 2k] on
-    every axis, from a, pick over the windows [x - k, x + k].
+def _grown(a: np.ndarray, start: list, k: int, shape: tuple, pick, fill: float) -> tuple:
+    """(b, b_start): pick (np.maximum or np.minimum) over the windows [x - 2k,
+    x + 2k] on every axis, from a, pick over the windows [x - k, x + k].
 
-    Axis by axis, the wider window is the union of the narrower ones at
-    x - k and at x + k.  A shift that would leave the grid stops at the
-    edge node: what the wider window holds inside the grid on that side
-    lies in the edge node's window, which lies inside the wider window.
-    max and min do not round, so the result equals the direct filter."""
+    a is the crop of a full-grid array that starts at node start and reads
+    fill (the neutral value of pick) everywhere outside it; b is the crop
+    grown by k nodes on every side, cut to the grid, which holds every node
+    whose wider window meets the crop.  Axis by axis, the wider window is
+    the union of the narrower ones at x - k and at x + k.  A shift that
+    leaves the crop but stays in the grid reads fill; a shift that would
+    leave the grid stops at the edge node: what the wider window holds
+    inside the grid on that side lies in the edge node's window, which lies
+    inside the wider window.  max and min do not round, so the result
+    equals the direct filter of the full array."""
+    start = list(start)
     for axis in range(a.ndim):
         v = np.moveaxis(a, axis, 0)
-        n = len(v)
-        m = min(k, n)
-        out = np.empty_like(v)
-        out[:n - m] = v[m:]
-        out[n - m:] = v[n - 1]
-        pick(out[m:], v[:n - m], out=out[m:])
-        pick(out[:m], v[0], out=out[:m])
-        a = np.moveaxis(out, 0, axis)
-    return a
+        n, s, m = shape[axis], start[axis], len(v)
+        lo, hi = max(0, s - k), min(n, s + m + k)  # the grown crop [lo, hi)
+        # ext[j] holds node lo - k + j of the full axis, for j < hi - lo + 2k
+        ext = np.empty((hi - lo + 2 * k,) + v.shape[1:])
+        j = s - lo + k  # the row of node s
+        ext[:j] = fill
+        ext[j:j + m] = v
+        ext[j + m:] = fill
+        first, last = k - lo, n - 1 - lo + k  # ext rows of nodes 0 and n - 1
+        if first > 0:
+            ext[:first] = ext[first]
+        if last < len(ext) - 1:
+            ext[last + 1:] = ext[last]
+        a = np.moveaxis(pick(ext[:hi - lo], ext[2 * k:]), 0, axis)
+        start[axis] = lo
+    return a, start
 
 
 def sharp_maximal_field(S: ClosedSet, f_vals) -> GridField:
@@ -392,20 +433,31 @@ def sharp_maximal_field(S: ClosedSet, f_vals) -> GridField:
     each dyadic radius r = k h contributes the oscillation over the window
     of k nodes around each node, divided by r; nodes whose window holds no
     sample contribute 0.  The radius grid resolves the supremum up to a
-    factor two, which the empirical-constant comparisons absorb.  The
-    first window (k = 1) is filtered directly; each later one is grown from
-    the one before by doubling (_doubled), with the same values as a direct
-    filter of every window.
+    factor two, which the empirical-constant comparisons absorb.
+
+    Only the nodes a sample can reach are filtered.  Outside the samples'
+    node box B the max layer is -inf and the min layer +inf, so a node
+    outside B dilated by k nodes has no sample in its window and that
+    radius adds 0 there.  Radius k h keeps its window extrema on (B + k)
+    cut to the grid alone: the first window (k = 1) is filtered directly
+    on B + 1, and each later one is grown from the one before by doubling
+    (_grown), with the same values as a direct filter of every window;
+    the field is written only in that crop.
     """
     box, h = S.bbox, S.h
-    f_vals = np.asarray(f_vals, float)
+    f_vals = S.sample_values(f_vals, "sharp maximal field")
     shape = GridField.shape_for(box, h)
-    fmax = np.full(shape, -np.inf)
-    fmin = np.full(shape, np.inf)
     idx = np.round((S.points - box[:, 0]) / h).astype(int)
-    cells = tuple(np.clip(idx, 0, np.array(shape) - 1).T)
+    idx = np.clip(idx, 0, np.array(shape) - 1)
+    # the crop B + 1: the samples' node box and one node more, cut to the grid
+    start = np.maximum(idx.min(axis=0) - 1, 0)
+    stop = np.minimum(idx.max(axis=0) + 2, shape)
+    fmax = np.full(tuple(stop - start), -np.inf)
+    fmin = np.full(tuple(stop - start), np.inf)
+    cells = tuple((idx - start).T)
     np.maximum.at(fmax, cells, f_vals)
     np.minimum.at(fmin, cells, f_vals)
+    start = start.tolist()
     out = np.zeros(shape)
     r, k = h, 1
     extent = float(np.max(box[:, 1] - box[:, 0]))
@@ -414,10 +466,12 @@ def sharp_maximal_field(S: ClosedSet, f_vals) -> GridField:
             hi = ndimage.maximum_filter(fmax, size=3, mode="constant", cval=-np.inf)
             lo = ndimage.minimum_filter(fmin, size=3, mode="constant", cval=np.inf)
         else:
-            hi = _doubled(hi, k // 2, np.maximum)
-            lo = _doubled(lo, k // 2, np.minimum)
+            hi, _ = _grown(hi, start, k // 2, shape, np.maximum, -np.inf)
+            lo, start = _grown(lo, start, k // 2, shape, np.minimum, np.inf)
         osc = np.where(np.isfinite(hi) & np.isfinite(lo), hi - lo, 0.0)
-        out = np.maximum(out, osc / r)
+        osc /= r
+        view = out[tuple(slice(s, s + m) for s, m in zip(start, hi.shape))]
+        np.maximum(view, osc, out=view)
         r, k = 2 * r, 2 * k
     return GridField(box, h, out)
 

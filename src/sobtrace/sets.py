@@ -133,6 +133,15 @@ class ClosedSet:
         """The set's length scale: its extent, or 1 for a one-sample set."""
         return self.extent or 1.0
 
+    def sample_values(self, f_vals, what: str) -> np.ndarray:
+        """f_vals as a float array of one value per sample; any other shape
+        is a ConfigError naming what needed the values."""
+        f_vals = np.asarray(f_vals, float)
+        if f_vals.shape != (len(self.points),):
+            raise ConfigError(
+                f"{what} needs {len(self.points)} values, got shape {f_vals.shape}")
+        return f_vals
+
     def nearest_distance(self, x, bound: float = np.inf) -> np.ndarray:
         """Uniform distance from each row of x to its nearest sample.  A row
         whose nearest sample is at distance >= bound reads inf; the others

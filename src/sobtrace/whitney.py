@@ -384,9 +384,7 @@ def _evaluate(W: WhitneyDecomposition, f_vals, delta, cbar, bumps, on_set, neare
     reaches, and the nearest sample's value on on-set rows and on rows no
     bump reaches. f_vals holds one value per sample."""
     matrix, den = bumps
-    f_vals = np.asarray(f_vals, float)
-    if f_vals.shape != W.S.points.shape[:1]:
-        raise ConfigError(f"extension needs {len(W.S.points)} values, got shape {f_vals.shape}")
+    f_vals = W.S.sample_values(f_vals, "extension")
     small = W.diams <= 2 * delta * (1 + 1e-12)
     num = matrix @ np.where(small, f_vals[W.anchor_idx], cbar)
     vals = np.zeros(len(den))

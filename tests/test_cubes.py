@@ -8,12 +8,16 @@ semicontinuous piecewise-constant function is attained at such a corner).
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sobtrace.cubes import (
     Cube,
+    _dsatur,
+    conflict_masks,
     covering_multiplicity,
+    interiors_meet,
     packing_color_bound,
     partition_into_packings,
 )
@@ -111,3 +115,52 @@ def test_touching_cubes_share_a_packing():
     # touching faces are allowed inside one packing
     labels = partition_into_packings(*family_1d([0.0, 1.0], [0.5, 0.5]))
     assert labels.max() == 0
+
+
+def reference_conflict_masks(centers, radii):
+    """One interiors_meet row per cube, its set bits summed one by one."""
+    masks = []
+    for i in range(len(centers)):
+        meet = interiors_meet(centers[i], radii[i], centers, radii)
+        meet[i] = False
+        masks.append(sum(1 << j for j in np.nonzero(meet)[0].tolist()))
+    return masks
+
+
+def reference_dsatur(conflicts):
+    """DSATUR with each pick the min over every uncoloured cube of
+    (-saturation, -degree, index)."""
+    m = len(conflicts)
+    neighbor_colors = [set() for _ in range(m)]
+    degrees = [bin(c).count("1") for c in conflicts]
+    labels = np.full(m, -1, int)
+    for _ in range(m):
+        pick = min((i for i in range(m) if labels[i] < 0),
+                   key=lambda i: (-len(neighbor_colors[i]), -degrees[i], i))
+        color = 0
+        while color in neighbor_colors[pick]:
+            color += 1
+        labels[pick] = color
+        for j in range(m):
+            if conflicts[pick] >> j & 1:
+                neighbor_colors[j].add(color)
+    return labels
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_masks_and_colouring_match_the_one_row_references(seed):
+    # families drawn as criterion C02 draws them, and lattices with touching
+    # faces and equal degrees, where the heap's ties decide the picks
+    rng = np.random.default_rng(seed)
+    for trial in range(25):
+        dim = 1 + trial % 2
+        m = int(rng.integers(1, 201))
+        if trial % 5 == 4:
+            centers = rng.integers(0, 8, (m, dim)) / 4.0
+            radii = rng.choice([0.125, 0.25, 0.5], size=m)
+        else:
+            centers = rng.uniform(0, 1, (m, dim))
+            radii = rng.uniform(0.005, 0.08, m)
+        masks = conflict_masks(centers, radii)
+        assert masks == reference_conflict_masks(centers, radii)
+        assert np.array_equal(_dsatur(masks), reference_dsatur(masks))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sobtrace.canonical import CANONICAL_NAMES, CanonicalSpec, generate_canonical
+from sobtrace.canonical import SampledFunction
 from sobtrace.canonical import test_function_family as function_family
 from sobtrace.grid import GridField
 from sobtrace.measures import (
@@ -30,10 +31,16 @@ from sobtrace.norms import (
     lambda_packing,
     trace_estimate,
 )
-from sobtrace.oscillation import PackingProblem, _thin_candidates, solve_packing
+from sobtrace.oscillation import (
+    PackingProblem,
+    _thin_candidates,
+    packing_profile,
+    sharp_maximal_field,
+    solve_packing,
+)
 from sobtrace.sets import solid_set, thin_set
 from sobtrace.util import ConfigError, dyadic_ladder
-from sobtrace.whitney import projection_data, whitney_decomposition
+from sobtrace.whitney import extend_grid, projection_data, whitney_decomposition
 from test_oscillation import reference_oscillation
 
 
@@ -337,6 +344,26 @@ class TestTraceEstimate:
     def test_report_invariant(self):
         with pytest.raises(ConfigError):
             NormReport(5.0, {"a": 1.0, "b": 2.0}, 0.1)
+
+
+@pytest.mark.parametrize("count", ["one", "longer"])
+@pytest.mark.parametrize("entry", ["trace_estimate", "extension", "sharp_maximal_field",
+                                   "lambda_packing", "packing_table", "sampled_function"])
+def test_one_value_per_sample(entry, count):
+    # a 1-value array is not broadcast and a longer one is not read by its
+    # prefix: every entry point refuses them with one message
+    S, mu, _ = segment2d()
+    f = np.zeros(1 if count == "one" else len(S.points) + 3)
+    calls = {
+        "trace_estimate": lambda: trace_estimate(S, f, TraceEstimateConfig(theorem="T14i", p=3.0)),
+        "extension": lambda: extend_grid(whitney_decomposition(S), f, delta=0.1, cbar=0.0),
+        "sharp_maximal_field": lambda: sharp_maximal_field(S, f),
+        "lambda_packing": lambda: lambda_packing(S, f, 3.0, 11.0),
+        "packing_table": lambda: packing_profile(S, f, [0.25, 0.5], 3.0),
+        "sampled_function": lambda: SampledFunction(S, f, "bad length"),
+    }
+    with pytest.raises(ConfigError, match=rf"needs {len(S.points)} values, got shape \({len(f)},\)"):
+        calls[entry]()
 
 
 def reference_lambda_packing(S, f_vals, p, gamma, max_diam=None):

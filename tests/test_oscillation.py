@@ -13,7 +13,7 @@ from sobtrace.cubes import Cube, conflict_masks, partition_into_packings
 from sobtrace.grid import GridField
 from sobtrace.norms import grid_besov_norm
 from sobtrace.measures import ap_mu_options
-from sobtrace import acceptance, oscillation
+from sobtrace import acceptance, norms, oscillation
 from sobtrace.oscillation import (
     PackingProblem,
     _greedy_order,
@@ -30,7 +30,7 @@ from sobtrace.oscillation import (
     sharp_maximal_field,
     solve_packing,
 )
-from sobtrace.sets import solid_set, thin_set
+from sobtrace.sets import ClosedSet, solid_set, thin_set
 from sobtrace.util import ConfigError, dyadic_ladder, lex_order
 from test_cubes import interiors_disjoint
 
@@ -156,6 +156,64 @@ class TestPackingSolver:
             )
             got = _solve_greedy(problem)
             assert got.tolist() == reference_solve_greedy(problem).tolist()
+
+
+class TestBlockedGreedy:
+    """_solve_greedy takes the greedy order in blocks of _GREEDY_BLOCK; the
+    picks, in admission order, must be the scalar walk's."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)],
+                             ids=["block-1", "block", "block+1", "2block+1"])
+    def test_block_edges(self, blocks, extra, dim):
+        m = blocks * oscillation._GREEDY_BLOCK + extra
+        rng = np.random.default_rng(m + 100 * dim)
+        problem = PackingProblem(
+            centers=rng.integers(0, 6, size=(m, dim)) / 8.0,
+            radii=rng.choice([1 / 16, 1 / 8, 0.25], size=m),
+            scores=rng.integers(1, 4, size=m).astype(float),
+        )
+        got = _solve_greedy(problem)
+        want = reference_solve_greedy(problem)
+        assert got.tolist() == want.tolist()
+        # cubes are admitted in several blocks, and some are refused
+        assert 1 < len(want) < m
+
+    def test_all_conflicting(self):
+        # every pair of interiors meets: only the first cube in greedy order
+        m = 2 * oscillation._GREEDY_BLOCK + 1
+        rng = np.random.default_rng(5)
+        problem = PackingProblem(rng.uniform(0, 0.1, (m, 2)), np.ones(m),
+                                 rng.integers(1, 4, size=m).astype(float))
+        got = _solve_greedy(problem)
+        assert got.tolist() == reference_solve_greedy(problem).tolist()
+        assert got.tolist() == [_greedy_order(problem)[0]]
+
+    def test_all_disjoint(self):
+        # touching cubes on a lattice: every cube is admitted, in greedy order
+        m = 2 * oscillation._GREEDY_BLOCK + 1
+        centers = np.array(list(itertools.product(range(13), range(6))), float)[:m]
+        problem = PackingProblem(centers, np.full(m, 0.5),
+                                 np.random.default_rng(6).uniform(0.5, 1, m))
+        got = _solve_greedy(problem)
+        assert got.tolist() == reference_solve_greedy(problem).tolist()
+        assert got.tolist() == _greedy_order(problem).tolist()
+
+    @pytest.mark.parametrize("name", ["segment-1d-in-2d", "example-726", "solid-disk"])
+    def test_mixed_radius_problem_of_lambda_packing(self, name, monkeypatch):
+        # the pooled problem lambda_packing builds: candidates of every
+        # dyadic diameter, scores osc^p tau^(n - p), many more than a block
+        S, _ = generate_canonical(CanonicalSpec(name, 1 / 32))
+        f = function_family("restrictions-of-smooth", S)[5].values
+        problems = []
+        monkeypatch.setattr(norms, "solve_packing",
+                            lambda problem: problems.append(problem) or solve_packing(problem))
+        norms.lambda_packing(S, f, 3.0, 11.0)
+        (problem,) = problems
+        assert len(np.unique(problem.radii)) > 1
+        assert len(problem.scores) > 2 * oscillation._GREEDY_BLOCK
+        got = _solve_greedy(problem)
+        assert got.tolist() == reference_solve_greedy(problem).tolist()
 
 
 class TestPackingFunctional:
@@ -654,6 +712,51 @@ class TestSharpMaximal:
         assert np.array_equal(
             sharp_maximal_field(S, f).values, reference_sharp_maximal_field(S, f)
         )
+
+    @staticmethod
+    def _box_set(points, bbox, h):
+        return ClosedSet(dim=points.shape[1], h=h, points=points, bbox=np.array(bbox, float),
+                         kind="thin")
+
+    def test_crop_meets_one_edge_levels_before_the_other(self):
+        # samples near the low end of a long x axis: the crop B + k reaches
+        # its low edge by k = 32 and its high edge only at k = 128
+        h = 1 / 16
+        rng = np.random.default_rng(7)
+        S = self._box_set(rng.uniform(0, 0.5, (40, 2)), [[-1, 6], [-1, 1.5]], h)
+        f = rng.normal(size=len(S.points))
+        nodes = np.round((S.points - S.bbox[:, 0]) / h).astype(int)
+        shape = np.array(GridField.shape_for(S.bbox, h))
+        assert nodes[:, 0].min() <= 32 and shape[0] - 1 - nodes[:, 0].max() > 64
+        assert np.array_equal(sharp_maximal_field(S, f).values, reference_sharp_maximal_field(S, f))
+
+    @pytest.mark.parametrize("point", [[0.3], [0.3, -0.2], [0.0, 0.0, 0.0]],
+                             ids=["1d", "2d", "3d"])
+    def test_one_sample_set(self, point):
+        # one node box; every window holds one sample, so the field is 0
+        S = thin_set(np.array([point]), h=1 / 16)
+        got = sharp_maximal_field(S, [2.5]).values
+        assert np.array_equal(got, reference_sharp_maximal_field(S, np.array([2.5])))
+        assert not got.any()
+
+    def test_crop_spans_one_axis_only(self):
+        # at k = 8 the crop covers all 18 nodes of the y axis but only 33 of
+        # the 65 nodes of the x axis; later levels grow it along x alone
+        h = 1 / 8
+        xs = np.arange(17) * h
+        points = np.stack([np.concatenate([xs, xs]), np.repeat([0.0, -h], 17)], axis=1)
+        S = self._box_set(points, [[-3, 5], [-1.125, 1]], h)
+        assert GridField.shape_for(S.bbox, h) == (65, 18)
+        f = np.random.default_rng(8).normal(size=len(points))
+        assert np.array_equal(sharp_maximal_field(S, f).values, reference_sharp_maximal_field(S, f))
+
+    def test_crop_in_3d(self):
+        # a cluster off-centre in a 3-D box, with two samples on one node
+        h = 1 / 8
+        points = np.random.default_rng(9).integers(0, 4, (25, 3)) / 8
+        S = self._box_set(points, [[-1, 3], [-1, 1.5], [-2.5, 1.375]], h)
+        f = np.random.default_rng(10).normal(size=len(points))
+        assert np.array_equal(sharp_maximal_field(S, f).values, reference_sharp_maximal_field(S, f))
 
     def test_l1_density_ratio_variant(self):
         pts = np.linspace(0, 1, 33)[:, None]
