@@ -83,8 +83,12 @@ def _brute_force_packing(centers, radii, scores) -> float:
 def _class_overlap(conflicts, labels):
     """The first pair i < j of cubes with one label whose interiors meet
     (conflict masks as cubes.conflict_masks builds them), or None."""
+    labels = np.asarray(labels).tolist()
+    classes: dict = {}  # label -> bit mask of its cubes
+    for j, c in enumerate(labels):
+        classes[c] = classes.get(c, 0) | 1 << j
     for i, c in enumerate(labels):
-        hit = conflicts[i] & sum(1 << j for j in np.nonzero(labels == c)[0].tolist())
+        hit = conflicts[i] & classes[c]
         if hit:
             return i, (hit & -hit).bit_length() - 1
     return None

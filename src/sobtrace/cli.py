@@ -4,9 +4,10 @@ Subcommands: whitney (decompose + contract report), extend (sample the
 extension on a grid), functional (evaluate one functional from a JSON
 config), tracenorm (trace-norm estimate with breakdown), verify
 (equivalence experiment), demo (acceptance suite / deterministic report
-pipeline).  Exit codes: 0 ok, 2 config error (non-finite function values
-and a measure whose support misses the set included), 3 numerical failure
-(a non-finite result or a float overflow).
+pipeline).  Exit codes: 0 ok, 2 config error (non-finite function values,
+a measure whose support misses the set, and function values read against
+a measure with another number of atoms included), 3 numerical failure (a
+non-finite result or a float overflow).
 """
 
 from __future__ import annotations

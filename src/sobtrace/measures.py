@@ -85,8 +85,17 @@ class DiscreteMeasure:
             out[i] = self.weights[g].sum()
         return out
 
-    def lp_norm(self, f_vals, p: float) -> float:
+    def atom_values(self, f_vals, what: str) -> np.ndarray:
+        """f_vals as a float array of one value per atom; any other shape
+        is a ConfigError naming what needed the values."""
         f_vals = np.asarray(f_vals, float)
+        if f_vals.shape != (len(self.points),):
+            raise ConfigError(
+                f"{what} needs {len(self.points)} values, one per atom, got shape {f_vals.shape}")
+        return f_vals
+
+    def lp_norm(self, f_vals, p: float) -> float:
+        f_vals = self.atom_values(f_vals, "L_p(mu) norm")
         if np.isinf(p):
             live = self.weights > 0
             return float(np.abs(f_vals[live]).max()) if live.any() else 0.0
@@ -265,7 +274,7 @@ def mu_oscillation(mu: DiscreteMeasure, f_vals, center, radius: float, q: float)
     ((1/mass^2) sum_{x,y in Q} w_x w_y |f(x)-f(y)|^q)^(1/q); q = inf is the
     plain oscillation. Mass-zero cubes return 0 (counted on the measure).
     center may be an (m, n) batch, giving an array."""
-    f_vals = np.asarray(f_vals, float)
+    f_vals = mu.atom_values(f_vals, "mu oscillation")
 
     def score(k, idx, w, mass):
         v = f_vals[idx]
@@ -283,7 +292,7 @@ def tilde_osc(mu: DiscreteMeasure, f_vals, center, radius: float, center_tol: fl
     read from the nearest support point within center_tol. center may be an
     (m, n) batch, giving an array; every center is checked against
     center_tol before any cube is scored."""
-    center, f_vals = np.asarray(center, float), np.asarray(f_vals, float)
+    center, f_vals = np.asarray(center, float), mu.atom_values(f_vals, "center deviation")
     d, j = mu.tree.query(np.atleast_2d(center), k=1, p=np.inf)
     if np.any(d > center_tol):
         k = np.argmax(d > center_tol)
@@ -322,7 +331,7 @@ def ap_mu_options(
         if alpha is None:
             raise ConfigError("center-deviation variant requires a porosity level")
         strong = True
-    f_vals = np.asarray(f_vals, float)
+    f_vals = mu.atom_values(f_vals, "A_p_mu")
 
     def score(centers, radius: float) -> list:
         if variant == "center":
@@ -369,7 +378,7 @@ def local_pair_energy(
     if not t > 0:
         raise ConfigError(f"pair energy needs t > 0, got {t}")
     _require_finite_p(p)
-    f_vals = np.asarray(f_vals, float)
+    f_vals = mu.atom_values(f_vals, "local pair energy")
     pts, w = mu.points, mu.weights
     n = mu.dim
     # one ball query: each closed ball's mass, summed as ball_mass sums it,
@@ -403,7 +412,7 @@ def distance_pair_energy(
     the per-pair masses read off sorted-distance prefix sums. Power form."""
     _require_finite_p(p)
     _require_eps(eps)
-    f_vals = np.asarray(f_vals, float)
+    f_vals = mu.atom_values(f_vals, "distance pair energy")
     pts, w = mu.points, mu.weights
     n = mu.dim
     total = 0.0
@@ -460,7 +469,7 @@ def quasidistance_pair_energy(
         raise ConfigError(f"need pair_budget >= 0 and seed >= 0, got {pair_budget} and {seed}")
     _require_finite_p(p)
     _require_eps(eps)
-    f_vals = np.asarray(f_vals, float)
+    f_vals = mu.atom_values(f_vals, "quasidistance pair energy")
     pts, w = mu.points, mu.weights
     n = mu.dim
     pairs = _close_pairs(mu, eps)
@@ -529,7 +538,7 @@ def besov_trace_functional_jonsson(
         raise ConfigError(f"need n/p < s < 1, got s={s}, p={p}, n={n}")
     if not level_floor > 0:
         raise ConfigError(f"need level_floor > 0, got {level_floor}")
-    f_vals = np.asarray(f_vals, float)
+    f_vals = mu.atom_values(f_vals, "Jonsson trace functional")
     base = mu.lp_norm(f_vals, p)
     acc = 0.0
     nu = 0
@@ -552,7 +561,7 @@ def dset_besov_norm(mu: DiscreteMeasure, f_vals, s: float, p: float, d: float) -
     if not (0 < s < 1 and np.isfinite(d) and d > 0):
         raise ConfigError(f"d-set Besov norm needs 0 < s < 1 and a finite d > 0, "
                           f"got s={s}, d={d}")
-    f_vals = np.asarray(f_vals, float)
+    f_vals = mu.atom_values(f_vals, "d-set Besov norm")
     pts, w = mu.points, mu.weights
     total = 0.0
     for i in range(len(pts)):

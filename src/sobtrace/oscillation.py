@@ -21,10 +21,12 @@ porous, or replace the score of cube_oscillations by a callable
 score_fn(centers, radius) -> scores, called once per trial diameter with all
 its candidate cubes (the measure-based local deviations of measures.py).
 
-The sharp maximal field filters, at each dyadic radius, only the nodes
-whose window can hold a sample: the samples' node box dilated by the
-radius. Everywhere else that radius adds 0, and window max and min do not
-round, so every node keeps the value of the direct filter.
+One routine, _grown, grows the window extrema of both raster functionals:
+the grid packing's through its trial diameters in ascending order, the
+sharp maximal field's through the dyadic radii, at each only on the nodes
+whose window can hold a sample (the samples' node box dilated by the
+radius). Everywhere else that radius adds 0; max and min do not round, so
+every node keeps the value of the direct filter.
 
 The grid modulus of smoothness, omega_p(f, t), is the sup over lattice
 shifts shorter than t of the L_p difference norm. The Besov ladder reads it
@@ -44,7 +46,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .cubes import interiors_meet
 from .grid import GridField
@@ -252,15 +253,6 @@ def packing_profile(S: ClosedSet, f_vals, ts, p: float, **options) -> np.ndarray
 # -- packing functional for grid fields --------------------------------
 
 
-def _window_extrema(values: np.ndarray, k: int) -> tuple:
-    # odd window w centered at the node covers exactly the in-cube nodes:
-    # k even -> w = k + 1; k odd -> w = k (corner nodes sit at half cells)
-    w = k + 1 if k % 2 == 0 else k
-    hi = ndimage.maximum_filter(values, size=w, mode="nearest")
-    lo = ndimage.minimum_filter(values, size=w, mode="nearest")
-    return hi, lo
-
-
 _WALK_CHUNK = 512  # nodes per step of the greedy grid walk
 
 
@@ -268,12 +260,14 @@ def _grid_packing_table(F: GridField, ts, p: float) -> dict:
     """{tau: (power sum, nodes admitted)} for each tau of _trial_diameters(ts,
     p), packed once; every node is a candidate center.
 
-    Per trial diameter the oscillation raster comes from running max/min
-    filters. The greedy packing walks the nodes of positive score in
-    decreasing score order (ties by flat index). An admitted node i blocks
-    the patch [i-k+1, i+k), the nodes whose cubes' interiors meet its own:
-    the rule of cubes.interiors_meet on nodes, where a center gap below the
-    diameter k h is one of at most k-1 nodes on every axis.
+    Trial diameter k h reads the extrema of f over the window of half-width
+    k // 2 around each node, the nodes of its cube (for odd k its corners
+    sit at half cells), grown (_grown) through the diameters in ascending
+    k. The greedy packing walks the nodes of positive score in decreasing
+    score order (ties by flat index). An admitted node i blocks the patch
+    [i-k+1, i+k), the nodes whose cubes' interiors meet its own: the rule of
+    cubes.interiors_meet on nodes, where a center gap below the diameter k h
+    is one of at most k-1 nodes on every axis.
     The `blocked` raster is padded by k-1 nodes on every side, so that patch
     is the (2k-1)^d window that starts at padded index i on every axis, and
     one strided view of the padded buffer holds every such window, indexed
@@ -286,14 +280,19 @@ def _grid_packing_table(F: GridField, ts, p: float) -> dict:
     survivors' scores are read once per chunk, as Python floats, and summed
     in admission order.
     """
-    shape = F.values.shape
+    shape, taus = F.values.shape, _trial_diameters(ts, p)
+    hi, lo, m = F.values, F.values, 0  # the extrema over the windows of half-width m
     table = {}
-    for tau in _trial_diameters(ts, p):
+    for tau in sorted(taus, key=lambda tau: round(tau / F.h)):
         k = int(round(tau / F.h))
         if k < 1 or 2 * k >= min(shape):
             table[tau] = (0.0, 0)
             continue
-        hi, lo = _window_extrema(F.values, k)
+        while m < k // 2:
+            step = min(max(m, 1), k // 2 - m)
+            hi, _ = _grown(hi, [0] * F.dim, m, step, shape, np.maximum, -np.inf)
+            lo, _ = _grown(lo, [0] * F.dim, m, step, shape, np.minimum, np.inf)
+            m += step
         score = (hi - lo) ** p * tau ** F.dim
         margin = (k + 1) // 2  # cube must fit inside the box
         valid = np.zeros(shape, bool)
@@ -325,7 +324,7 @@ def _grid_packing_table(F: GridField, ts, p: float) -> dict:
                 count += 1
                 patches[pos] = True
         table[tau] = (total, count)
-    return table
+    return {tau: table[tau] for tau in taus}
 
 
 def grid_packing_functional(F: GridField, t: float, p: float, details: bool = False):
@@ -360,7 +359,7 @@ def sharp_maximal(
     x = np.asarray(x, float)
     if x.shape != (S.dim,):
         raise ConfigError(f"sharp maximal point needs shape ({S.dim},), got {x.shape}")
-    f_vals = None if f_vals is None else np.asarray(f_vals, float)
+    f_vals = S.sample_values(f_vals, "sharp maximal function")
     if variant == "range_ratio":
         d = chebyshev(S.points, x)
         order = np.argsort(d, kind="stable")
@@ -391,37 +390,42 @@ def sharp_maximal(
     raise ConfigError(f"unknown sharp maximal variant {variant!r}")
 
 
-def _grown(a: np.ndarray, start: list, k: int, shape: tuple, pick, fill: float) -> tuple:
-    """(b, b_start): pick (np.maximum or np.minimum) over the windows [x - 2k,
-    x + 2k] on every axis, from a, pick over the windows [x - k, x + k].
+def _grown(a: np.ndarray, start: list, m: int, k: int, shape: tuple, pick, fill: float) -> tuple:
+    """(b, b_start): pick (np.maximum or np.minimum) over the windows [x - m
+    - k, x + m + k] on every axis, from a, pick over the windows [x - m,
+    x + m]; k <= m, or k = 1 at m = 0.
 
     a is the crop of a full-grid array that starts at node start and reads
     fill (the neutral value of pick) everywhere outside it; b is the crop
     grown by k nodes on every side, cut to the grid, which holds every node
     whose wider window meets the crop.  Axis by axis, the wider window is
-    the union of the narrower ones at x - k and at x + k.  A shift that
-    leaves the crop but stays in the grid reads fill; a shift that would
-    leave the grid stops at the edge node: what the wider window holds
-    inside the grid on that side lies in the edge node's window, which lies
-    inside the wider window.  max and min do not round, so the result
-    equals the direct filter of the full array."""
+    the union of the narrower ones at x - k and at x + k (and x at m = 0).
+    A shift that leaves the crop but stays in the grid reads fill; a shift
+    that would leave the grid stops at the edge node: what the wider window
+    holds inside the grid on that side lies in the edge node's window,
+    which lies inside the wider window.  max and min do not round, so the
+    result equals the direct filter of the full array, edge node repeated
+    (ndimage's mode "nearest"); a window that holds a NaN reads NaN."""
     start = list(start)
     for axis in range(a.ndim):
         v = np.moveaxis(a, axis, 0)
-        n, s, m = shape[axis], start[axis], len(v)
-        lo, hi = max(0, s - k), min(n, s + m + k)  # the grown crop [lo, hi)
+        n, s, c = shape[axis], start[axis], len(v)
+        lo, hi = max(0, s - k), min(n, s + c + k)  # the grown crop [lo, hi)
         # ext[j] holds node lo - k + j of the full axis, for j < hi - lo + 2k
         ext = np.empty((hi - lo + 2 * k,) + v.shape[1:])
         j = s - lo + k  # the row of node s
         ext[:j] = fill
-        ext[j:j + m] = v
-        ext[j + m:] = fill
+        ext[j:j + c] = v
+        ext[j + c:] = fill
         first, last = k - lo, n - 1 - lo + k  # ext rows of nodes 0 and n - 1
         if first > 0:
             ext[:first] = ext[first]
         if last < len(ext) - 1:
             ext[last + 1:] = ext[last]
-        a = np.moveaxis(pick(ext[:hi - lo], ext[2 * k:]), 0, axis)
+        b = pick(ext[:hi - lo], ext[2 * k:])
+        if m == 0:
+            pick(b, ext[k:k + hi - lo], out=b)
+        a = np.moveaxis(b, 0, axis)
         start[axis] = lo
     return a, start
 
@@ -439,8 +443,8 @@ def sharp_maximal_field(S: ClosedSet, f_vals) -> GridField:
     node box B the max layer is -inf and the min layer +inf, so a node
     outside B dilated by k nodes has no sample in its window and that
     radius adds 0 there.  Radius k h keeps its window extrema on (B + k)
-    cut to the grid alone: the first window (k = 1) is filtered directly
-    on B + 1, and each later one is grown from the one before by doubling
+    cut to the grid alone: the layers are rasterized on B, and every
+    window, the first (k = 1) included, is grown from the one before
     (_grown), with the same values as a direct filter of every window;
     the field is written only in that crop.
     """
@@ -449,25 +453,20 @@ def sharp_maximal_field(S: ClosedSet, f_vals) -> GridField:
     shape = GridField.shape_for(box, h)
     idx = np.round((S.points - box[:, 0]) / h).astype(int)
     idx = np.clip(idx, 0, np.array(shape) - 1)
-    # the crop B + 1: the samples' node box and one node more, cut to the grid
-    start = np.maximum(idx.min(axis=0) - 1, 0)
-    stop = np.minimum(idx.max(axis=0) + 2, shape)
-    fmax = np.full(tuple(stop - start), -np.inf)
-    fmin = np.full(tuple(stop - start), np.inf)
+    # the crop B: the samples' node box
+    start = idx.min(axis=0)
+    hi = np.full(tuple(idx.max(axis=0) + 1 - start), -np.inf)
+    lo = np.full(hi.shape, np.inf)
     cells = tuple((idx - start).T)
-    np.maximum.at(fmax, cells, f_vals)
-    np.minimum.at(fmin, cells, f_vals)
+    np.maximum.at(hi, cells, f_vals)
+    np.minimum.at(lo, cells, f_vals)
     start = start.tolist()
     out = np.zeros(shape)
     r, k = h, 1
     extent = float(np.max(box[:, 1] - box[:, 0]))
     while r <= extent:
-        if k == 1:
-            hi = ndimage.maximum_filter(fmax, size=3, mode="constant", cval=-np.inf)
-            lo = ndimage.minimum_filter(fmin, size=3, mode="constant", cval=np.inf)
-        else:
-            hi, _ = _grown(hi, start, k // 2, shape, np.maximum, -np.inf)
-            lo, start = _grown(lo, start, k // 2, shape, np.minimum, np.inf)
+        hi, _ = _grown(hi, start, k // 2, k - k // 2, shape, np.maximum, -np.inf)
+        lo, start = _grown(lo, start, k // 2, k - k // 2, shape, np.minimum, np.inf)
         osc = np.where(np.isfinite(hi) & np.isfinite(lo), hi - lo, 0.0)
         osc /= r
         view = out[tuple(slice(s, s + m) for s, m in zip(start, hi.shape))]

@@ -19,7 +19,7 @@ from sobtrace.cli import main
 from sobtrace.grid import GridField
 from sobtrace.measures import counting_measure
 from sobtrace.norms import THEOREM_IDS, TraceEstimateConfig
-from sobtrace.sets import solid_set
+from sobtrace.sets import solid_set, thin_set
 from sobtrace.util import ConfigError
 from sobtrace.verify import verify_equivalence
 
@@ -791,3 +791,24 @@ def test_damaged_input_file_exits_2(tmp_path, command, config, files, error):
     code, err = _run_with_files(tmp_path, command, config, files)
     assert code == 2
     assert err.startswith("config error:") and error in err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("tracenorm", {"theorem": "T72", "p": 3.0, "eps": 0.25}),
+    ("tracenorm", {"theorem": "T723", "p": 3.0, "eps": 0.25}),
+    ("functional", {"functional": "local-pair-energy", "t": 0.25}),
+    ("functional", {"functional": "ap-mu", "t": 0.25}),
+], ids=["T72", "T723", "local-pair-energy", "ap-mu"])
+def test_measure_with_fewer_atoms_than_samples_exits_2(tmp_path, capsys, command, config):
+    # a 17-atom measure on a 33-sample set: T72 and T723 ended in a
+    # broadcast traceback, and the functionals read the first 17 values
+    S = thin_set(np.linspace(0.0, 1.0, 33)[:, None], h=1 / 32)
+    mu = {"points": np.linspace(0.0, 1.0, 17)[:, None].tolist(), "weights": [1 / 17] * 17}
+    for name, obj in (("set", S.to_json()), ("mu", mu), ("cfg", config)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    code = main([command, "--set", str(tmp_path / "set.json"), "--measure",
+                 str(tmp_path / "mu.json"), "--family", "linear",
+                 "--config", str(tmp_path / "cfg.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "needs 17 values, one per atom, got shape (33,)" in err

@@ -596,3 +596,32 @@ def test_mu_oscillation_symmetric_and_zero_iff_constant(vals, q):
         assert osc == 0.0
     rev = mu_oscillation(mu, vals[::-1], (0.5,), 2.0, q)
     assert osc == pytest.approx(rev, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("count", ["one", "longer"])
+@pytest.mark.parametrize("entry", [
+    "lp_norm", "mu_oscillation", "tilde_osc", "ap_mu_options", "local_pair_energy",
+    "distance_pair_energy", "quasidistance_pair_energy", "dset_besov_norm",
+    "besov_trace_functional_jonsson",
+])
+def test_one_value_per_atom(entry, count):
+    # values read against a measure hold one per atom: a 1-value array is
+    # not broadcast and a longer one (a function on a finer set) is not read
+    # by its prefix
+    mu, x = segment_measure(17)
+    S = thin_set(x[:, None], h=1 / 16)
+    f = np.zeros(1 if count == "one" else 33)
+    calls = {
+        "lp_norm": lambda: mu.lp_norm(f, 3.0),
+        "mu_oscillation": lambda: mu_oscillation(mu, f, (0.5,), 0.25, 2.0),
+        "tilde_osc": lambda: tilde_osc(mu, f, (0.5,), 0.25, 1 / 32),
+        "ap_mu_options": lambda: ap_mu_options(S, mu, f, 3.0, q=1.0),
+        "local_pair_energy": lambda: local_pair_energy(mu, f, 0.25, 3.0),
+        "distance_pair_energy": lambda: distance_pair_energy(mu, f, 0.25, 3.0),
+        "quasidistance_pair_energy": lambda: quasidistance_pair_energy(S, mu, f, 0.25, 3.0),
+        "dset_besov_norm": lambda: dset_besov_norm(mu, f, 0.5, 3.0, 1.0),
+        "besov_trace_functional_jonsson":
+            lambda: besov_trace_functional_jonsson(mu, f, 0.5, 3.0, 3.0, 0.125),
+    }
+    with pytest.raises(ConfigError, match=rf"needs 17 values, one per atom, got shape \({len(f)},\)"):
+        calls[entry]()

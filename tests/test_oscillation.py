@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from sobtrace.canonical import CANONICAL_NAMES, CanonicalSpec, generate_canonical
@@ -630,6 +631,101 @@ class TestGridPackingWalk:
         assert got["per_tau"][0][2] > 0
 
 
+# no -0.0: ndimage and np.maximum each return either sign of a tied zero
+_NODE_VALUES = st.one_of(
+    st.floats(allow_nan=False, width=64), st.integers(-2, 2).map(float)
+).map(lambda v: v + 0.0)
+
+
+def _fields(draw, sides, elements):
+    """A 1-3-D array of `elements`, side lengths drawn from sides[dim - 1]."""
+    dim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(sides[dim - 1], min_size=dim, max_size=dim)))
+    return draw(arrays(float, shape, elements=elements))
+
+
+@st.composite
+def grown_case(draw):
+    """A field, a half-width m (up to past the grid) and a step k <= m, or
+    k = 1 at m = 0."""
+    values = _fields(draw, (st.integers(1, 40), st.integers(1, 12), st.integers(1, 6)),
+                     _NODE_VALUES)
+    m = draw(st.integers(0, max(values.shape)))
+    return values, m, draw(st.integers(1, max(m, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grown_case())
+def test_grown_window_is_the_direct_filter(case):
+    # the extrema over half-width m grown by k are ndimage's mode="nearest"
+    # filters over half-width m + k, bit for bit
+    values, m, k = case
+    for pick, direct, fill in ((np.maximum, ndimage.maximum_filter, -np.inf),
+                               (np.minimum, ndimage.minimum_filter, np.inf)):
+        a = direct(values, size=2 * m + 1, mode="nearest")
+        got, start = oscillation._grown(a, [0] * values.ndim, m, k, values.shape, pick, fill)
+        assert start == [0] * values.ndim
+        assert got.tobytes() == direct(values, size=2 * (m + k) + 1, mode="nearest").tobytes()
+
+
+@st.composite
+def ladder_case(draw):
+    """A grid field and scales k h, k from 1 to past half the shortest axis
+    (where nothing fits), with gaps of more than double between them."""
+    values = _fields(draw, (st.integers(3, 64), st.integers(3, 20), st.integers(3, 8)),
+                     st.floats(-1e3, 1e3) | st.integers(-2, 2).map(float))
+    h = 1 / 16
+    F = GridField(np.array([[0.0, (s - 1) * h] for s in values.shape]), h, values)
+    ks = draw(st.lists(st.integers(1, min(values.shape)), min_size=1, max_size=5, unique=True))
+    return F, [k * h for k in ks]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ladder_case())
+def test_grid_packing_ladder_matches_per_diameter_filters(case):
+    # one max/min pair grown through the trial diameters in ascending k
+    # gives every row of the table that filters each diameter directly
+    F, ts = case
+    table = oscillation._grid_packing_table(F, ts, 2.0)
+    assert list(table) == oscillation._trial_diameters(ts, 2.0)
+    for t in ts:
+        for tau, total, count in reference_grid_packing(F, t, 2.0)["per_tau"]:
+            assert table[tau] == (total, count)
+
+
+class TestNanNode:
+    """GridField.load refuses non-finite values; from the library a NaN node
+    makes every window that holds it read NaN, so those windows admit no
+    cube. ndimage's filters dropped or kept a NaN depending on where it sat
+    in the window."""
+
+    @staticmethod
+    def field():
+        values = np.random.default_rng(7).standard_normal((65, 65))
+        values[32, 32] = np.nan
+        return GridField(_UNIT_SQUARE, 1 / 64, values)
+
+    def test_windows_holding_the_node_read_nan(self):
+        values = self.field().values
+        finite = np.nan_to_num(values)
+        near = np.max(np.abs(np.indices(values.shape) - 32), axis=0)  # chebyshev to the node
+        hi = lo = values
+        for m in range(6):
+            hi, _ = oscillation._grown(hi, [0, 0], m, 1, values.shape, np.maximum, -np.inf)
+            lo, _ = oscillation._grown(lo, [0, 0], m, 1, values.shape, np.minimum, np.inf)
+            holds = near <= m + 1
+            assert np.array_equal(np.isnan(hi), holds) and np.array_equal(np.isnan(lo), holds)
+            size = 2 * m + 3
+            assert np.array_equal(hi[~holds], ndimage.maximum_filter(finite, size, mode="nearest")[~holds])
+            assert np.array_equal(lo[~holds], ndimage.minimum_filter(finite, size, mode="nearest")[~holds])
+
+    def test_power_sum_pin(self):
+        # without the NaN node the t = 1/4 row reads (19.3955..., 8)
+        rows = grid_packing_functional(self.field(), 0.25, 2.0, details=True)["per_tau"]
+        assert rows[0][0] == 0.25 and rows[0][2] == 7
+        assert rows[0][1] == pytest.approx(17.132042432366205, rel=1e-12)
+
+
 def reference_sharp_maximal_field(S, f_vals):
     """sharp_maximal_field as first written, each sample rasterized by a
     Python loop and every window filtered directly by ndimage. Kept as the
@@ -764,6 +860,14 @@ class TestSharpMaximal:
         f = pts[:, 0]
         val = sharp_maximal(S, f, [0.5], variant="l1_density_ratio")
         assert np.isfinite(val) and val > 0
+
+    @pytest.mark.parametrize("variant", ["range_ratio", "l1_density_ratio"])
+    @pytest.mark.parametrize("f", [np.zeros(3), None], ids=["three-values", "none"])
+    def test_one_value_per_sample(self, f, variant):
+        # 3 values on 65 samples used to raise IndexError, and None TypeError
+        S = thin_set(np.linspace(0, 1, 65)[:, None], h=1 / 64)
+        with pytest.raises(ConfigError, match=r"needs 65 values, got shape"):
+            sharp_maximal(S, f, [0.5], variant=variant)
 
     def test_unknown_variant(self):
         S = thin_set(np.array([[0.0]]), h=0.25)
