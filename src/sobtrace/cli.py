@@ -5,9 +5,10 @@ extension on a grid), functional (evaluate one functional from a JSON
 config), tracenorm (trace-norm estimate with breakdown), verify
 (equivalence experiment), demo (acceptance suite / deterministic report
 pipeline).  Exit codes: 0 ok, 2 config error (non-finite function values,
-a measure whose support misses the set, and function values read against
-a measure with another number of atoms included), 3 numerical failure (a
-non-finite result or a float overflow).
+a measure whose support misses the set, a measure with one atom per sample
+whose atom i is not within h/2 of sample i, and function values read
+against a measure with another number of atoms included), 3 numerical
+failure (a non-finite result or a float overflow).
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from .oscillation import (
 )
 from .sets import ClosedSet
 from .util import (
-    ConfigError, NumericalFailure, OutOfDomainError, check_finite, json_text, read_json,
+    ConfigError, NumericalFailure, OutOfDomainError, chebyshev, check_finite, json_text,
+    read_json,
 )
 from .verify import verify_equivalence, whitney_contract_report
 from .whitney import extend_grid, whitney_decomposition
@@ -136,6 +138,15 @@ def _load_set(args) -> tuple[ClosedSet, DiscreteMeasure]:
             mu = DiscreteMeasure.load(args.measure)
             if mu.dim != S.dim:
                 raise ConfigError(f"measure of dimension {mu.dim} on a set of dimension {S.dim}")
+            if len(mu.points) == len(S.points):
+                # values are matched to atoms by index, so atom i must sit at sample i
+                far = np.flatnonzero(chebyshev(mu.points, S.points) > S.on_set_reach)
+                if len(far):
+                    i = int(far[0])
+                    raise ConfigError(
+                        f"measure atom {i} at {mu.points[i].tolist()} is not within h/2 of "
+                        f"sample {i} at {S.points[i].tolist()}: a measure with one atom per "
+                        "sample must list its atoms in the samples' order")
         else:
             mu = counting_measure(S, normalized=True)
         return S, mu

@@ -27,13 +27,20 @@ keeps one bit per box, so it certifies first: a box corner is a lattice
 node, and a corner whose distance minus 1e-15 exceeds the threshold
 guarantees that the tie rule's clearance does too; only the boxes no corner
 certifies are scanned.  The empty-subcube search (the ball condition)
-needs only the maximum of min(dist, room) per box, so it bounds its KD
-queries at the cube radius and skips the nodes whose room cannot raise the
-maximum; the result is the all-node maximum exactly.
+needs only the maximum of gain = min(dist, room) per cube, room being a
+node's distance to the cube's boundary.  The set distance is 1-Lipschitz in
+the uniform norm, so a node at uniform offset off from the center has
+gain <= min(room, d_c + off), d_c the distance at the center, padded for
+rounding.  The search queries the nodes whose bound is near their cube's
+largest first, then only those whose bound exceeds the best gain so far: a
+node left out cannot raise the maximum, so the result is the all-node
+maximum exactly.  It builds only the nodes it queries, from each lattice's
+per-axis coordinates, and bounds its queries at the cube radius.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -56,6 +63,15 @@ _LATTICE_CAP = 41  # max candidate-lattice nodes per axis in empty-cube searches
 _BALL_CENTERS = 48  # samples drawn (by seed) as ball-condition cube centers
 _MARGIN = 1.25  # bbox margin around the samples of thin_set and solid_set
 _SCAN_CHUNK = 400_000  # lattice nodes per KD query in batched empty-cube searches
+
+
+def _spread(axes):
+    """Each (k, num_a) per-axis array of a lattice reshaped to broadcast
+    over its (k, num_0, ..., num_{dim-1}) nodes."""
+    for a, ax in enumerate(axes):
+        view = [len(ax)] + [1] * len(axes)
+        view[1 + a] = ax.shape[1]
+        yield ax.reshape(view)
 
 
 def _check_cells_shape(shape, bbox, h) -> None:
@@ -404,11 +420,12 @@ class ClosedSet:
     def _lattices(self, lo: np.ndarray, hi: np.ndarray):
         """Capped h/2 candidate lattices of the boxes [lo[i], hi[i]].
 
-        Yields (rows, nodes): nodes is (k, N, dim) in ij order, which is
-        lexicographic.  Boxes with the same per-axis node counts come in
-        chunks of about _SCAN_CHUNK nodes.  Each axis is numpy's scalar
-        linspace, l + arange(num) * step with the last node at u, computed
-        for a whole chunk at once.
+        Yields (rows, axes): axes[a] is the (k, num_a) array of each box's
+        node coordinates on axis a, and `_nodes` builds the nodes from them.
+        Boxes with the same per-axis node counts come in chunks of about
+        _SCAN_CHUNK nodes.  Each axis is numpy's scalar linspace,
+        l + arange(num) * step with the last node at u, computed for a whole
+        chunk at once.
         """
         delta = hi - lo
         per_axis = np.floor(delta / (self.h / 2)).astype(int) + 1
@@ -420,26 +437,38 @@ class ClosedSet:
         bounds = [0, *changes, len(order)] if len(order) else []
         for begin, end in zip(bounds[:-1], bounds[1:]):
             shape = counts[order[begin]].tolist()
-            size = int(np.prod(shape))
-            per = max(1, _SCAN_CHUNK // size)
+            per = max(1, _SCAN_CHUNK // int(np.prod(shape)))
             for first in range(begin, end, per):
                 rows = order[first:min(first + per, end)]
                 l, u, width = lo[rows], hi[rows], delta[rows]
-                nodes = np.empty((len(rows), *shape, self.dim))
+                axes = []
                 for a, num in enumerate(shape):
                     ax = np.arange(num) * (width[:, a, None] / max(num - 1, 1)) + l[:, a, None]
                     if num > 1:
                         ax[:, -1] = u[:, a]
-                    view = [len(rows)] + [1] * self.dim
-                    view[1 + a] = num
-                    nodes[..., a] = ax.reshape(view)
-                yield rows, nodes.reshape(len(rows), size, self.dim)
+                    axes.append(ax)
+                yield rows, axes
+
+    def _nodes(self, axes, mask=None) -> np.ndarray:
+        """The lattice nodes of the per-axis coordinates of `_lattices`: all
+        of them, (k, N, dim) in ij order, which is lexicographic, or with a
+        (k, N) mask only the masked ones, (n, dim) in the same order."""
+        shape = [ax.shape[1] for ax in axes]
+        if mask is None:
+            nodes = np.empty((len(axes[0]), *shape, self.dim))
+            for a, view in enumerate(_spread(axes)):
+                nodes[..., a] = view
+            return nodes.reshape(len(axes[0]), -1, self.dim)
+        box, flat = np.nonzero(mask)
+        index = np.unravel_index(flat, shape)
+        return np.stack([ax[box, i] for ax, i in zip(axes, index)], axis=-1)
 
     def _scans(self, lo: np.ndarray, hi: np.ndarray):
         """The lattices of _lattices with the exact distance to the set at
         every node: yields (rows, nodes, dist), dist (k, N), one KD query
         per chunk."""
-        for rows, nodes in self._lattices(lo, hi):
+        for rows, axes in self._lattices(lo, hi):
+            nodes = self._nodes(axes)
             dist = self.dist(nodes.reshape(-1, self.dim)).reshape(nodes.shape[:2])
             yield rows, nodes, dist
 
@@ -571,30 +600,42 @@ class ClosedSet:
 
     def empty_subcubes(self, centers, radius: float) -> np.ndarray:
         """Radius of the biggest set-free subcube found inside each cube
-        Q(centers[i], radius): the maximum of min(dist, room) over the cube's
-        lattice, room being a node's distance to the cube's boundary.
+        Q(centers[i], radius): the maximum of gain = min(dist, room) over the
+        cube's lattice, room = radius - off being a node's distance to the
+        cube's boundary and off its uniform distance to the center.
 
-        room <= radius, so each node's distance is queried only up to the
-        radius (a farther node contributes its room).  The inner nodes
-        (room > radius/2) go first; a remaining node whose room does not
-        exceed its cube's best so far cannot raise the maximum and is not
-        queried.  The maximum is exact, so this equals the all-node scan.
+        The set distance is 1-Lipschitz in the uniform norm, so with d_c the
+        distance at the center, gain <= cap = min(room, d_c + off), padded by
+        a relative 1e-12 and an absolute 1e-15 for rounding.  d_c takes one
+        query per cube, bounded like the nodes' below, and reads inf past the
+        bound (then cap = room).  Stage 1 queries the nodes whose cap is
+        within a relative 1e-9 of their cube's largest; stage 2 the remaining
+        nodes whose cap exceeds their cube's best gain so far.  A node left
+        out has gain <= cap <= that best, so it cannot raise the maximum,
+        which is the all-node maximum exactly.  Each query is bounded at the
+        radius (a farther node contributes its room), and only the queried
+        nodes are built.
         """
         centers = np.asarray(centers, float).reshape(-1, self.dim)
         out = np.empty(len(centers))
         # past this nearest-sample distance, the set distance is >= radius
         bound = (radius + self.sample_radius) * (1 + 1e-12)
-        for rows, nodes in self._lattices(centers - radius, centers + radius):
-            room = radius - chebyshev(nodes, centers[rows, None])
+        d_c = np.maximum(0.0, self.nearest_distance(centers, bound) - self.sample_radius)
+        for rows, axes in self._lattices(centers - radius, centers + radius):
+            dev = [np.abs(ax - centers[rows, a, None]) for a, ax in enumerate(axes)]
+            off = functools.reduce(np.maximum, _spread(dev)).reshape(len(rows), -1)
+            room = radius - off
+            cap = np.minimum(room, (d_c[rows, None] + off) * (1 + 1e-12) + 1e-15)
             gain = np.full(room.shape, -np.inf)
 
             def scan(ask):
-                near = self.nearest_distance(nodes[ask], bound)
+                near = self.nearest_distance(self._nodes(axes, ask), bound)
                 gain[ask] = np.minimum(np.maximum(0.0, near - self.sample_radius), room[ask])
 
-            inner = room > radius / 2
-            scan(inner)
-            scan(~inner & (room > gain.max(axis=1, keepdims=True)))
+            top = cap.max(axis=1, keepdims=True)
+            first = cap >= top - 1e-9 * np.abs(top)
+            scan(first)
+            scan(~first & (cap > gain.max(axis=1, keepdims=True)))
             out[rows] = gain.max(axis=1)
         return out
 

@@ -793,6 +793,33 @@ def test_damaged_input_file_exits_2(tmp_path, command, config, files, error):
     assert err.startswith("config error:") and error in err
 
 
+@pytest.mark.parametrize("shuffled", [False, True], ids=["ordered", "shuffled"])
+def test_measure_atoms_sit_at_their_samples(tmp_path, capsys, shuffled):
+    # values are matched to atoms by index: the shuffled measure read x^2 at
+    # the wrong atoms, and local-pair-energy exited 0 with 4.364
+    S = thin_set(np.linspace(0.0, 1.0, 33)[:, None], h=1 / 32)
+    order = np.random.default_rng(0).permutation(33) if shuffled else np.arange(33)
+    files = {
+        "set": S.to_json(),
+        "mu": {"points": S.points[order].tolist(), "weights": [1 / 33] * 33},
+        "f": (S.points[:, 0] ** 2).tolist(),
+        "cfg": {"functional": "local-pair-energy", "t": 0.25},
+    }
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    code = main(["functional", "--set", str(tmp_path / "set.json"), "--measure",
+                 str(tmp_path / "mu.json"), "--function", str(tmp_path / "f.json"),
+                 "--config", str(tmp_path / "cfg.json")])
+    out, err = capsys.readouterr()
+    if shuffled:
+        assert code == 2
+        assert err.startswith("config error: measure atom 0 at [0.0625] is not within h/2 "
+                              "of sample 0 at [0.0]")
+    else:
+        assert code == 0
+        assert json.loads(out)["result"]["value"] == pytest.approx(0.18373297319189574, rel=1e-12)
+
+
 @pytest.mark.parametrize("command, config", [
     ("tracenorm", {"theorem": "T72", "p": 3.0, "eps": 0.25}),
     ("tracenorm", {"theorem": "T723", "p": 3.0, "eps": 0.25}),

@@ -612,6 +612,76 @@ _CATALOG = {
 }
 
 
+def _unpruned_empty_subcubes(S, centers, radius):
+    """The all-node scan empty_subcubes prunes: the exact distance at every
+    lattice node, then the maximum of min(dist, room) per cube."""
+    centers = np.asarray(centers, float).reshape(-1, S.dim)
+    out = np.empty(len(centers))
+    for rows, nodes, dist in S._scans(centers - radius, centers + radius):
+        room = radius - chebyshev(nodes, centers[rows, None])
+        out[rows] = np.minimum(dist, room).max(axis=1)
+    return out
+
+
+@st.composite
+def _subcube_probes(draw):
+    """(set, centers, radius): a random thin cloud in 1-3 D or a solid
+    catalog set; cube centers on it, nudged off it by a fraction of h, and
+    one beyond the search bound (its center distance reads inf); a radius
+    from h/3 to 1/2."""
+    if draw(st.booleans()):
+        S = _CATALOG[draw(st.sampled_from(["solid-disk", "solid-square"]))]
+    else:
+        dim = draw(st.integers(1, 3))
+        coords = st.floats(0.0, 1.0, allow_subnormal=False)
+        pts = draw(st.lists(st.lists(coords, min_size=dim, max_size=dim), min_size=1, max_size=12))
+        S = thin_set(np.array(pts), h=draw(st.sampled_from([1 / 8, 1 / 16, 1 / 32])))
+    radius = draw(st.floats(S.h / 3, 0.5))
+    index = st.integers(0, len(S.points) - 1)
+    idx = draw(st.lists(index, min_size=1, max_size=6))
+    nudge = st.sampled_from([0.0, 0.0, 0.3, -0.5, 1.7])
+    shift = np.array(draw(st.lists(nudge, min_size=len(idx) * S.dim, max_size=len(idx) * S.dim)))
+    far = S.points.min(axis=0) - (radius + S.h) * draw(st.floats(1.01, 2.0))
+    centers = np.vstack([S.points[idx] + shift.reshape(-1, S.dim) * S.h, far])
+    return S, centers, radius
+
+
+@settings(max_examples=60, deadline=None)
+@given(_subcube_probes())
+def test_empty_subcubes_equal_the_all_node_scan(probe):
+    S, centers, radius = probe
+    assert S.nearest_distance(centers[-1:])[0] > (radius + S.sample_radius) * (1 + 1e-12)
+    got = S.empty_subcubes(centers, radius)
+    assert got.tolist() == _unpruned_empty_subcubes(S, centers, radius).tolist()
+
+
+def test_ball_condition_queries_few_lattice_nodes(monkeypatch):
+    # of the 455,040 lattice nodes of seeds 0 and 1, the Lipschitz bound asks
+    # 24,960, its cube centers included; the split at room > radius/2 it
+    # replaced asked 120,192, and the bound must ask at most a third of that
+    S = generate_canonical(CanonicalSpec("segment-1d-in-2d", 1 / 64))[0]
+    asked, nodes = [], []
+    nearest, lattices = ClosedSet.nearest_distance, ClosedSet._lattices
+
+    def counting_nearest(self, x, bound=np.inf):
+        asked.append(len(np.atleast_2d(x)))
+        return nearest(self, x, bound)
+
+    def counting_lattices(self, lo, hi):
+        for rows, axes in lattices(self, lo, hi):
+            nodes.append(len(rows) * int(np.prod([ax.shape[1] for ax in axes])))
+            yield rows, axes
+
+    monkeypatch.setattr(ClosedSet, "nearest_distance", counting_nearest)
+    monkeypatch.setattr(ClosedSet, "_lattices", counting_lattices)
+    got = [S.ball_condition_estimate(seed) for seed in (0, 1)]
+    assert 12 * sum(asked) <= sum(nodes)
+    monkeypatch.undo()
+    R = generate_canonical(CanonicalSpec("segment-1d-in-2d", 1 / 64))[0]
+    R.empty_subcubes = lambda centers, radius: _unpruned_empty_subcubes(R, centers, radius)
+    assert got == [R.ball_condition_estimate(seed) for seed in (0, 1)]
+
+
 def _probe_centers(S, k, seed=5):
     """Sample points, a few of them nudged off the set by a fraction of h."""
     rng = np.random.default_rng(seed)
@@ -676,18 +746,9 @@ class TestBatchedScans:
 
     @pytest.mark.parametrize("name", ["segment-1d-in-2d", "example-726", "cantor-1d"])
     def test_ball_condition_matches_unpruned_scan(self, name):
-        # the reference is the all-node scan empty_subcubes replaced: the
-        # exact distance at every lattice node, then max of min(dist, room)
-        def unpruned(S, centers, radius):
-            out = np.empty(len(centers))
-            for rows, nodes, dist in S._scans(centers - radius, centers + radius):
-                room = radius - chebyshev(nodes, centers[rows, None])
-                out[rows] = np.minimum(dist, room).max(axis=1)
-            return out
-
         got = generate_canonical(CanonicalSpec(name, 1 / 64))[0].ball_condition_estimate()
         S = generate_canonical(CanonicalSpec(name, 1 / 64))[0]
-        S.empty_subcubes = lambda centers, radius: unpruned(S, centers, radius)
+        S.empty_subcubes = lambda centers, radius: _unpruned_empty_subcubes(S, centers, radius)
         want = S.ball_condition_estimate()
         assert got.table == want.table
         assert got.beta_hat == want.beta_hat
