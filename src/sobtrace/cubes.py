@@ -2,14 +2,16 @@
 
 A cube is determined by its center and radius (half side length); its diameter
 in the max norm equals the side length 2r.  A family of cubes is a pair of
-arrays (centers (m, n), radii (m,)); families support exact
-covering-multiplicity computation and partitioning into packings (subfamilies
-with pairwise disjoint interiors) by one colouring, DSATUR over the conflict
-masks, with no colour target of its own (criterion C02 compares the count
-with the multiplicity bound).  Whether two interiors meet has one rule,
-interiors_meet, read by the colouring here, the greedy packing of
-oscillation.py and criteria C02 and C05.  A single Cube is the witness the
-quasidistance scan returns and the argument of ClosedSet.is_porous.
+arrays (centers (m, n), radii (m,)).  A family's exact covering multiplicity
+is counted at lower ends only: closed cubes covering a point also cover the
+point whose coordinates are their largest lower ends.  A family is split
+into packings (subfamilies with pairwise disjoint interiors) by one
+colouring, DSATUR over the conflict masks, with no colour target of its own
+(criterion C02 compares the count with the multiplicity bound).  Whether two
+interiors meet has one rule, interiors_meet, read by the colouring here, the
+greedy packing of oscillation.py and criteria C02 and C05.  A single Cube is
+the witness the quasidistance scan returns and the argument of
+ClosedSet.is_porous.
 """
 
 from __future__ import annotations
@@ -47,33 +49,28 @@ class Cube:
         object.__setattr__(self, "radius", float(self.radius))
 
 
-def _interval_max_overlap(los: np.ndarray, his: np.ndarray) -> int:
-    # closed intervals: at equal coordinates an opening event counts before
-    # a closing one, so touching intervals overlap
-    coords = np.concatenate([los, his])
-    codes = np.concatenate([np.zeros(len(los), int), np.ones(len(his), int)])
-    deltas = np.concatenate([np.ones(len(los), int), -np.ones(len(his), int)])
-    order = np.lexsort((codes, coords))
-    return int(np.max(np.cumsum(deltas[order])))
-
-
 def _multiplicity_rec(los: np.ndarray, his: np.ndarray, best: int) -> int:
+    lo, hi = los[:, 0], his[:, 0]
+    ends = np.unique(lo)
+    counts = (np.searchsorted(np.sort(lo), ends, "right")
+              - np.searchsorted(np.sort(hi), ends, "left"))
     if los.shape[1] == 1:
-        return max(best, _interval_max_overlap(los[:, 0], his[:, 0]))
-    # The coverage count is upper semicontinuous and piecewise constant, so its
-    # maximum is attained at a point whose first coordinate is an endpoint of
-    # one of the cubes; sweep those and recurse on the remaining axes.
-    for x in np.unique(np.concatenate([los[:, 0], his[:, 0]])):
-        active = (los[:, 0] <= x) & (x <= his[:, 0])
-        if int(active.sum()) <= best:
-            continue
-        best = _multiplicity_rec(los[active, 1:], his[active, 1:], best)
+        return max(best, int(counts.max()))
+    for k in np.argsort(-counts, kind="stable"):
+        if counts[k] <= best:
+            break
+        cover = (lo <= ends[k]) & (ends[k] <= hi)
+        best = _multiplicity_rec(los[cover, 1:], his[cover, 1:], best)
     return best
 
 
 def covering_multiplicity(centers, radii) -> int:
     """Exact maximum number of the cubes Q(centers[i], radii[i]) covering a
-    single point."""
+    single point.  The cubes are closed, so those covering a point also cover
+    the point of their largest lower ends.  Per axis, each distinct lower end
+    gets its count by two sorted searches; the last axis returns the largest,
+    another recurses on the cubes covering each end, by decreasing count while
+    the count exceeds the best found."""
     centers, radii = np.asarray(centers, float), np.asarray(radii, float)
     if len(radii) == 0:
         return 0

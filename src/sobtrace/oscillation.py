@@ -359,6 +359,8 @@ def sharp_maximal(
     x = np.asarray(x, float)
     if x.shape != (S.dim,):
         raise ConfigError(f"sharp maximal point needs shape ({S.dim},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ConfigError(f"sharp maximal point x must be finite, got {x.tolist()}")
     f_vals = S.sample_values(f_vals, "sharp maximal function")
     if variant == "range_ratio":
         d = chebyshev(S.points, x)

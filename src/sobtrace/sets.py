@@ -656,19 +656,12 @@ class ClosedSet:
             rng.choice(m, size=_BALL_CENTERS, replace=False)
         )
         radii = [r for r in (2.0 ** -np.arange(1, 12)) if 8 * self.h <= 2 * r <= 1.0]
-        gaps = [self.empty_subcubes(self.points[idx], float(r)) for r in radii]
-        worst = 0.0
-        satisfied = True
-        table = []
-        for k in range(len(idx)):
-            for r, gap in zip(radii, gaps):
-                gap = float(gap[k])
-                table.append((float(r), gap))
-                if gap <= 0:
-                    satisfied = False
-                else:
-                    worst = max(worst, r / gap)
-        est = BallConditionEstimate(satisfied and worst > 0, worst, tuple(table))
+        gaps = np.reshape([self.empty_subcubes(self.points[idx], float(r)) for r in radii],
+                          (len(radii), len(idx)))
+        ratios = np.divide(np.reshape(radii, (-1, 1)), gaps, out=np.zeros(gaps.shape),
+                           where=gaps > 0)
+        worst = float(ratios.max(initial=0.0))
+        est = BallConditionEstimate(not (gaps <= 0).any() and worst > 0, worst)
         self._ball_conditions[seed] = est
         return est
 
@@ -732,7 +725,6 @@ class ClosedSet:
 class BallConditionEstimate:
     satisfied: bool
     beta_hat: float
-    table: tuple  # (cube radius, empty-subcube radius) per probe
 
 
 def thin_set(points, h: float, name: str = "") -> ClosedSet:

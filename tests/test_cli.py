@@ -438,6 +438,8 @@ _TYPE_CASES = {
         ("functional", {"functional": "ap-mu", "t": 0.25, "variant": "zzz"}),
         ("functional", {"functional": "packing", "t": -1}),
         ("functional", {"functional": "sharp-maximal", "x": [0.5, 0.5]}),
+        # a NaN coordinate used to reach the report writer (exit 3)
+        ("functional", {"functional": "sharp-maximal", "x": [float("nan")]}),
         ("functional", {"functional": "modulus", "t": 0.1, "field": "no-such-grid"}),
         ("functional", {"functional": "averaged-modulus", "t": 0.25, "bogus": 1}),
         ("functional", {"functional": "averaged-modulus", "t": 0}),
@@ -492,7 +494,7 @@ _TYPE_CASES = {
     ids=[
         "unknown-key", "p-as-string", "no-p", "bad-eps", "no-file", "not-json",
         "no-t", "bad-t", "bad-alpha", "functional-no-file", "bad-centers",
-        "bad-ap-mu-variant", "negative-t", "x-of-wrong-dimension", "missing-grid",
+        "bad-ap-mu-variant", "negative-t", "x-of-wrong-dimension", "non-finite-x", "missing-grid",
         "functional-unknown-key", "zero-t", "negative-seed", "infinite-eps",
         "not-an-object", "verify-unknown-key", "verify-bad-p", "verify-bad-h-levels",
         "verify-zero-p", "verify-zero-q", "verify-negative-pair-budget",

@@ -1,8 +1,11 @@
 """Cube families (centers, radii arrays) and packing combinatorics.
 
 covering_multiplicity has an independent oracle here: evaluate the coverage
-count on every combination of interval endpoints (the maximum of an upper
-semicontinuous piecewise-constant function is attained at such a corner).
+count on every combination of interval endpoints, lower and upper (the
+maximum of an upper semicontinuous piecewise-constant function is attained at
+such a corner).  The implementation reads lower ends only: closed cubes that
+cover a point also cover the point whose coordinates are their largest lower
+ends, so the oracle's upper ends never raise the maximum.
 """
 
 import itertools
@@ -89,11 +92,31 @@ def test_empty_family():
     assert len(partition_into_packings(centers, radii)) == 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 2), st.integers(1, 8))
-def test_multiplicity_matches_brute_force(seed, n, m):
+def test_touching_closed_intervals_overlap():
+    # [0, 1] and [1, 2] share the point 1
+    assert covering_multiplicity(*family_1d([0.5, 1.5], [0.5, 0.5])) == 2
+
+
+def test_multiplicity_nested_chain_3d():
+    # each cube lies in the one before, off center; a far cube adds nothing
+    k = np.arange(5.0)[:, None]
+    centers = np.vstack([2.0 ** -k * [0.5, 0.25, -0.5], [[9.0, 9.0, 9.0]]])
+    radii = np.append(2.0 ** -k[:, 0], 1.0)
+    assert covering_multiplicity(centers, radii) == 5
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 8), st.booleans(),
+       st.booleans())
+def test_multiplicity_matches_brute_force(seed, n, m, lattice, points):
+    # centers on a 1/8 lattice make faces touch and coincide; zero radii
+    # make cubes that are single points
     rng = np.random.default_rng(seed)
     centers, radii = random_family(rng, n, m)
+    if lattice:
+        centers = np.round(centers * 8) / 8
+    if points:
+        radii[rng.random(m) < 0.5] = 0.0
     assert covering_multiplicity(centers, radii) == brute_multiplicity(centers, radii)
 
 

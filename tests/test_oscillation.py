@@ -769,6 +769,13 @@ class TestSharpMaximal:
         S = thin_set(np.linspace(0, 1, 9)[:, None], h=1 / 8)
         assert sharp_maximal(S, np.ones(9), [0.3]) == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_refused(self, bad):
+        S = thin_set(np.array([[0.0, 0.0], [1.0, 0.0]]), h=0.25)
+        for variant in ("range_ratio", "l1_density_ratio"):
+            with pytest.raises(ConfigError, match="point x must be finite"):
+                sharp_maximal(S, np.zeros(2), [0.5, bad], variant=variant)
+
     def test_field_matches_pointwise_on_linear(self):
         pts = np.linspace(0, 1, 33)[:, None]
         S = thin_set(pts, h=1 / 32)

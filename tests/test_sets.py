@@ -472,16 +472,20 @@ def test_ball_condition_segment_vs_solid():
 def test_ball_condition_cached_per_seed(monkeypatch):
     xs = np.linspace(0.0, 1.0, 65)
     seg = thin_set(np.stack([xs, np.zeros_like(xs)], axis=1), h=1 / 64)
-    first = seg.ball_condition_estimate()
-    assert isinstance(first.table, tuple) and first.table
     scans = []
     real = ClosedSet.empty_subcubes
 
     def counting(self, centers, radius):
         scans.append(radius)
-        return real(self, centers, radius)
+        gaps = real(self, centers, radius)
+        # each probe's gap is the all-node scan's
+        assert gaps.tolist() == _unpruned_empty_subcubes(self, centers, radius).tolist()
+        return gaps
 
     monkeypatch.setattr(ClosedSet, "empty_subcubes", counting)
+    first = seg.ball_condition_estimate()
+    assert scans == [2.0 ** -k for k in range(1, 5)]
+    scans.clear()
     assert seg.ball_condition_estimate() is first
     assert seg.ball_condition_estimate(seed=0) is first
     assert scans == []
@@ -746,11 +750,22 @@ class TestBatchedScans:
 
     @pytest.mark.parametrize("name", ["segment-1d-in-2d", "example-726", "cantor-1d"])
     def test_ball_condition_matches_unpruned_scan(self, name):
-        got = generate_canonical(CanonicalSpec(name, 1 / 64))[0].ball_condition_estimate()
+        G = generate_canonical(CanonicalSpec(name, 1 / 64))[0]
         S = generate_canonical(CanonicalSpec(name, 1 / 64))[0]
+        radii = []
+
+        def compared(centers, radius):
+            # each probe's gap at the estimate's radii is the all-node scan's
+            radii.append(radius)
+            gaps = ClosedSet.empty_subcubes(G, centers, radius)
+            assert gaps.tolist() == _unpruned_empty_subcubes(G, centers, radius).tolist()
+            return gaps
+
+        G.empty_subcubes = compared
+        got = G.ball_condition_estimate()
+        assert radii == [2.0 ** -k for k in range(1, 5)]
         S.empty_subcubes = lambda centers, radius: _unpruned_empty_subcubes(S, centers, radius)
         want = S.ball_condition_estimate()
-        assert got.table == want.table
         assert got.beta_hat == want.beta_hat
         assert got.satisfied == want.satisfied
 
