@@ -359,15 +359,7 @@ def cmd_tracenorm(args) -> int:
     S, mu = _load_set(args)
     vals = _load_values(args, S)
     report = trace_estimate(S, vals, cfg, mu=mu)
-    payload = {
-        "theorem": cfg.theorem,
-        "set": S.name,
-        "value": report.value,
-        "breakdown": report.breakdown,
-        "resolution": report.resolution,
-        "notes": list(report.notes),
-    }
-    _emit(payload, args.out, "tracenorm.json")
+    _emit({"theorem": cfg.theorem, "set": S.name, **report.to_json()}, args.out, "tracenorm.json")
     if args.out:
         with open(Path(args.out) / "tracenorm.csv", "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -5,11 +5,16 @@ and cube masses are exact uniform-norm ball queries. On top of that sit the
 local L_q oscillations, the measure-scored packing functionals, the
 pair-energy double sums (fixed scale, per-pair distance, quasidistance),
 the dyadic Besov-trace functional, and the averaged smoothness modulus.
+
+Every double sum over atom pairs reads its rows from one walk, _pair_rows,
+which measures blocks of consecutive atoms against the atoms whose first
+coordinate lies within r of the block's range. Rounding is monotone, so the
+window loses no pair, and a row lists what a full row lists up to r, in the
+same order: each sum adds the same terms in the same order.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -198,20 +203,20 @@ def measure_diagnostics(mu: DiscreteMeasure, seed: int = 0) -> MeasureDiagnostic
     doubling = 0.0
     dn = 0.0
     n = mu.dim
-    masses = np.stack([mu.ball_mass(centers, r) for r in r_levels])
+    radii = {1.0, *r_levels, *(k * r for r in r_levels for k in (2, 4, 8) if k * r <= 1.0)}
+    mass_at = {r: mu.ball_mass(centers, r) for r in radii}  # each radius queried once
+    masses = np.stack([mass_at[r] for r in r_levels])
     degenerate = int(np.sum(masses <= 0))
     for r, base in zip(r_levels, masses):
         ok = base > 0
         if not ok.any():
             continue
         if 2 * r <= 1.0:
-            grown = mu.ball_mass(centers, 2 * r)
-            doubling = max(doubling, float(np.max(grown[ok] / base[ok])))
+            doubling = max(doubling, float(np.max(mass_at[2 * r][ok] / base[ok])))
         for k in (2, 4, 8):
             if k * r <= 1.0:
-                grown = mu.ball_mass(centers, k * r)
-                dn = max(dn, float(np.max(grown[ok] / (k ** n * base[ok]))))
-    unit = mu.ball_mass(mu.points[pick], 1.0)
+                dn = max(dn, float(np.max(mass_at[k * r][ok] / (k ** n * base[ok]))))
+    unit = mass_at[1.0]
     # a discrete radius-r cube captures samples across width 2r + gap, so
     # the power-law fit runs against the effective radius
     log_r = np.log(r_levels + gap / 2)
@@ -361,10 +366,27 @@ def _require_finite_p(p: float) -> None:
         raise ConfigError(f"pair energy needs a finite p, got {p}")
 
 
-def _require_eps(eps: float) -> None:
-    # a NaN or non-positive eps admits no pair and reads 0
-    if not (np.isfinite(eps) and eps > 0):
-        raise ConfigError(f"pair energy needs a finite eps > 0, got {eps}")
+def _require_scale(value: float, name: str) -> None:
+    # a NaN or non-positive scale admits no pair; an infinite t makes t^(n-p) 0 or inf
+    if not (np.isfinite(value) and value > 0):
+        raise ConfigError(f"pair energy needs a finite {name} > 0, got {value}")
+
+
+_PAIR_BLOCK = 64  # atoms per dense distance block of the pair walk
+
+
+def _pair_rows(mu: DiscreteMeasure, radius: float):
+    """(i, js, d) for each atom i in index order: the atoms js within
+    uniform distance radius of atom i, itself included, in index order, and
+    their distances d."""
+    pts = mu.points
+    for lo in range(0, len(pts), _PAIR_BLOCK):
+        block = pts[lo:lo + _PAIR_BLOCK]
+        gap = np.maximum(block[:, 0].min() - pts[:, 0], pts[:, 0] - block[:, 0].max())
+        near = np.nonzero(gap <= radius)[0]
+        for i, d in enumerate(chebyshev(block[:, None], pts[near]), lo):
+            inside = d <= radius
+            yield i, near[inside], d[inside]
 
 
 def local_pair_energy(
@@ -375,33 +397,27 @@ def local_pair_energy(
     mass(Q(x,t)) * mass(Q(y,t)) (product). Returns the p-th-power sum."""
     if kernel not in ("square", "product"):
         raise ConfigError(f"unknown kernel {kernel!r}")
-    if not t > 0:
-        raise ConfigError(f"pair energy needs t > 0, got {t}")
+    _require_scale(t, "t")
     _require_finite_p(p)
     f_vals = mu.atom_values(f_vals, "local pair energy")
-    pts, w = mu.points, mu.weights
-    n = mu.dim
-    # one ball query: each closed ball's mass, summed as ball_mass sums it,
-    # and its open part, the pair domain
-    groups = mu.tree.query_ball_point(pts, t, p=np.inf)
-    masses = np.array([w[g].sum() for g in groups])
+    w = mu.weights
+    # the closed balls' masses, summed as ball_mass sums them; their open parts are the pairs
+    rows = list(_pair_rows(mu, t))
+    masses = np.array([w[js].sum() for _, js, _ in rows])
     total = 0.0
-    for i, g in enumerate(groups):
-        g = np.array(g, int)
-        d = chebyshev(pts[g], pts[i])
-        g = g[d < t]  # strict inequality in the pair domain
+    for i, js, d in rows:
+        g = js[d < t]  # strict inequality in the pair domain
         if len(g) == 0 or masses[i] <= 0:
             continue
         num = w[i] * w[g] * np.abs(f_vals[i] - f_vals[g]) ** p
         if kernel == "square":
-            den = masses[i] ** 2
-            total += float(num.sum()) / den
+            total += float(num.sum()) / masses[i] ** 2
         else:
             # masses[g] is 0 only when w[g] is: that pair adds nothing, and
             # dividing would make it 0/0
             heavy = masses[g] > 0
             total += float(np.sum(num[heavy] / (masses[i] * masses[g[heavy]])))
-    return total * t ** (n - p)
+    return total * t ** (mu.dim - p)
 
 
 def distance_pair_energy(
@@ -411,39 +427,22 @@ def distance_pair_energy(
     w_x w_y |f(x)-f(y)|^p * ||x-y||^(n-p) / mass(Q(x, ||x-y||))^2,
     the per-pair masses read off sorted-distance prefix sums. Power form."""
     _require_finite_p(p)
-    _require_eps(eps)
+    _require_scale(eps, "eps")
     f_vals = mu.atom_values(f_vals, "distance pair energy")
-    pts, w = mu.points, mu.weights
+    w = mu.weights
     n = mu.dim
     total = 0.0
-    for i in range(len(pts)):
-        d = chebyshev(pts, pts[i])
+    for i, js, d in _pair_rows(mu, eps):
+        # Q(x, d_ij) lies in the row: its mass is a prefix in distance order
         order = np.argsort(d, kind="stable")
-        d_sorted = d[order]
-        prefix = np.cumsum(w[order])
-        sel = np.nonzero((d > 0) & (d < eps))[0]
-        if len(sel) == 0:
-            continue
-        mass = prefix[np.searchsorted(d_sorted, d[sel], side="right") - 1]
+        prefix = np.cumsum(w[js[order]])
+        sel = (d > 0) & (d < eps)
+        mass = prefix[np.searchsorted(d[order], d[sel], side="right") - 1]
         ok = mass > 0
-        sel, mass = sel[ok], mass[ok]
-        num = w[i] * w[sel] * np.abs(f_vals[i] - f_vals[sel]) ** p
-        total += float(np.sum(num * d[sel] ** (n - p) / mass ** 2))
+        j, d_j, mass = js[sel][ok], d[sel][ok], mass[ok]
+        num = w[i] * w[j] * np.abs(f_vals[i] - f_vals[j]) ** p
+        total += float(np.sum(num * d_j ** (n - p) / mass ** 2))
     return total
-
-
-def _close_pairs(mu: DiscreteMeasure, eps: float) -> np.ndarray:
-    """(k, 2) index pairs i < j of atoms closer than eps, ordered by i, then
-    by j's place in i's ball query."""
-    pts = mu.points
-    own = mu.tree.query_ball_point(pts, eps, p=np.inf)
-    sizes = np.fromiter(map(len, own), int, len(own))
-    first = np.repeat(np.arange(len(own)), sizes)
-    second = np.fromiter(itertools.chain.from_iterable(own), int, int(sizes.sum()))
-    keep = first < second
-    first, second = first[keep], second[keep]
-    keep = chebyshev(pts[first], pts[second]) < eps
-    return np.stack([first[keep], second[keep]], axis=1)
 
 
 def quasidistance_pair_energy(
@@ -468,11 +467,13 @@ def quasidistance_pair_energy(
     if pair_budget < 0 or seed < 0:
         raise ConfigError(f"need pair_budget >= 0 and seed >= 0, got {pair_budget} and {seed}")
     _require_finite_p(p)
-    _require_eps(eps)
+    _require_scale(eps, "eps")
     f_vals = mu.atom_values(f_vals, "quasidistance pair energy")
     pts, w = mu.points, mu.weights
     n = mu.dim
-    pairs = _close_pairs(mu, eps)
+    later = [js[(js > i) & (d < eps)] for i, js, d in _pair_rows(mu, eps)]
+    pairs = np.stack([np.repeat(np.arange(len(later)), [len(js) for js in later]),
+                      np.concatenate([np.zeros(0, int), *later])], axis=1)
     exact = len(pairs) <= pair_budget
     if exact:
         sample = pairs
@@ -562,14 +563,12 @@ def dset_besov_norm(mu: DiscreteMeasure, f_vals, s: float, p: float, d: float) -
         raise ConfigError(f"d-set Besov norm needs 0 < s < 1 and a finite d > 0, "
                           f"got s={s}, d={d}")
     f_vals = mu.atom_values(f_vals, "d-set Besov norm")
-    pts, w = mu.points, mu.weights
+    w = mu.weights
     total = 0.0
-    for i in range(len(pts)):
-        dist = chebyshev(pts, pts[i])
-        sel = np.nonzero((dist > 0) & (dist < 1.0))[0]
-        if len(sel) == 0:
-            continue
-        num = w[i] * w[sel] * np.abs(f_vals[i] - f_vals[sel]) ** p
+    for i, js, dist in _pair_rows(mu, 1.0):
+        sel = (dist > 0) & (dist < 1.0)
+        j = js[sel]
+        num = w[i] * w[j] * np.abs(f_vals[i] - f_vals[j]) ** p
         total += float(np.sum(num / dist[sel] ** (d + s * p)))
     return mu.lp_norm(f_vals, p) + total ** (1.0 / p)
 

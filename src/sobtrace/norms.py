@@ -177,6 +177,10 @@ class NormReport:
         if any(v < -1e-12 for v in self.breakdown.values()):
             raise ConfigError("sub-terms must be nonnegative")
 
+    def to_json(self) -> dict:
+        return {"value": self.value, "breakdown": self.breakdown,
+                "resolution": self.resolution, "notes": list(self.notes)}
+
 
 def _report(breakdown: dict, h: float, notes=()) -> NormReport:
     breakdown = {k: float(v) for k, v in breakdown.items()}

@@ -1,5 +1,7 @@
 """Discrete measures, diagnostics, and the measure-weighted functionals."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from sobtrace.canonical import test_function_family as function_family
 from sobtrace.grid import GridField
 from sobtrace.measures import (
     A_p_mu,
-    _close_pairs,
+    _pair_rows,
     DiscreteMeasure,
     ap_mu_options,
     arc_length_measure,
@@ -112,6 +114,15 @@ class TestDiagnostics:
         assert diag.dset_exponent == pytest.approx(1.0, abs=0.2)
         assert diag.exponent_drift <= 0.4
         assert diag.degenerate_cubes == 0
+
+    def test_each_radius_queried_once(self, monkeypatch):
+        # the doubling and growth ratios share their grown radii, and the
+        # ladder holds some of them
+        mu, _ = segment_measure(257)
+        radii, ball_mass = [], mu.ball_mass
+        monkeypatch.setattr(mu, "ball_mass", lambda x, r: radii.append(float(r)) or ball_mass(x, r))
+        measure_diagnostics(mu, seed=2)
+        assert 1.0 in radii and len(radii) == len(set(radii))
 
     def test_unit_mass_envelope(self):
         mu, _ = segment_measure()
@@ -404,20 +415,111 @@ def reference_local_pair_energy(mu, f_vals, t, p, kernel):
     return total * t ** (mu.dim - p)
 
 
+def reference_distance_pair_energy(mu, f_vals, eps, p):
+    """distance_pair_energy over full rows: each atom against all atoms."""
+    f_vals = np.asarray(f_vals, float)
+    pts, w = mu.points, mu.weights
+    n = mu.dim
+    total = 0.0
+    for i in range(len(pts)):
+        d = chebyshev(pts, pts[i])
+        order = np.argsort(d, kind="stable")
+        d_sorted = d[order]
+        prefix = np.cumsum(w[order])
+        sel = np.nonzero((d > 0) & (d < eps))[0]
+        if len(sel) == 0:
+            continue
+        mass = prefix[np.searchsorted(d_sorted, d[sel], side="right") - 1]
+        ok = mass > 0
+        sel, mass = sel[ok], mass[ok]
+        num = w[i] * w[sel] * np.abs(f_vals[i] - f_vals[sel]) ** p
+        total += float(np.sum(num * d[sel] ** (n - p) / mass ** 2))
+    return total
+
+
+def reference_dset_besov_norm(mu, f_vals, s, p, d):
+    """dset_besov_norm over full rows: each atom against all atoms."""
+    f_vals = np.asarray(f_vals, float)
+    pts, w = mu.points, mu.weights
+    total = 0.0
+    for i in range(len(pts)):
+        dist = chebyshev(pts, pts[i])
+        sel = np.nonzero((dist > 0) & (dist < 1.0))[0]
+        if len(sel) == 0:
+            continue
+        num = w[i] * w[sel] * np.abs(f_vals[i] - f_vals[sel]) ** p
+        total += float(np.sum(num / dist[sel] ** (d + s * p)))
+    return mu.lp_norm(f_vals, p) + total ** (1.0 / p)
+
+
+def reference_close_pairs(mu, eps):
+    """(k, 2) index pairs i < j of atoms closer than eps from one flattened
+    ball query, ordered by i, then by j."""
+    pts = mu.points
+    own = mu.tree.query_ball_point(pts, eps, p=np.inf)
+    sizes = np.fromiter(map(len, own), int, len(own))
+    first = np.repeat(np.arange(len(own)), sizes)
+    second = np.fromiter(itertools.chain.from_iterable(own), int, int(sizes.sum()))
+    keep = first < second
+    first, second = first[keep], second[keep]
+    keep = chebyshev(pts[first], pts[second]) < eps
+    return np.stack([first[keep], second[keep]], axis=1)
+
+
+def _with_far_atom(name):
+    """The catalog measure and one more atom, of weight 0 and isolated, whose
+    ball holds no mass at any scale below 1; and random values on it."""
+    base = _CATALOG[name][1]
+    far = base.points.max(axis=0) + 1.0
+    mu = DiscreteMeasure(np.vstack([base.points, far]), np.append(base.weights, 0.0))
+    return mu, np.random.default_rng(8).normal(size=len(mu.points))
+
+
 class TestPairEnergies:
     @pytest.mark.parametrize("kernel", ["square", "product"])
     @pytest.mark.parametrize("name", ["segment-1d-in-2d", "example-726", "solid-disk", "cantor-1d"])
     def test_local_one_ball_query_matches_two_query_loop(self, name, kernel):
-        # one more atom, of weight 0 and isolated, whose ball holds no mass
-        # at any t
-        base = _CATALOG[name][1]
-        far = base.points.max(axis=0) + 1.0
-        mu = DiscreteMeasure(np.vstack([base.points, far]), np.append(base.weights, 0.0))
-        f = np.random.default_rng(8).normal(size=len(mu.points))
+        mu, f = _with_far_atom(name)
+        far = mu.points[-1]
         for t in (1 / 64, 1 / 16, 1 / 4):
             assert mu.ball_mass(far, t)[0] == 0.0
             got = local_pair_energy(mu, f, t, 3.0, kernel=kernel)
             assert got == reference_local_pair_energy(mu, f, t, 3.0, kernel), t
+
+    @pytest.mark.parametrize("name", ["segment-1d-in-2d", "example-726", "solid-disk", "cantor-1d"])
+    def test_pair_sums_match_full_rows(self, name):
+        mu, f = _with_far_atom(name)
+        for eps in (1 / 64, 1 / 16, 1 / 4, 2.0):
+            assert distance_pair_energy(mu, f, eps, 3.0) == \
+                reference_distance_pair_energy(mu, f, eps, 3.0), eps
+            want = reference_close_pairs(mu, eps)
+            got = [(i, j) for i, js, d in _pair_rows(mu, eps) for j in js[(js > i) & (d < eps)]]
+            assert got == [tuple(ij) for ij in want.tolist()], eps
+        assert dset_besov_norm(mu, f, 0.6, 3.0, 1.0) == reference_dset_besov_norm(mu, f, 0.6, 3.0, 1.0)
+
+    @pytest.mark.parametrize("eps", [0.0625, 2.0])
+    def test_quasidistance_candidates_are_the_close_pairs(self, eps):
+        S, mu = _CATALOG["example-726"]
+        got = quasidistance_pair_energy(S, mu, mu.points[:, 0], eps, 3.0, pair_budget=100)
+        assert got["candidate_pairs"] == len(reference_close_pairs(mu, eps))
+
+    def test_empty_measure_has_no_pairs(self):
+        mu = DiscreteMeasure(np.zeros((0, 2)), np.zeros(0))
+        S = thin_set(np.array([[0.0, 0.0], [1.0, 0.0]]), h=1.0)
+        assert list(_pair_rows(mu, 0.5)) == []
+        assert local_pair_energy(mu, [], 0.5, 3.0) == distance_pair_energy(mu, [], 0.5, 3.0) == 0.0
+        assert dset_besov_norm(mu, [], 0.5, 3.0, 1.0) == 0.0
+        assert quasidistance_pair_energy(S, mu, [], 0.5, 3.0)["candidate_pairs"] == 0
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    def test_non_finite_scale_refused(self, t):
+        _, mu = _CATALOG["segment-1d-in-2d"]
+        f = mu.points[:, 0]
+        for p in (1.0, 3.0):
+            with pytest.raises(ConfigError, match="finite t > 0"):
+                local_pair_energy(mu, f, t, p)
+        with pytest.raises(ConfigError, match="finite t > 0"):
+            averaged_modulus_w1(mu, f, t, 3.0)
 
     def test_product_kernel_skips_zero_mass_partners(self):
         # the ball around 0.2 holds no mass, and its atom sits within t of
@@ -512,21 +614,20 @@ class TestPairEnergies:
         assert est["value"] == pytest.approx(full["value"], rel=0.6)
 
     @pytest.mark.parametrize("eps", [0.0, 1 / 16, 0.3, 5.0])
-    def test_close_pairs_match_double_loop(self, eps):
-        # duplicate atoms, a lattice with many pairs at exactly eps, and a
-        # random cloud; the order must be the old double loop's
+    def test_pair_rows_match_brute_force(self, eps):
+        # duplicate atoms, a lattice with many pairs at exactly eps, a random
+        # cloud, the same atoms shuffled, and a single atom
         rng = np.random.default_rng(4)
         grid_pts = np.stack(np.meshgrid(*[np.arange(6) / 16] * 2, indexing="ij"), -1)
         pts = np.vstack([grid_pts.reshape(-1, 2), rng.uniform(0, 0.5, (30, 2)), [[0.0, 0.0]]])
-        mu = DiscreteMeasure(pts, np.full(len(pts), 1.0 / len(pts)))
-        want = []
-        for i, g in enumerate(mu.tree.query_ball_point(pts, eps, p=np.inf)):
-            for j in g:
-                if i < j and chebyshev(pts[i], pts[j]) < eps:
-                    want.append((i, j))
-        got = _close_pairs(mu, eps)
-        assert got.shape == (len(want), 2)
-        assert got.tolist() == [list(ij) for ij in want]
+        for cloud in (pts, pts[rng.permutation(len(pts))], pts[:1]):
+            mu = DiscreteMeasure(cloud, np.full(len(cloud), 1.0 / len(cloud)))
+            rows = list(_pair_rows(mu, eps))
+            assert [i for i, _, _ in rows] == list(range(len(cloud)))
+            for i, js, d in rows:
+                want = [j for j in range(len(cloud)) if chebyshev(cloud[i], cloud[j]) <= eps]
+                assert js.tolist() == want
+                assert d.tolist() == [chebyshev(cloud[i], cloud[j]) for j in want]
 
 
 class TestBesovScale:
