@@ -9,6 +9,14 @@ a measure whose support misses the set, a measure with one atom per sample
 whose atom i is not within h/2 of sample i, and function values read
 against a measure with another number of atoms included), 3 numerical
 failure (a non-finite result or a float overflow).
+
+Each value has one source, and every config key is read or refused. A
+config key that the command does not read exits 2, and so does a value
+given twice or a flag that does not apply: --set with --canonical and
+--function with --family (argparse refuses them), --measure without --set,
+--member without --family, --h with --set, and a verify flag (--theorem,
+--canonical, --family, --h-levels, --pair-budget, the global --seed) beside
+the config key that gives the same value.
 """
 
 from __future__ import annotations
@@ -64,47 +72,47 @@ def _emit(payload: dict, out: str | None, name: str) -> None:
         print(text)
 
 
-def _read_config(path) -> dict:
-    """The JSON object in a --config file."""
-    obj = read_json(path, "config")
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return obj
-
-
 _REQUIRED = object()
-
-
-def _param(cfg: dict, key: str, default=_REQUIRED, kind=float):
-    """cfg[key] converted by kind, or the default when the key is absent or null.
-    A JSON true or false is read only by kind bool, and only a whole number by
-    kind int."""
-    value = cfg.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise ConfigError(f"config needs a {key!r} key")
-        return default
-    try:
-        if isinstance(value, bool) != (kind is bool) or (
-                kind is int and isinstance(value, float) and not value.is_integer()):
-            raise ValueError(value)
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"config key {key!r} has a bad value {value!r}") from None
-
-
 _KINDS = {"str": str, "float": float, "float | None": float, "int": int, "int | None": int}
 
 
-def _declared(raw: dict, declared, known=()) -> dict:
-    """Each declared (name, type name, default) parameter read from raw by
-    _param and converted to its type; a key neither declared nor known is a
-    config error."""
-    declared = list(declared)
-    unknown = set(raw) - {name for name, _, _ in declared} - set(known)
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    return {name: _param(raw, name, default, _KINDS[kind]) for name, kind, default in declared}
+class _Config(dict):
+    """The JSON object in a --config file (empty without one). It records each
+    key read from it, by get() or param(), so that refuse_unread() can refuse
+    the rest."""
+
+    def __init__(self, path):
+        raw = read_json(path, "config") if path else {}
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} must hold a JSON object")
+        super().__init__(raw)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def param(self, key: str, default=_REQUIRED, kind=float):
+        """self[key] converted by kind, or the default when the key is absent or
+        null. A JSON true or false is read only by kind bool, and only a whole
+        number by kind int."""
+        value = self.get(key)
+        if value is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"config needs a {key!r} key")
+            return default
+        try:
+            if isinstance(value, bool) != (kind is bool) or (
+                    kind is int and isinstance(value, float) and not value.is_integer()):
+                raise ValueError(value)
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"config key {key!r} has a bad value {value!r}") from None
+
+    def refuse_unread(self, reader: str) -> None:
+        unread = set(self) - self.read
+        if unread:
+            raise ConfigError(f"{reader} does not read config keys {sorted(unread)}")
 
 
 def _seed(text: str) -> int:
@@ -132,10 +140,13 @@ def _parse_levels(text: str) -> list:
 
 
 def _load_set(args) -> tuple[ClosedSet, DiscreteMeasure]:
-    if getattr(args, "set", None):
+    measure = getattr(args, "measure", None)
+    if args.set:
+        if args.h is not None:
+            raise ConfigError("--h is the resolution of --canonical; a --set file has its own h")
         S = ClosedSet.load(args.set)
-        if getattr(args, "measure", None):
-            mu = DiscreteMeasure.load(args.measure)
+        if measure:
+            mu = DiscreteMeasure.load(measure)
             if mu.dim != S.dim:
                 raise ConfigError(f"measure of dimension {mu.dim} on a set of dimension {S.dim}")
             if len(mu.points) == len(S.points):
@@ -150,13 +161,18 @@ def _load_set(args) -> tuple[ClosedSet, DiscreteMeasure]:
         else:
             mu = counting_measure(S, normalized=True)
         return S, mu
-    if getattr(args, "canonical", None):
-        return generate_canonical(CanonicalSpec(args.canonical, args.h))
+    if measure:
+        raise ConfigError("--measure attaches weights to a --set file; --canonical brings its own")
+    if args.canonical:
+        h = 1 / 128 if args.h is None else args.h
+        return generate_canonical(CanonicalSpec(args.canonical, h))
     raise ConfigError("need --set FILE or --canonical NAME")
 
 
 def _load_values(args, S: ClosedSet) -> np.ndarray:
-    if getattr(args, "function", None):
+    if args.member is not None and not args.family:
+        raise ConfigError("--member picks a member of a --family; give --family or drop --member")
+    if args.function:
         obj = read_json(args.function, "function")
         try:
             vals = np.asarray(obj.get("values") if isinstance(obj, dict) else obj, float)
@@ -168,9 +184,9 @@ def _load_values(args, S: ClosedSet) -> np.ndarray:
             )
         if not np.isfinite(vals).all():
             raise ConfigError(f"function {args.function} holds a non-finite value")
-    elif getattr(args, "family", None):
+    elif args.family:
         members = function_family(args.family, S)
-        idx = args.member
+        idx = args.member or 0
         if not (0 <= idx < len(members)):
             raise ConfigError(
                 f"family {args.family!r} has {len(members)} members, got index {idx}"
@@ -182,17 +198,19 @@ def _load_values(args, S: ClosedSet) -> np.ndarray:
 
 
 def _set_flags(sub, with_measure: bool = True) -> None:
-    sub.add_argument("--set", help="ClosedSet JSON file")
-    sub.add_argument("--canonical", choices=CANONICAL_NAMES, help="generator name")
-    sub.add_argument("--h", type=_parse_level, default=1 / 128, help="resolution for --canonical")
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--set", help="ClosedSet JSON file")
+    source.add_argument("--canonical", choices=CANONICAL_NAMES, help="generator name")
+    sub.add_argument("--h", type=_parse_level, help="resolution for --canonical (default 1/128)")
     if with_measure:
         sub.add_argument("--measure", help="DiscreteMeasure JSON file (with --set)")
 
 
 def _function_flags(sub) -> None:
-    sub.add_argument("--function", help="JSON file with a values array")
-    sub.add_argument("--family", help="test family name, e.g. hoelder(0.7)")
-    sub.add_argument("--member", type=int, default=0, help="family member index")
+    values = sub.add_mutually_exclusive_group()
+    values.add_argument("--function", help="JSON file with a values array")
+    values.add_argument("--family", help="test family name, e.g. hoelder(0.7)")
+    sub.add_argument("--member", type=int, help="family member index (default 0)")
 
 
 # -- subcommands -------------------------------------------------------
@@ -201,7 +219,7 @@ def _function_flags(sub) -> None:
 def cmd_whitney(args) -> int:
     S, _ = _load_set(args)
     W = whitney_decomposition(S)
-    report = whitney_contract_report(S, W, seed=args.seed)
+    report = whitney_contract_report(S, W, seed=args.seed or 0)
     slack = 2 * S.h + 1e-12
     dists = S.dist_cube(W.centers, W.radii)
     per_cube_ok = (W.diams - dists <= slack) & (dists - 4 * W.diams <= slack)
@@ -250,26 +268,14 @@ def cmd_extend(args) -> int:
     return 0
 
 
-class _ReadKeys(dict):
-    """A config object that records the keys read from it with get()."""
-
-    def __init__(self, raw: dict):
-        super().__init__(raw)
-        self.read = set()
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-
-def _functional_call(kind: str, cfg: dict, S, mu, vals):
+def _functional_call(kind: str, cfg: _Config, S, mu, vals):
     """The call a functional config asks for, its parameters read from cfg."""
-    p = _param(cfg, "p", 3.0)
+    p = cfg.param("p", 3.0)
     if not p > 0:
         raise ConfigError(f"functional needs p > 0, got {p}")
 
     def scale():
-        t = _param(cfg, "t")
+        t = cfg.param("t")
         if not (np.isfinite(t) and t > 0):
             raise ConfigError(f"functional needs a finite scale t > 0, got {t}")
         return t
@@ -278,54 +284,54 @@ def _functional_call(kind: str, cfg: dict, S, mu, vals):
         return partial(
             packing_functional_details, S, vals, scale(), p,
             centers=cfg.get("centers", "set"),
-            alpha=_param(cfg, "alpha", None),
-            strong=_param(cfg, "strong", False, bool),
+            alpha=cfg.param("alpha", None),
+            strong=cfg.param("strong", False, bool),
         )
     if kind == "grid-packing":
-        F = GridField.load(_param(cfg, "field", kind=str))
+        F = GridField.load(cfg.param("field", kind=str))
         return partial(grid_packing_functional, F, scale(), p, details=True)
     if kind == "sharp-maximal":
-        x = _param(cfg, "x", kind=lambda v: np.asarray(v, float))
+        x = cfg.param("x", kind=lambda v: np.asarray(v, float))
         return partial(sharp_maximal, S, vals, x, variant=cfg.get("variant", "range_ratio"))
     if kind == "ap-mu":
         return partial(
             A_p_mu, S, mu, vals, scale(), p,
-            q=_param(cfg, "q", 1.0),
-            alpha=_param(cfg, "alpha", None),
-            strong=_param(cfg, "strong", False, bool),
+            q=cfg.param("q", 1.0),
+            alpha=cfg.param("alpha", None),
+            strong=cfg.param("strong", False, bool),
             variant=cfg.get("variant", "pair"),
         )
     if kind == "local-pair-energy":
         return partial(local_pair_energy, mu, vals, scale(), p,
                        kernel=cfg.get("kernel", "square"))
     if kind == "distance-pair-energy":
-        return partial(distance_pair_energy, mu, vals, _param(cfg, "eps"), p)
+        return partial(distance_pair_energy, mu, vals, cfg.param("eps"), p)
     if kind == "quasidistance-energy":
         return partial(
-            quasidistance_pair_energy, S, mu, vals, _param(cfg, "eps"), p,
-            alpha=_param(cfg, "alpha", 1 / 15),
-            pair_budget=_param(cfg, "pair_budget", 4000, int),
-            seed=_param(cfg, "seed", 0, int),
+            quasidistance_pair_energy, S, mu, vals, cfg.param("eps"), p,
+            alpha=cfg.param("alpha", 1 / 15),
+            pair_budget=cfg.param("pair_budget", 4000, int),
+            seed=cfg.param("seed", 0, int),
         )
     if kind == "besov-dset":
-        return partial(dset_besov_norm, mu, vals, _param(cfg, "s"), p, _param(cfg, "d", 1.0))
+        return partial(dset_besov_norm, mu, vals, cfg.param("s"), p, cfg.param("d", 1.0))
     if kind == "besov-jonsson":
         return partial(
-            besov_trace_functional_jonsson, mu, vals, _param(cfg, "s"), p,
-            _param(cfg, "q", p), _param(cfg, "level_floor", 4 * S.h),
+            besov_trace_functional_jonsson, mu, vals, cfg.param("s"), p,
+            cfg.param("q", p), cfg.param("level_floor", 4 * S.h),
         )
     if kind == "averaged-modulus":
         return partial(averaged_modulus_w1, mu, vals, scale(), p)
     if kind == "modulus":
-        F = GridField.load(_param(cfg, "field", kind=str))
+        F = GridField.load(cfg.param("field", kind=str))
         return partial(modulus_of_smoothness, F, scale(), p)
     if kind == "measure-diagnostics":
-        return partial(measure_diagnostics, mu, seed=_param(cfg, "seed", 0, int))
+        return partial(measure_diagnostics, mu, seed=cfg.param("seed", 0, int))
     raise ConfigError(f"unknown functional {kind!r}")
 
 
 def cmd_functional(args) -> int:
-    cfg = _ReadKeys(_read_config(args.config))
+    cfg = _Config(args.config)
     kind = cfg.pop("functional", None)
     if not kind:
         raise ConfigError("config needs a 'functional' key")
@@ -333,9 +339,7 @@ def cmd_functional(args) -> int:
     needs_f = kind not in ("grid-packing", "modulus", "measure-diagnostics")
     vals = _load_values(args, S) if needs_f else None
     call = _functional_call(kind, cfg, S, mu, vals)
-    unknown = set(cfg) - cfg.read
-    if unknown:
-        raise ConfigError(f"functional {kind!r} does not read config keys {sorted(unknown)}")
+    cfg.refuse_unread(f"functional {kind!r}")
     result = call()
     if dataclasses.is_dataclass(result):
         result = dataclasses.asdict(result)
@@ -352,10 +356,13 @@ def cmd_functional(args) -> int:
 
 
 def cmd_tracenorm(args) -> int:
-    cfg = TraceEstimateConfig(**_declared(_read_config(args.config), [
-        (f.name, f.type, _REQUIRED if f.default is dataclasses.MISSING else f.default)
+    config = _Config(args.config)
+    cfg = TraceEstimateConfig(**{
+        f.name: config.param(f.name, _REQUIRED if f.default is dataclasses.MISSING else f.default,
+                             _KINDS[f.type])
         for f in dataclasses.fields(TraceEstimateConfig)
-    ]))
+    })
+    config.refuse_unread("tracenorm")
     S, mu = _load_set(args)
     vals = _load_values(args, S)
     report = trace_estimate(S, vals, cfg, mu=mu)
@@ -370,24 +377,33 @@ def cmd_tracenorm(args) -> int:
     return 0
 
 
+# verify's flags and the config keys they set: each value has one source
+_VERIFY_FLAGS = (("--theorem", "theorem"), ("--canonical", "set"), ("--family", "family"),
+                 ("--h-levels", "h_levels"), ("--pair-budget", "pair_budget"), ("--seed", "seed"))
+
+
 def cmd_verify(args) -> int:
-    raw = _read_config(args.config) if args.config else {}
-    defaults = {"pair_budget": args.pair_budget, "seed": args.seed}
-    keywords = [
-        (par.name, par.annotation, defaults.get(par.name, par.default))
+    cfg = _Config(args.config)
+    for flag, key in _VERIFY_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        if cfg.get(key) is not None:
+            raise ConfigError(f"{flag} and config key {key!r} give the same value; give one")
+        cfg[key] = value
+    keywords = {
+        par.name: cfg.param(par.name, par.default, _KINDS[par.annotation])
         for par in inspect.signature(verify_equivalence).parameters.values()
         if par.kind is par.KEYWORD_ONLY
-    ]
-    cfg = _declared(raw, keywords, known=("theorem", "set", "family", "h_levels"))
-    theorem = _param(raw, "theorem", args.theorem, str)
-    set_name = _param(raw, "set", args.canonical, str)
-    family = _param(raw, "family", args.family or "restrictions-of-smooth", str)
+    }
+    theorem = cfg.param("theorem", None, str)
+    set_name = cfg.param("set", None, str)
+    family = cfg.param("family", "restrictions-of-smooth", str)
+    levels = cfg.param("h_levels", None, lambda v: [float(h) for h in v])
+    cfg.refuse_unread("verify")
     if not theorem or not set_name:
         raise ConfigError("verify needs a theorem id and a canonical set name")
-    levels = args.h_levels or _param(
-        raw, "h_levels", None, lambda v: [float(h) for h in v]
-    )
-    text = verify_equivalence(theorem, set_name, family, levels, **cfg).dumps()
+    text = verify_equivalence(theorem, set_name, family, levels, **keywords).dumps()
     if args.out:
         path = Path(args.out)
         path.mkdir(parents=True, exist_ok=True)
@@ -402,11 +418,12 @@ def cmd_demo(args) -> int:
 
     out = Path(args.out or "demo_out")
     out.mkdir(parents=True, exist_ok=True)
+    seed = args.seed or 0
     if args.profile == "quick":
-        acceptance.quick_reports(out, seed=args.seed)
+        acceptance.quick_reports(out, seed=seed)
         print(f"wrote quick report files to {out}")
         return 0
-    results = acceptance.run_all(out_dir=out, seed=args.seed)
+    results = acceptance.run_all(out_dir=out, seed=seed)
     width = max(len(r.label) for r in results)
     for r in results:
         print(f"{r.label:<{width}}  {'pass' if r.passed else 'FAIL'}  {r.detail}")
@@ -420,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sobtrace",
         description="trace-norm functionals and Whitney extension experiments",
     )
-    parser.add_argument("--seed", type=_seed, default=0)
+    parser.add_argument("--seed", type=_seed, help="random seed (default 0)")
     parser.add_argument("--out", help="output directory (default: print JSON)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -455,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--canonical", choices=CANONICAL_NAMES)
     s.add_argument("--family", help="test family name")
     s.add_argument("--h-levels", type=_parse_levels, help="comma list, e.g. 1/64,1/128")
-    s.add_argument("--pair-budget", type=int, default=4000)
+    s.add_argument("--pair-budget", type=int, help="exact-pair budget (default 4000)")
     s.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("demo", help="run the acceptance suite")

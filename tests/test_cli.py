@@ -511,8 +511,10 @@ _TYPE_CASES = {
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     path = tmp_path / "cfg.json"
-    argv = [command, "--canonical", "two-points", "--family", "linear", "--config", str(path)]
+    # verify's configs name their set, and a flag may not give a config key's value too
+    inputs = {} if command == "verify" else {"--canonical": "two-points", "--family": "linear"}
     error = "config error:"
+    argv = None
     if isinstance(config, Flags):
         argv = ["--out", str(tmp_path / "out"), command, *config.argv]
         error, config = config.error, None
@@ -521,6 +523,8 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     files = []
     if isinstance(config, InputFiles):
         for flag, text in config.files:
+            # a --set file stands in for the catalog set, a --function file for the family
+            inputs.pop({"--set": "--canonical", "--function": "--family"}.get(flag), None)
             files += [flag, str(tmp_path / flag[2:])]
             if text is _DIRECTORY:
                 (tmp_path / flag[2:]).mkdir()
@@ -531,6 +535,8 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, config):
         config = {**config.config, "field": config.save(tmp_path / "grid")}
     if config is not None:
         path.write_text(config if isinstance(config, str) else json.dumps(config))
+    if argv is None:
+        argv = [command, *(tok for pair in inputs.items() for tok in pair), "--config", str(path)]
     try:
         code = main(argv + files)
     except SystemExit as exc:  # argparse rejecting a flag value
@@ -841,3 +847,60 @@ def test_measure_with_fewer_atoms_than_samples_exits_2(tmp_path, capsys, command
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error:") and "needs 17 values, one per atom, got shape (33,)" in err
+
+
+# -- one source per value ----------------------------------------------
+
+_LPE = {"functional": "local-pair-energy", "t": 0.25}
+_VERIFY = ("verify", "--theorem", "T11", "--canonical", "two-points", "--family", "linear",
+           "--h-levels", "1/32")
+
+
+def _verify_twice(flag, key, value):
+    """verify's argv with flag beside a config that gives key its own value."""
+    argv = ("--seed", "0") + _VERIFY if flag == "--seed" else _VERIFY
+    if flag not in argv:
+        argv += (flag, "4000")
+    return argv, {key: value}, flag, key
+
+
+# each exited 0 with one of its two values silently dropped, or with a flag
+# that nothing read
+@pytest.mark.parametrize("argv, config, flag, other", [
+    (("functional", "--set", "{set}", "--canonical", "cantor-1d", "--family", "linear"),
+     _LPE, "--canonical", "--set"),
+    (("functional", "--canonical", "two-points", "--h", "1/32", "--function", "{function}",
+      "--family", "linear", "--member", "1"), _LPE, "--family", "--function"),
+    (("functional", "--canonical", "segment-1d-in-2d", "--h", "1/32", "--family", "linear",
+      "--measure", "{one-atom}"), _LPE, "--measure", "--set"),
+    (("functional", "--canonical", "two-points", "--h", "1/32", "--function", "{function}",
+      "--member", "1"), _LPE, "--member", "--family"),
+    (("functional", "--set", "{set}", "--h", "1/4", "--family", "linear"), _LPE, "--h", "--set"),
+    _verify_twice("--theorem", "theorem", "T14i"),
+    _verify_twice("--canonical", "set", "segment-1d-in-2d"),
+    _verify_twice("--family", "family", "restrictions-of-smooth"),
+    _verify_twice("--h-levels", "h_levels", [1 / 64]),
+    _verify_twice("--pair-budget", "pair_budget", 100),
+    _verify_twice("--seed", "seed", 3),
+], ids=["set-and-canonical", "function-and-family", "measure-without-set",
+        "member-without-family", "h-with-set", "verify-theorem-twice", "verify-set-twice",
+        "verify-family-twice", "verify-h-levels-twice", "verify-pair-budget-twice",
+        "verify-seed-twice"])
+def test_value_given_twice_exits_2(tmp_path, capsys, argv, config, flag, other):
+    """flag is refused beside other, the flag or config key that gives the same value."""
+    thin = _FUZZ_FILES["thin"]
+    paths = {}
+    for name, obj in (("set", thin["--set"]), ("function", thin["--function"]),
+                      ("one-atom", {"points": [[0.5, 0.0]], "weights": [1.0]})):
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        paths[f"{{{name}}}"] = str(tmp_path / f"{name}.json")
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    try:
+        code = main([paths.get(tok, tok) for tok in argv]
+                    + ["--config", str(tmp_path / "cfg.json")])
+    except SystemExit as exc:  # argparse refusing two exclusive flags
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert flag in err and other in err
+    assert "Traceback" not in err
