@@ -16,7 +16,10 @@ given twice or a flag that does not apply: --set with --canonical and
 --function with --family (argparse refuses them), --measure without --set,
 --member without --family, --h with --set, and a verify flag (--theorem,
 --canonical, --family, --h-levels, --pair-budget, the global --seed) beside
-the config key that gives the same value.
+the config key that gives the same value.  functional and tracenorm take
+the global --seed as their config's seed key, by the same rule, so a
+functional or theorem that reads no seed refuses it; extend reads no seed
+and refuses --seed.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .measures import (
     measure_diagnostics,
     quasidistance_pair_energy,
 )
-from .norms import TraceEstimateConfig, grid_sobolev_norms, trace_estimate
+from .norms import TraceEstimateConfig, grid_sobolev_norms, theorem_spec, trace_estimate
 from .oscillation import (
     grid_packing_functional,
     modulus_of_smoothness,
@@ -87,6 +90,7 @@ class _Config(dict):
             raise ConfigError(f"config {path} must hold a JSON object")
         super().__init__(raw)
         self.read = set()
+        self.flags = {}  # the keys take() set, and their flags
 
     def get(self, key, default=None):
         self.read.add(key)
@@ -109,10 +113,25 @@ class _Config(dict):
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"config key {key!r} has a bad value {value!r}") from None
 
+    def take(self, args, flags) -> None:
+        """Set each config key from its flag, for the (flag, key) pairs whose
+        flag is given; a key the config gives as well is refused."""
+        for flag, key in flags:
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if value is None:
+                continue
+            if dict.get(self, key) is not None:
+                raise ConfigError(f"{flag} and config key {key!r} give the same value; give one")
+            self[key] = value
+            self.flags[key] = flag
+
     def refuse_unread(self, reader: str) -> None:
         unread = set(self) - self.read
-        if unread:
-            raise ConfigError(f"{reader} does not read config keys {sorted(unread)}")
+        keys = sorted(unread - set(self.flags))
+        named = [f"config keys {keys}"] if keys else []
+        named += sorted(self.flags[key] for key in unread & set(self.flags))
+        if named:
+            raise ConfigError(f"{reader} does not read {' or '.join(named)}")
 
 
 def _seed(text: str) -> int:
@@ -243,6 +262,8 @@ def cmd_extend(args) -> int:
         raise ConfigError(f"extend needs a finite delta > 0, got {args.delta}")
     if not np.isfinite(args.cbar):
         raise ConfigError(f"extend needs a finite cbar, got {args.cbar}")
+    if args.seed is not None:
+        raise ConfigError("extend reads no seed; drop --seed")
     S, _ = _load_set(args)
     vals = _load_values(args, S)
     W = whitney_decomposition(S)
@@ -335,6 +356,7 @@ def cmd_functional(args) -> int:
     kind = cfg.pop("functional", None)
     if not kind:
         raise ConfigError("config needs a 'functional' key")
+    cfg.take(args, [("--seed", "seed")])
     S, mu = _load_set(args)
     needs_f = kind not in ("grid-packing", "modulus", "measure-diagnostics")
     vals = _load_values(args, S) if needs_f else None
@@ -357,12 +379,16 @@ def cmd_functional(args) -> int:
 
 def cmd_tracenorm(args) -> int:
     config = _Config(args.config)
+    config.take(args, [("--seed", "seed")])
+    # the theorem's own parameters; refuse_unread refuses the others
+    spec = theorem_spec(config.param("theorem", kind=str))
     cfg = TraceEstimateConfig(**{
         f.name: config.param(f.name, _REQUIRED if f.default is dataclasses.MISSING else f.default,
                              _KINDS[f.type])
         for f in dataclasses.fields(TraceEstimateConfig)
+        if f.default is dataclasses.MISSING or f.name in spec.params
     })
-    config.refuse_unread("tracenorm")
+    config.refuse_unread(f"tracenorm {cfg.theorem}")
     S, mu = _load_set(args)
     vals = _load_values(args, S)
     report = trace_estimate(S, vals, cfg, mu=mu)
@@ -384,13 +410,7 @@ _VERIFY_FLAGS = (("--theorem", "theorem"), ("--canonical", "set"), ("--family", 
 
 def cmd_verify(args) -> int:
     cfg = _Config(args.config)
-    for flag, key in _VERIFY_FLAGS:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is None:
-            continue
-        if cfg.get(key) is not None:
-            raise ConfigError(f"{flag} and config key {key!r} give the same value; give one")
-        cfg[key] = value
+    cfg.take(args, _VERIFY_FLAGS)
     keywords = {
         par.name: cfg.param(par.name, par.default, _KINDS[par.annotation])
         for par in inspect.signature(verify_equivalence).parameters.values()

@@ -54,10 +54,15 @@ class GridField:
             for a in range(self.dim)
         ]
 
-    def nodes(self) -> np.ndarray:
-        """All node coordinates, flattened to (n_nodes, dim)."""
-        grids = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+    def nodes(self, flat=None) -> np.ndarray:
+        """Node coordinates as (rows, dim): of the nodes at the flat indices
+        flat, or of every node in flat order; each is read off axes()."""
+        shape = self.values.shape
+        idx = np.indices(shape, sparse=True) if flat is None else np.unravel_index(flat, shape)
+        out = np.empty(np.broadcast_shapes(*(i.shape for i in idx)) + (self.dim,))
+        for a, (x, i) in enumerate(zip(self.axes(), idx)):
+            out[..., a] = x[i]
+        return out.reshape(-1, self.dim)
 
     @classmethod
     def from_function(cls, box, h, fn) -> "GridField":
@@ -70,12 +75,18 @@ class GridField:
 
     def cell_lp(self, p: float, mask: np.ndarray | None = None) -> float:
         """Lattice L_p norm: cell sums scaled by h^n; max norm for p = inf."""
-        v = np.abs(self.values if mask is None else self.values[mask])
+        if mask is None:
+            v = np.abs(self.values)
+        else:
+            v = self.values[mask]  # a boolean mask selects a copy
+            np.abs(v, out=v)
         if v.size == 0:
             return 0.0
         if np.isinf(p):
             return float(v.max())
-        return float((np.sum(v ** p) * self.h ** self.dim) ** (1.0 / p))
+        # **= keeps numpy's scalar-exponent fast paths, so the bits are v ** p's
+        v **= p
+        return float((np.sum(v) * self.h ** self.dim) ** (1.0 / p))
 
     # -- serialization: JSON header plus binary or CSV payload ----------
 

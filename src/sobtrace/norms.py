@@ -71,10 +71,11 @@ class SobolevNorms(NamedTuple):
 def grid_sobolev_norms(F: GridField, p: float, mask=None) -> SobolevNorms:
     """L_p norm, gradient seminorm (max-norm gradient, central differences),
     and their sum. An optional mask restricts the quadrature domain."""
-    grads = np.gradient(F.values, F.h)
-    if F.dim == 1:
-        grads = [grads]
-    gmax = np.max(np.abs(np.stack(grads)), axis=0)
+    gmax = np.gradient(F.values, F.h, axis=0)
+    np.abs(gmax, out=gmax)
+    for a in range(1, F.dim):
+        grad = np.gradient(F.values, F.h, axis=a)
+        np.maximum(gmax, np.abs(grad, out=grad), out=gmax)
     lp = F.cell_lp(p, mask)
     semi = GridField(F.box, F.h, gmax).cell_lp(p, mask)
     return SobolevNorms(lp, semi, lp + semi)

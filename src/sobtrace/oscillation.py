@@ -42,6 +42,7 @@ the range where the slack is derived, is walked in full.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -401,35 +402,49 @@ def _grown(a: np.ndarray, start: list, m: int, k: int, shape: tuple, pick, fill:
     fill (the neutral value of pick) everywhere outside it; b is the crop
     grown by k nodes on every side, cut to the grid, which holds every node
     whose wider window meets the crop.  Axis by axis, the wider window is
-    the union of the narrower ones at x - k and at x + k (and x at m = 0).
-    A shift that leaves the crop but stays in the grid reads fill; a shift
+    the union of the narrower ones at x - k and at x + k (and x at m = 0):
+    b[x] = pick(a[x - k], a[x + k]), then pick(b[x], a[x]) at m = 0.  A
+    shift that leaves the crop but stays in the grid reads fill; a shift
     that would leave the grid stops at the edge node: what the wider window
     holds inside the grid on that side lies in the edge node's window,
-    which lies inside the wider window.  max and min do not round, so the
-    result equals the direct filter of the full array, edge node repeated
-    (ndimage's mode "nearest"); a window that holds a NaN reads NaN."""
+    which lies inside the wider window.  Each axis's result is picked
+    straight from a's rows, fill and edge rows (_shifted_rows), over the
+    runs of x whose shifts each read one of the three, with no padded copy.
+    max and min do not round, so the result equals the direct filter of
+    the full array, edge node repeated (ndimage's mode "nearest"); a window
+    that holds a NaN reads NaN."""
     start = list(start)
     for axis in range(a.ndim):
         v = np.moveaxis(a, axis, 0)
         n, s, c = shape[axis], start[axis], len(v)
         lo, hi = max(0, s - k), min(n, s + c + k)  # the grown crop [lo, hi)
-        # ext[j] holds node lo - k + j of the full axis, for j < hi - lo + 2k
-        ext = np.empty((hi - lo + 2 * k,) + v.shape[1:])
-        j = s - lo + k  # the row of node s
-        ext[:j] = fill
-        ext[j:j + c] = v
-        ext[j + c:] = fill
-        first, last = k - lo, n - 1 - lo + k  # ext rows of nodes 0 and n - 1
-        if first > 0:
-            ext[:first] = ext[first]
-        if last < len(ext) - 1:
-            ext[last + 1:] = ext[last]
-        b = pick(ext[:hi - lo], ext[2 * k:])
-        if m == 0:
-            pick(b, ext[k:k + hi - lo], out=b)
+        b = np.empty((hi - lo,) + v.shape[1:])
+        # the x where a shifted read changes kind: leaves the grid or the crop
+        cuts = sorted({lo, hi, k, s + k, s + c + k, n - k, s - k, s + c - k, s, s + c})
+        for x0, x1 in zip(cuts, cuts[1:]):
+            if not lo <= x0 < x1 <= hi:
+                continue
+            read = functools.partial(_shifted_rows, v, s, n, fill, x0, x1)
+            out = b[x0 - lo:x1 - lo]
+            pick(read(-k), read(k), out=out)
+            if m == 0:
+                pick(out, read(0), out=out)
         a = np.moveaxis(b, 0, axis)
         start[axis] = lo
     return a, start
+
+
+def _shifted_rows(v: np.ndarray, s: int, n: int, fill: float, x0: int, x1: int, d: int):
+    """What nodes x0 .. x1 - 1 of an axis of n nodes read at shift d,
+    clamped to the grid, from v, the crop of that axis that starts at node
+    s: a slice of v, one row of v (an edge row, broadcast), or fill outside
+    the crop.  The nodes must all read one of the three."""
+    y0 = min(max(x0 + d, 0), n - 1) - s
+    if not 0 <= y0 < len(v):
+        return fill
+    if 0 <= x0 + d <= n - 1:
+        return v[y0:y0 + x1 - x0]
+    return v[y0:y0 + 1]
 
 
 def sharp_maximal_field(S: ClosedSet, f_vals) -> GridField:
@@ -469,7 +484,8 @@ def sharp_maximal_field(S: ClosedSet, f_vals) -> GridField:
     while r <= extent:
         hi, _ = _grown(hi, start, k // 2, k - k // 2, shape, np.maximum, -np.inf)
         lo, start = _grown(lo, start, k // 2, k - k // 2, shape, np.minimum, np.inf)
-        osc = np.where(np.isfinite(hi) & np.isfinite(lo), hi - lo, 0.0)
+        osc = hi - lo
+        osc[~np.isfinite(hi) | ~np.isfinite(lo)] = 0.0
         osc /= r
         view = out[tuple(slice(s, s + m) for s, m in zip(start, hi.shape))]
         np.maximum(view, osc, out=view)

@@ -291,9 +291,12 @@ class ClosedSet:
         return self.h / 2.0 + 1e-12
 
     def on_set(self, x) -> np.ndarray | bool:
-        """Membership proxy: within h/2 of a sample or inside an occupied cell."""
+        """Membership proxy: within h/2 of a sample or inside an occupied cell.
+        The distance query stops at 2 * on_set_reach, as grid_set_info's
+        does: a row whose nearest sample lies at or past it reads inf, and
+        fails the test either way."""
         x = np.asarray(x, float)
-        out = self.nearest_distance(x) <= self.on_set_reach
+        out = self.nearest_distance(x, 2 * self.on_set_reach) <= self.on_set_reach
         return bool(out[0]) if x.ndim == 1 else out
 
     def nearest_point(self, x) -> tuple:

@@ -43,18 +43,24 @@ extension reads the on-set flags and nearest samples, so their query
 stops just past the on-set reach; the composition norms read only whether
 a node lies within eps of the set (grid_near_mask).
 
-Every cube lookup reads (row, cube) pairs from one of two sources.  Points
-are paired by one KD-tree match per cube level; grid nodes need no search,
-since the nodes within reach of a cube are the outer product of its
-per-axis node ranges.  Two readers take the pairs: the bump matrix (bumps
-at points, pou_matrix at the nodes) reads the pairs within 9/8 r, and the
-containing cube (locate at points, projection_map at the nodes) is the
-paired cube with the lexicographically smallest center among those within
-r, the one face-tie rule.
+Every cube lookup has a point side and a node side.  Points are paired
+with cubes by one KD-tree match per cube level (_point_pairs), and two
+readers take the (row, cube) pairs: bumps reads the pairs within 9/8 r,
+and locate takes the paired cube with the lexicographically smallest
+center among those within r, the one face-tie rule.  Grid nodes need no
+search and are never paired: the nodes within reach of a cube are the
+outer product of its per-axis node windows (_node_windows).  pou_matrix
+evaluates the profile once per (cube, axis node), multiplies the axes
+out per cube and writes the values cube-major, so the canonical CSR of
+bumps at the nodes is one tocsr() of a CSC matrix, with no pair arrays,
+no COO copy and no sort; projection_map takes the smallest rank per node
+over the same windows at r.  Both give what the point side gives at the
+nodes, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -113,7 +119,7 @@ class WhitneyDecomposition:
     def diams(self) -> np.ndarray:
         return 2.0 * self.radii
 
-    # -- cube lookups: two pair sources, two readers ---------------------
+    # -- cube lookups: point pairs and node windows ----------------------
 
     def _point_pairs(self, X, grow: float, pad: float):
         """Per cube level, (row, cube, coordinates) for the rows of X within
@@ -134,28 +140,34 @@ class WhitneyDecomposition:
                 tree, reach, p=np.inf, output_type="ndarray")
             yield pairs["j"], cubes[pairs["i"]], X[pairs["j"]].T
 
-    def _node_pairs(self, grow: float):
-        """Per cube level, (flat node, cube, coordinates) for the nodes of the
-        set's grid in each cube's per-axis node ranges at grow * radius; the
-        coordinates are GridField.axes() values, the floats nodes() stacks."""
+    def _node_windows(self, grow: float):
+        """Per run of consecutive cubes of one level, (cubes, flat, x,
+        inside): the grid nodes within grow * radius of a cube's center are
+        the outer product of its node windows, one per axis.  A cube's window
+        on axis a starts at the first node of its range [ceil((c - grow r -
+        lo)/h - 1e-9), floor((c + grow r - lo)/h + 1e-9)], cut to the grid,
+        and is as wide as the widest of the run.  x[a] holds the window
+        nodes' GridField.axes() coordinates (the floats nodes() holds) and
+        inside[a] whether they lie in the range, both (cubes, 1, ..., width_a,
+        ..., 1) so that the axes broadcast apart; flat holds the flat grid
+        index of every node of the outer product (the grid's last node on an
+        axis past it), (cubes, width_0, ..., width_n-1)."""
         box, h = self.S.bbox, self.S.h
-        shape = GridField.shape_for(box, h)
-        axes = self._grid().axes()
-        for level in np.unique(self.levels):
-            cubes = np.nonzero(self.levels == level)[0]
+        grid = self._grid()
+        axes, shape = grid.axes(), grid.values.shape
+        last = np.array(shape) - 1
+        for cubes in np.split(np.arange(len(self)), np.flatnonzero(np.diff(self.levels)) + 1):
             c, half = self.centers[cubes], grow * self.radii[cubes, None]
             i0 = np.maximum(np.ceil((c - half - box[:, 0]) / h - 1e-9).astype(int), 0)
-            i1 = np.minimum(np.floor((c + half - box[:, 0]) / h + 1e-9).astype(int),
-                            np.array(shape) - 1)
-            # (cubes, width_0, ..., width_n-1): the offsets in each range
-            inside = np.ones(len(cubes), bool)
-            for a, width in enumerate(np.max(i1 - i0 + 1, axis=0)):
-                span = np.arange(width) <= (i1[:, a] - i0[:, a])[:, None]
-                inside = inside[..., None] & span.reshape((len(cubes),) + (1,) * a + (-1,))
-            k, *offsets = np.nonzero(inside)
-            idx = [i0[k, a] + offsets[a] for a in range(self.S.dim)]
-            yield (np.ravel_multi_index(idx, shape), cubes[k],
-                   [axes[a][idx[a]] for a in range(self.S.dim)])
+            i1 = np.minimum(np.floor((c + half - box[:, 0]) / h + 1e-9).astype(int), last)
+            idx, x, inside = [], [], []
+            for a, axis in enumerate(axes):
+                span = i0[:, a, None] + np.arange(max(0, np.max(i1[:, a] - i0[:, a]) + 1))
+                apart = (len(cubes),) + (1,) * a + (-1,) + (1,) * (len(axes) - 1 - a)
+                idx.append(np.minimum(span, last[a]).reshape(apart))
+                x.append(axis[idx[-1]])
+                inside.append((span <= i1[:, a, None]).reshape(apart))
+            yield cubes, np.ravel_multi_index(idx, shape), x, inside
 
     def _bump_matrix(self, pairs, n_rows: int) -> tuple:
         """Sparse (rows x cubes) CSR matrix of raw bump values over the pairs,
@@ -177,11 +189,16 @@ class WhitneyDecomposition:
         )
         return matrix, np.asarray(matrix.sum(axis=1)).ravel()
 
+    def _lex_ranks(self) -> tuple:
+        """(order, rank): the cubes in lexicographic order of their centers,
+        and each cube's place in it."""
+        order = lex_order(self.centers)
+        return order, np.argsort(order)
+
     def _first_cube(self, pairs, n_rows: int) -> np.ndarray:
         """Per row, the paired cube with the lexicographically smallest
         center, the face-tie rule; -1 for a row with no pair."""
-        order = lex_order(self.centers)
-        rank = np.argsort(order)
+        order, rank = self._lex_ranks()
         best = np.full(n_rows, len(self))
         for row, col, _ in pairs:
             np.minimum.at(best, row, rank[col])
@@ -214,16 +231,40 @@ class WhitneyDecomposition:
 
     def _grid(self, values=None) -> GridField:
         """A field on the set's grid, S.bbox at step S.h, from node values
-        (flat or shaped; zeros when none are given)."""
+        (flat or shaped); without values, a read-only zero view that holds
+        the grid's shape and no node memory."""
         shape = GridField.shape_for(self.S.bbox, self.S.h)
-        values = np.zeros(shape) if values is None else np.reshape(values, shape)
+        values = np.broadcast_to(0.0, shape) if values is None else np.reshape(values, shape)
         return GridField(self.S.bbox, self.S.h, values)
 
     def pou_matrix(self) -> tuple:
-        """bumps() at the grid nodes, from node ranges; built once and kept."""
+        """bumps() at the grid nodes, from node windows; built once and kept.
+
+        The profile is evaluated once per (cube, axis node) of the windows
+        at _BUMP_REACH (_node_windows) and the axes are multiplied out per
+        cube, axis 0 first: the floats of bumps' per-pair product.  The
+        nonzero values are written cube-major, as a CSC matrix whose
+        columns ascend, so one tocsr() gives the canonical CSR of bumps()."""
         if self._pou is None:
-            n_nodes = int(np.prod(GridField.shape_for(self.S.bbox, self.S.h)))
-            self._pou = self._bump_matrix(self._node_pairs(_BUMP_REACH), n_nodes)
+            n_nodes = self._grid().values.size
+            index = np.int32 if n_nodes <= np.iinfo(np.int32).max else np.intp
+            col = (-1,) + (1,) * self.S.dim  # one cube per row
+            counts, rows, vals = np.zeros(len(self) + 1, int), [], []
+            for cubes, flat, x, inside in self._node_windows(_BUMP_REACH):
+                r = self.radii[cubes].reshape(col)
+                for a in range(self.S.dim):
+                    p = collar_profile((x[a] - self.centers[cubes, a].reshape(col)) / r)
+                    p[~inside[a]] = 0.0
+                    b = p if a == 0 else b * p
+                keep = b > 0
+                counts[cubes + 1] = np.count_nonzero(keep.reshape(len(cubes), -1), axis=1)
+                rows.append(flat[keep].astype(index))
+                vals.append(b[keep])
+            matrix = sparse.csc_matrix((np.concatenate(vals), np.concatenate(rows),
+                                        np.cumsum(counts)), shape=(n_nodes, len(self)))
+            del rows, vals
+            matrix = matrix.tocsr()
+            self._pou = matrix, np.asarray(matrix.sum(axis=1)).ravel()
         return self._pou
 
     def _near_nodes(self, bound: float) -> np.ndarray:
@@ -231,8 +272,8 @@ class WhitneyDecomposition:
 
         Only the nodes within ceil(bound / h) + 1 nodes, per axis, of a
         sample's nearest node (a chessboard dilation of the marks) are
-        queried; the others read inf, which is what the bounded query
-        returns for them.  A node within bound of a sample lies within
+        built and queried; the others read inf, which is what the bounded
+        query returns for them.  A node within bound of a sample lies within
         bound + h/2 of that sample's nearest node, that is, within
         ceil(bound / h) nodes of it per axis; the + 1 covers the rounding of
         the node coordinates and of the marks."""
@@ -240,9 +281,9 @@ class WhitneyDecomposition:
         marks = np.zeros(GridField.shape_for(S.bbox, S.h), bool)
         marks[tuple(np.round((S.points - S.bbox[:, 0]) / S.h).astype(int).T)] = True
         reach = int(min(np.ceil(bound / S.h) + 1, max(marks.shape)))
-        ask = ndimage.maximum_filter(marks, size=2 * reach + 1, mode="constant").ravel()
+        rows = np.flatnonzero(ndimage.maximum_filter(marks, size=2 * reach + 1, mode="constant"))
         near = np.full(marks.size, np.inf)
-        near[ask] = S.nearest_distance(self._grid().nodes()[ask], bound)
+        near[rows] = S.nearest_distance(self._grid().nodes(rows), bound)
         return near
 
     def grid_set_info(self) -> dict:
@@ -258,7 +299,7 @@ class WhitneyDecomposition:
             on_set = self._near_nodes(2 * self.S.on_set_reach) <= self.S.on_set_reach
             rows = np.nonzero(on_set | (self.projection_map().ravel() < 0))[0]
             nearest = np.full(len(on_set), -1)
-            nearest[rows] = self.S.nearest_point(self._grid().nodes()[rows])[1]
+            nearest[rows] = self.S.nearest_point(self._grid().nodes(rows))[1]
             self._set_info = {"nearest": nearest, "on_set": on_set}
         return self._set_info
 
@@ -276,12 +317,19 @@ class WhitneyDecomposition:
         return self._near_masks[eps]
 
     def projection_map(self) -> np.ndarray:
-        """locate() at the grid nodes, from node ranges, shaped as the grid;
-        built once and kept."""
+        """locate() at the grid nodes, shaped as the grid: per node, the
+        smallest lexicographic rank (_lex_ranks) of the cubes whose node
+        windows at radius 1 (_node_windows) hold it; built once and kept."""
         if self._cube_of is None:
-            shape = GridField.shape_for(self.S.bbox, self.S.h)
-            self._cube_of = self._first_cube(
-                self._node_pairs(1.0), int(np.prod(shape))).reshape(shape)
+            grid = self._grid()
+            order, rank = self._lex_ranks()
+            best = np.full(grid.values.size, len(self))
+            for cubes, flat, _, inside in self._node_windows(1.0):
+                inside = functools.reduce(np.logical_and, inside)
+                cube_rank = np.broadcast_to(rank[cubes].reshape((-1,) + (1,) * self.S.dim),
+                                            inside.shape)
+                np.minimum.at(best, flat[inside], cube_rank[inside])
+            self._cube_of = np.append(order, -1)[best].reshape(grid.values.shape)
         return self._cube_of
 
 
@@ -389,7 +437,7 @@ def _evaluate(W: WhitneyDecomposition, f_vals, delta, cbar, bumps, on_set, neare
     num = matrix @ np.where(small, f_vals[W.anchor_idx], cbar)
     vals = np.zeros(len(den))
     good = den > 0
-    vals[good] = num[good] / den[good]
+    np.divide(num, den, out=vals, where=good)
     take = on_set | ~good
     vals[take] = f_vals[nearest[take]]
     return vals
@@ -415,7 +463,8 @@ def extend_points(W: WhitneyDecomposition, f_vals, points, delta: float, cbar: f
 def extend_grid(W: WhitneyDecomposition, f_vals, delta: float, cbar: float) -> GridField:
     """Extension sampled on the set's grid; the bump matrix is kept on W, so
     repeated calls with new data are sparse matrix-vector products."""
-    # bumps first: the build is the memory peak, lower before the set info is held
+    # bumps first: the build holds a CSC and a CSR copy of the matrix at
+    # once, so it runs before the set info and the projection map are held
     bumps = W.pou_matrix()
     info = W.grid_set_info()
     return W._grid(_evaluate(W, f_vals, delta, cbar, bumps, info["on_set"], info["nearest"]))

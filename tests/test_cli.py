@@ -684,6 +684,57 @@ def test_verify_seed_reaches_only_the_theorems_that_read_it(capsys):
     assert reports[0][1] == reports[1][1]
 
 
+# the global --seed in functional, tracenorm and extend: it used to be
+# ignored, so --seed 5 gave the value of seed 0
+_SEED_INPUTS = ("--canonical", "segment-1d-in-2d", "--h", "1/32", "--family", "linear")
+_SEEDED = {"tracenorm": {**_T715, "pair_budget": 10}, "functional": {**_QUASI, "pair_budget": 10}}
+
+
+def _seed_run(tmp_path, capsys, command, config, *flags):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code = main([*flags, command, *_SEED_INPUTS, "--config", str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("command", sorted(_SEEDED))
+def test_global_seed_is_the_config_seed(tmp_path, capsys, command):
+    config = _SEEDED[command]
+    flag = _seed_run(tmp_path, capsys, command, config, "--seed", "5")
+    key = _seed_run(tmp_path, capsys, command, {**config, "seed": 5})
+    default = _seed_run(tmp_path, capsys, command, config)
+    assert flag[0] == key[0] == default[0] == 0
+    assert flag[1] == key[1] != default[1]
+
+
+@pytest.mark.parametrize("command", sorted(_SEEDED))
+def test_global_seed_beside_the_config_seed_exits_2(tmp_path, capsys, command):
+    code, _, err = _seed_run(tmp_path, capsys, command, {**_SEEDED[command], "seed": 5},
+                             "--seed", "5")
+    assert code == 2
+    assert err.startswith("config error:") and "--seed" in err and "'seed'" in err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("tracenorm", {"theorem": "T11", "p": 3.0}),
+    ("functional", {"functional": "local-pair-energy", "t": 0.25}),
+], ids=["theorem-without-seed", "functional-without-seed"])
+def test_global_seed_that_nothing_reads_exits_2(tmp_path, capsys, command, config):
+    assert _seed_run(tmp_path, capsys, command, config)[0] == 0
+    code, _, err = _seed_run(tmp_path, capsys, command, config, "--seed", "5")
+    assert code == 2
+    assert err.startswith("config error:") and "does not read --seed" in err
+
+
+def test_extend_refuses_the_global_seed(tmp_path, capsys):
+    code = main(["--seed", "5", "--out", str(tmp_path), "extend", *_SEED_INPUTS])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "--seed" in err
+    assert not (tmp_path / "extension.json").exists()
+
+
 # -- input-file fuzz: --set, --measure and --function contents -----------
 
 _ALLOCATION_LIMIT = 1 << 28  # bytes

@@ -34,6 +34,7 @@ from sobtrace.oscillation import (
 from sobtrace.sets import ClosedSet, solid_set, thin_set
 from sobtrace.util import ConfigError, dyadic_ladder, lex_order
 from test_cubes import interiors_disjoint
+from test_whitney import traced_peak
 
 
 def brute_force_packing(problem):
@@ -668,6 +669,66 @@ def test_grown_window_is_the_direct_filter(case):
         assert got.tobytes() == direct(values, size=2 * (m + k) + 1, mode="nearest").tobytes()
 
 
+def reference_grown(a, start, m, k, shape, pick, fill):
+    """_grown through one padded copy of the crop per axis, as first
+    written: ext holds the crop, fill around it, and the edge rows repeated
+    past the grid, and each result row picks two (three at m = 0) of its
+    rows."""
+    start = list(start)
+    for axis in range(a.ndim):
+        v = np.moveaxis(a, axis, 0)
+        n, s, c = shape[axis], start[axis], len(v)
+        lo, hi = max(0, s - k), min(n, s + c + k)
+        ext = np.empty((hi - lo + 2 * k,) + v.shape[1:])
+        j = s - lo + k
+        ext[:j] = fill
+        ext[j:j + c] = v
+        ext[j + c:] = fill
+        first, last = k - lo, n - 1 - lo + k
+        if first > 0:
+            ext[:first] = ext[first]
+        if last < len(ext) - 1:
+            ext[last + 1:] = ext[last]
+        b = pick(ext[:hi - lo], ext[2 * k:])
+        if m == 0:
+            pick(b, ext[k:k + hi - lo], out=b)
+        a = np.moveaxis(b, 0, axis)
+        start[axis] = lo
+    return a, start
+
+
+# tied signed zeros, NaNs and both fills, beside any float
+_CROP_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf]) | st.floats(width=64)
+
+
+@st.composite
+def cropped_grown_case(draw):
+    """A crop of a 1-3-D grid, with gaps of 0 or more nodes to either grid
+    edge on every axis, and a half-width m with a step k <= m (k = 1 at
+    m = 0)."""
+    dim = draw(st.integers(1, 3))
+    side = (st.integers(1, 16), st.integers(1, 6), st.integers(1, 4))[dim - 1]
+    gap = st.integers(0, (12, 4, 2)[dim - 1])
+    crop, before, after = ([draw(x) for _ in range(dim)] for x in (side, gap, gap))
+    shape = tuple(b + c + e for b, c, e in zip(before, crop, after))
+    values = draw(arrays(float, tuple(crop), elements=_CROP_VALUES))
+    m = draw(st.integers(0, max(shape)))
+    return values, before, m, draw(st.integers(1, max(m, 1))), shape
+
+
+@settings(max_examples=300, deadline=None)
+@given(cropped_grown_case())
+def test_grown_matches_the_padded_copy(case):
+    # _grown writes each axis straight from the crop's rows; its bytes, the
+    # sign of every zero and every NaN included, are the padded copy's
+    values, start, m, k, shape = case
+    for pick, fill in ((np.maximum, -np.inf), (np.minimum, np.inf)):
+        got, got_start = oscillation._grown(values, start, m, k, shape, pick, fill)
+        ref, ref_start = reference_grown(values, start, m, k, shape, pick, fill)
+        assert got_start == ref_start
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 @st.composite
 def ladder_case(draw):
     """A grid field and scales k h, k from 1 to past half the shortest axis
@@ -724,6 +785,16 @@ class TestNanNode:
         rows = grid_packing_functional(self.field(), 0.25, 2.0, details=True)["per_tau"]
         assert rows[0][0] == 0.25 and rows[0][2] == 7
         assert rows[0][1] == pytest.approx(17.132042432366205, rel=1e-12)
+
+
+def test_sharp_field_norm_peak_in_grid_arrays():
+    # the windows grow with no padded copy and the norm raises to p in
+    # place: the traced peak of the T14i term was 7.24 grid-sized float
+    # arrays with those copies, and is 5.19 now
+    S = generate_canonical(CanonicalSpec("segment-1d-in-2d", 1 / 128))[0]
+    f = function_family("restrictions-of-smooth", S)[0].values
+    _, peak = traced_peak(lambda: sharp_maximal_field(S, f).cell_lp(3.0))
+    assert peak <= 6.2 * 8 * np.prod(GridField.shape_for(S.bbox, S.h))
 
 
 def reference_sharp_maximal_field(S, f_vals):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from sobtrace.canonical import CANONICAL_NAMES, CanonicalSpec, generate_canonical
 from sobtrace.cubes import Cube
+from sobtrace.grid import GridField
 from sobtrace.sets import ClosedSet, solid_set, thin_set
 from sobtrace.util import ConfigError, chebyshev, lex_order
 
@@ -48,6 +49,18 @@ def test_bounded_nearest_distance(name):
         assert below.any() and not below.all()
         assert np.array_equal(got[below], full[below])
         assert np.isinf(got[~below]).all()
+
+
+@pytest.mark.parametrize("name", CANONICAL_NAMES)
+def test_on_set_flags_are_the_unbounded_test(name):
+    # on_set's query stops at 2 * on_set_reach; its flags are those of the
+    # unbounded distance, on the set's grid and on probes at and around it
+    S = _CATALOG[name]
+    nodes = GridField(S.bbox, S.h, np.zeros(GridField.shape_for(S.bbox, S.h))).nodes()
+    for x in (nodes, _oracle_probes(S)):
+        flags = S.on_set(x)
+        assert flags.any() and not flags.all()
+        assert np.array_equal(flags, S.nearest_distance(x) <= S.on_set_reach)
 
 
 def test_bounded_nearest_distance_is_strict():
